@@ -174,19 +174,21 @@ def cmd_solve(cfg: RunConfig) -> int:
     dom = _domain_or_error(cfg)
     mesh = triangulate(dom, cfg.n)
     problem = build_problem(cfg, dom, mesh)
-    solution = solve_ventcel(problem, mesh=mesh)
-
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    sol_path = os.path.join(cfg.output_dir, "solution.csv")
-    write_solution_csv(solution, sol_path)
-    write_trace_csv(solution, os.path.join(cfg.output_dir, "trace.csv"))
+    solution = solve_ventcel(problem, mesh=mesh, keep_factor=True)
 
     system = solution.system
     rhs = solution.load.rhs_free
     v = solution.homogeneous[solution.space.free]
     residual = float(np.linalg.norm(system.matrix.dot(v) - rhs)
                      / (1.0 + np.linalg.norm(rhs)))
-    diag = uniqueness_diagnostic(system, seed=cfg.seed)
+    diag = uniqueness_diagnostic(system, seed=cfg.seed, lu=solution.factor)
+    solution.factor = None    # free the LU fill before output and errors
+
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    sol_path = os.path.join(cfg.output_dir, "solution.csv")
+    write_solution_csv(solution, sol_path)
+    write_trace_csv(solution, os.path.join(cfg.output_dir, "trace.csv"))
+
     b = system.bounds
     lines = [
         f"nodes = {solution.space.n_nodes}",

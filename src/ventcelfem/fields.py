@@ -180,6 +180,9 @@ EXACT_SOLUTIONS = {
 # ----------------------------------------------------------------------
 # coefficient fields
 
+# points per block in NodalCoefficient.eval_points; bounds its scratch memory
+_EVAL_BLOCK = 8192
+
 
 class Coefficient:
     """Scalar data attached to a problem: interior and/or boundary trace.
@@ -269,9 +272,15 @@ class InverseCurvature(Coefficient):
 class NodalCoefficient(Coefficient):
     """P1 field given by one value per mesh node.
 
-    Interior evaluation locates the containing triangle (KD-tree over
-    centroids plus barycentric test); boundary evaluation interpolates
-    along the Ventcel chain of the queried curve by parameter fraction.
+    Interior evaluation locates the containing triangle: a KD-tree over
+    the triangle centroids proposes the ``min(12, n_triangles)`` nearest
+    candidates per point, and the first candidate whose barycentric
+    coordinates are all >= -1e-10 interpolates the point.  Points are
+    processed in blocks of ``_EVAL_BLOCK``; within a block the candidate
+    columns are scanned in the tree's order, and each column tests only
+    the points that no earlier column resolved.  Boundary evaluation
+    interpolates along the Ventcel chain of the queried curve by
+    parameter fraction.
     """
 
     def __init__(self, mesh, values):
@@ -293,23 +302,30 @@ class NodalCoefficient(Coefficient):
         p = np.asarray(p, dtype=float)
         flat = p.reshape(-1, 2)
         k = min(12, len(mesh.triangles))
-        _, cand = self._tree.query(flat, k=k)
-        cand = np.atleast_2d(cand)
-        out = np.full(len(flat), np.nan)
+        out = np.empty(len(flat))
         tri_nodes = mesh.nodes[mesh.triangles]
-        for row, q in enumerate(flat):
-            for ti in cand[row]:
-                a, b, c = tri_nodes[ti]
-                det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-                l1 = ((q[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (q[1] - a[1])) / det
-                l2 = ((b[0] - a[0]) * (q[1] - a[1]) - (q[0] - a[0]) * (b[1] - a[1])) / det
+        for lo in range(0, len(flat), _EVAL_BLOCK):
+            block = flat[lo:lo + _EVAL_BLOCK]
+            _, cand = self._tree.query(block, k=k)
+            cand = cand.reshape(len(block), k)
+            todo = np.arange(len(block))
+            for col in range(k):
+                ti = cand[todo, col]
+                qx, qy = block[todo, 0], block[todo, 1]
+                (ax, ay), (bx, by), (cx, cy) = tri_nodes[ti].transpose(1, 2, 0)
+                det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+                l1 = ((qx - ax) * (cy - ay) - (cx - ax) * (qy - ay)) / det
+                l2 = ((bx - ax) * (qy - ay) - (qx - ax) * (by - ay)) / det
                 l0 = 1.0 - l1 - l2
-                if min(l0, l1, l2) >= -1e-10:
-                    vi = self.values[self.mesh.triangles[ti]]
-                    out[row] = l0 * vi[0] + l1 * vi[1] + l2 * vi[2]
+                hit = (l0 >= -1e-10) & (l1 >= -1e-10) & (l2 >= -1e-10)
+                vi = self.values[mesh.triangles[ti[hit]]]
+                out[lo + todo[hit]] = (l0[hit] * vi[:, 0] + l1[hit] * vi[:, 1]
+                                       + l2[hit] * vi[:, 2])
+                todo = todo[~hit]
+                if not len(todo):
                     break
-        if np.any(np.isnan(out)):
-            raise ValueError("point outside the mesh for nodal coefficient")
+            else:
+                raise ValueError("point outside the mesh for nodal coefficient")
         return out.reshape(p.shape[:-1])
 
     def _chain(self, curve):

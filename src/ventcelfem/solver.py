@@ -113,6 +113,7 @@ class Solution:
     load: LoadData
     values: np.ndarray            # nodal solution including Dirichlet data
     homogeneous: np.ndarray       # part vanishing on the Dirichlet set
+    factor: object | None = None  # SuperLU of system.matrix, if kept
 
 
 def _dirichlet_node_positions(space):
@@ -147,10 +148,22 @@ def estimate_trace_lipschitz(space, phi) -> float:
     return best * (1.0 + 1e-9)
 
 
-def solve_linear(matrix, rhs) -> np.ndarray:
-    """Direct sparse solve of the reduced system."""
+def factorize(matrix):
+    """SuperLU factor of the reduced matrix (scipy's default ordering)."""
     try:
-        lu = spla.splu(matrix.tocsc())
+        return spla.splu(matrix.tocsc())
+    except (RuntimeError, ValueError, MemoryError) as exc:
+        raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
+
+
+def solve_linear(matrix, rhs, lu=None) -> np.ndarray:
+    """Direct sparse solve of the reduced system.
+
+    ``lu`` reuses a ``factorize(matrix)`` result instead of factoring.
+    """
+    if lu is None:
+        lu = factorize(matrix)
+    try:
         x = lu.solve(rhs)
     except (RuntimeError, ValueError, MemoryError) as exc:
         raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
@@ -160,7 +173,13 @@ def solve_linear(matrix, rhs) -> np.ndarray:
 
 
 def solve_ventcel(problem: VentcelProblem, n: int | None = None,
-                  mesh: Mesh | None = None) -> Solution:
+                  mesh: Mesh | None = None, keep_factor: bool = False) -> Solution:
+    """Solve ``problem`` on ``mesh`` (or a fresh mesh with subdivision n).
+
+    With ``keep_factor`` the Solution holds the LU factor of the reduced
+    matrix, for ``uniqueness_diagnostic`` to reuse; the caller drops it
+    (``solution.factor = None``) once done, since it dominates memory.
+    """
     if mesh is None:
         if n is None:
             raise ValueError("pass a mesh or a subdivision count n")
@@ -178,14 +197,16 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
 
     load = assemble_load(system, f1=problem.f1, f2=problem.f2,
                          g1=problem.g1, g2=problem.g2, lift=lift)
-    v_free = solve_linear(system.matrix, load.rhs_free)
+    lu = factorize(system.matrix)
+    v_free = solve_linear(system.matrix, load.rhs_free, lu=lu)
 
     u = lift.copy()
     u[space.free] += v_free
     hom = np.zeros(space.n_nodes)
     hom[space.free] = v_free
     return Solution(space=space, system=system, load=load,
-                    values=u, homogeneous=hom)
+                    values=u, homogeneous=hom,
+                    factor=lu if keep_factor else None)
 
 
 def defect_correction_solve(system: FeSystem, load: LoadData):
@@ -213,21 +234,23 @@ class UniquenessReport:
     singular: bool
 
 
-def uniqueness_diagnostic(system: FeSystem, seed: int = 0) -> UniquenessReport:
+def uniqueness_diagnostic(system: FeSystem, seed: int = 0,
+                          lu=None) -> UniquenessReport:
     """Conditioning report for the reduced matrix.
 
     rcond is 1 / (norm1(A) * est norm1(inv A)); sigma_min comes from 20
     steps of inverse power iteration on A^T A.  ``singular`` flags
-    rcond below 1e-14 or a failed factorization.
+    rcond below 1e-14 or a failed factorization.  ``lu`` reuses a
+    ``factorize(system.matrix)`` result instead of factoring again.
     """
     A = system.matrix.tocsc()
     m = A.shape[0]
     norm1 = float(np.max(np.abs(A).sum(axis=0))) if m else 0.0
-    try:
-        lu = spla.splu(A)
-    except (RuntimeError, ValueError) as exc:
-        del exc
-        return UniquenessReport(m, 0.0, 0.0, True)
+    if lu is None:
+        try:
+            lu = spla.splu(A)
+        except (RuntimeError, ValueError):
+            return UniquenessReport(m, 0.0, 0.0, True)
 
     op = spla.LinearOperator(
         (m, m), matvec=lambda b: lu.solve(b),
@@ -267,12 +290,13 @@ def write_solution_csv(solution: Solution, path: str) -> None:
     """Nodal solution as x,y,u rows."""
     import os
 
-    lines = ["x,y,u"]
-    for (x, y), u in zip(solution.space.mesh.nodes, solution.values):
-        lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(u)}")
+    nodes = solution.space.mesh.nodes
+    rows = np.column_stack([nodes[:, 0], nodes[:, 1], solution.values]).tolist()
+    # "%.17g" % x prints the same digits as _fmt(x) for every float
+    row_fmt = "%.17g,%.17g,%.17g\n".__mod__
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x,y,u\n" + "".join(map(row_fmt, map(tuple, rows))))
     os.replace(tmp, path)
 
 

@@ -101,7 +101,7 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
 
 
 def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
-    def boom(problem, mesh=None, n=None):
+    def boom(problem, mesh=None, n=None, keep_factor=False):
         raise SingularSystemError("synthetic failure")
     monkeypatch.setattr(cli, "solve_ventcel", boom)
     rc = cli.main(["solve", "--domain", "square", "--n", "2",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ventcelfem.domain import square_domain
+from ventcelfem import fields
+from ventcelfem.domain import annulus_domain, square_domain
 from ventcelfem.fields import (
     EXACT_SOLUTIONS,
     CallableField,
@@ -11,6 +12,7 @@ from ventcelfem.fields import (
     FieldCoefficient,
     InverseCurvature,
     LogRadial,
+    NodalCoefficient,
     ProductField,
     QuadraticField,
     ZERO,
@@ -171,3 +173,57 @@ def test_nodal_csv_must_cover_all_nodes(tmp_path):
     path.write_text("0,1.0\n1,2.0\n")
     with pytest.raises(ValueError):
         parse_coefficient(f"nodal:{path}", mesh=mesh, role="a2")
+
+
+def _scalar_eval_points(coef, p):
+    """Point-by-point triangle search, the reference for eval_points."""
+    from scipy.spatial import cKDTree
+
+    mesh = coef.mesh
+    tree = cKDTree(mesh.nodes[mesh.triangles].mean(axis=1))
+    flat = np.asarray(p, dtype=float).reshape(-1, 2)
+    _, cand = tree.query(flat, k=min(12, len(mesh.triangles)))
+    out = np.full(len(flat), np.nan)
+    tri_nodes = mesh.nodes[mesh.triangles]
+    for row, q in enumerate(flat):
+        for ti in cand[row]:
+            a, b, c = tri_nodes[ti]
+            det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
+            l1 = ((q[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (q[1] - a[1])) / det
+            l2 = ((b[0] - a[0]) * (q[1] - a[1]) - (q[0] - a[0]) * (b[1] - a[1])) / det
+            l0 = 1.0 - l1 - l2
+            if min(l0, l1, l2) >= -1e-10:
+                vi = coef.values[mesh.triangles[ti]]
+                out[row] = l0 * vi[0] + l1 * vi[1] + l2 * vi[2]
+                break
+    return out
+
+
+@pytest.mark.parametrize("domain, n", [(annulus_domain(), 16),
+                                       (square_domain(), 32)])
+def test_nodal_eval_points_matches_scalar_search(domain, n):
+    mesh = triangulate(domain, n)
+    rng = np.random.default_rng(11)
+    coef = NodalCoefficient(mesh, rng.standard_normal(len(mesh.nodes)))
+    tri = mesh.nodes[mesh.triangles]
+    inside = np.einsum("tk,tkd->td", rng.dirichlet(np.ones(3), len(tri)), tri)
+    midpoints = 0.5 * (tri + np.roll(tri, -1, axis=1))
+    pts = np.concatenate([inside, midpoints.reshape(-1, 2), mesh.nodes])
+    pts = pts[rng.permutation(len(pts))]
+    assert len(pts) > fields._EVAL_BLOCK
+
+    got = coef.eval_points(pts)
+    want = _scalar_eval_points(coef, pts)
+    assert not np.any(np.isnan(want))
+    assert np.array_equal(got, want)
+    assert np.array_equal(coef.eval_points(pts[:12].reshape(3, 4, 2)),
+                          want[:12].reshape(3, 4))
+
+
+def test_nodal_eval_points_rejects_outside_point():
+    mesh = triangulate(square_domain(), 4)
+    coef = NodalCoefficient(mesh, np.ones(len(mesh.nodes)))
+    inside = mesh.nodes[mesh.triangles].mean(axis=1)
+    for pts in (np.array([[3.0, 5.0]]), np.vstack([inside, [[3.0, 5.0]]])):
+        with pytest.raises(ValueError, match="outside the mesh"):
+            coef.eval_points(pts)

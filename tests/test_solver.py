@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from ventcelfem import cli
 from ventcelfem.domain import square_domain
 from ventcelfem.fields import ConstantCoefficient, FieldCoefficient, QuadraticField, ZERO
 from ventcelfem.solver import (
@@ -9,6 +13,7 @@ from ventcelfem.solver import (
     VentcelProblem,
     defect_correction_solve,
     estimate_trace_lipschitz,
+    factorize,
     manufactured_problem,
     solve_linear,
     solve_ventcel,
@@ -142,3 +147,50 @@ def test_csv_exports(tmp_path):
     cid, t, s, u, u_tau = rows[1].split(",")
     assert cid.startswith("segment")
     assert abs(float(u_tau) - 1.0) < 1e-12      # d(x+y)/ds along y=1
+
+
+def test_uniqueness_diagnostic_reuses_factor():
+    sol = solve_ventcel(cable_problem(), n=8, keep_factor=True)
+    assert sol.factor is not None
+    assert solve_ventcel(cable_problem(), n=8).factor is None
+    fresh = uniqueness_diagnostic(sol.system, seed=3)
+    reused = uniqueness_diagnostic(sol.system, seed=3, lu=sol.factor)
+    assert reused == fresh
+    v = solve_linear(sol.system.matrix, sol.load.rhs_free,
+                     lu=factorize(sol.system.matrix))
+    assert np.array_equal(v, sol.homogeneous[sol.space.free])
+
+
+def test_solve_command_factors_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    rc = cli.main(["solve", "--domain", "cable", "--n", "8",
+                   "--phi", "harmonic_cubic", "--exact", "harmonic_cubic",
+                   "--output-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    assert len(calls) == 1
+    assert "rcond = " in (tmp_path / "diagnostics.txt").read_text()
+
+
+def test_solution_csv_bytes_match_per_node_format(tmp_path):
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 1.0 / 3.0,
+               np.inf, -np.inf, np.nan, 2.0**52 + 1, 123456789.0, 1e-7]
+    nodes = np.column_stack([special, rng.standard_normal(len(special))])
+    nodes = np.vstack([nodes, rng.standard_normal((200, 2)) * 1e3])
+    values = np.concatenate([special[::-1], rng.standard_normal(200) * 1e-5])
+    solution = SimpleNamespace(space=SimpleNamespace(mesh=SimpleNamespace(
+        nodes=nodes)), values=values)
+    path = tmp_path / "solution.csv"
+    write_solution_csv(solution, str(path))
+
+    lines = ["x,y,u"] + [",".join(format(float(v), ".17g") for v in (x, y, u))
+                         for (x, y), u in zip(nodes, values)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
