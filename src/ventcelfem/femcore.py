@@ -40,6 +40,11 @@ _MID_BASIS = np.array([[0.5, 0.5, 0.0],
                        [0.0, 0.5, 0.5],
                        [0.5, 0.0, 0.5]])
 
+# mcshane_lift: side of the sample cells in units of the mesh size h,
+# and nodes bounded per block (the block arrays are block x cells)
+_LIFT_CELL = 2.0
+_LIFT_BLOCK = 2048
+
 
 @dataclass
 class VentcelEdgeData:
@@ -143,6 +148,15 @@ def coefficient_bounds(space: FeSpace, a2, a0, check=True) -> CoefficientBounds:
         v2 = np.atleast_1d(a2.eval_curve(e.curve, e.tq))
         d2 = np.atleast_1d(a2.tangential_deriv(e.curve, e.tq))
         v0 = np.atleast_1d(a0.eval_curve(e.curve, e.tq))
+        if check:
+            # min/max skip NaN here, so test finiteness explicitly
+            for key, what, v in (("a2", "values", v2),
+                                 ("a2", "tangential derivatives", d2),
+                                 ("a0", "values", v0)):
+                if not np.all(np.isfinite(v)):
+                    raise ValueError(
+                        f"{key}: {what} must be finite on the Ventcel "
+                        f"boundary (found nan or inf)")
         lam2, Lam2 = min(lam2, v2.min()), max(Lam2, v2.max())
         m_grad = max(m_grad, np.abs(d2).max())
         lam0, Lam0 = min(lam0, v0.min()), max(Lam0, v0.max())
@@ -182,6 +196,30 @@ def dirichlet_boundary_samples(mesh) -> np.ndarray:
     return np.concatenate(pts)
 
 
+def _sample_cells(samples, values, side):
+    """Group wall samples into square cells of the given side.
+
+    Returns per-cell member x, y and values, each (cells, m) and padded
+    to the largest cell m by repeating the cell's first member, plus
+    each cell's centre (2,), radius (largest member distance from the
+    centre) and smallest value.
+    """
+    _, cell_of, counts = np.unique(np.floor(samples / side), axis=0,
+                                   return_inverse=True, return_counts=True)
+    cell_of = cell_of.ravel()
+    order = np.argsort(cell_of, kind="stable")
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(len(order)) - np.repeat(starts, counts)
+    members = np.repeat(order[starts][:, None], counts.max(), axis=1)
+    members[cell_of[order], rank] = order
+
+    mx, my, mv = samples[members, 0], samples[members, 1], values[members]
+    centre = 0.5 * np.stack([mx.min(axis=1) + mx.max(axis=1),
+                             my.min(axis=1) + my.max(axis=1)], axis=1)
+    radius = np.hypot(mx - centre[:, :1], my - centre[:, 1:]).max(axis=1)
+    return mx, my, mv, centre, radius, mv.min(axis=1)
+
+
 def mcshane_lift(space: FeSpace, phi, lipschitz_k: float) -> np.ndarray:
     """Lipschitz extension of the Dirichlet data to all nodes.
 
@@ -190,20 +228,58 @@ def mcshane_lift(space: FeSpace, phi, lipschitz_k: float) -> np.ndarray:
     phi at every Dirichlet node (the nodes are among the samples) and
     extends with the same constant.  Samples are spaced at most h/4
     along each Dirichlet edge.
+
+    The minimum is found by branch and bound over square cells of side
+    ``_LIFT_CELL * h`` grouping the samples.  A cell with centre c,
+    radius r and smallest value vmin holds no candidate below
+    lb = vmin + K max(|p - c| - r, 0); the exact minimum over the cell
+    of smallest lb is an upper bound ub.  Candidates are evaluated with
+    the brute-force expression only in cells with lb <= ub + tol, where
+    tol = 1e-9 (max|phi| + K scale) dwarfs the rounding of both bounds.
+    Those cells hold the minimizing sample, every candidate is computed
+    by the same floating-point operations as in a full scan, and a
+    minimum does not depend on the order it is taken in, so the result
+    equals the full scan bit for bit (no candidate is -0.0, since
+    K |p - q| >= +0).
+
+    Raises ValueError on non-finite wall data or a negative or
+    non-finite K.
     """
-    samples = dirichlet_boundary_samples(space.mesh)
+    K = float(lipschitz_k)
+    if not (np.isfinite(K) and K >= 0.0):
+        raise ValueError(
+            f"lipschitz_k: must be finite and nonnegative, got {K!r}")
+    K += 0.0                      # a -0.0 would make K * d a -0.0
+    mesh = space.mesh
+    samples = dirichlet_boundary_samples(mesh)
     if len(samples) == 0:
         return np.zeros(space.n_nodes)
     values = np.atleast_1d(phi.eval_points(samples))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("phi: wall data must be finite (found nan or inf)")
 
-    out = np.empty(space.n_nodes)
-    nodes = space.mesh.nodes
-    K = float(lipschitz_k)
-    for lo in range(0, len(nodes), 1024):
-        chunk = nodes[lo:lo + 1024]
-        d = np.hypot(chunk[:, None, 0] - samples[None, :, 0],
-                     chunk[:, None, 1] - samples[None, :, 1])
-        out[lo:lo + 1024] = (values[None, :] + K * d).min(axis=1)
+    mx, my, mv, centre, radius, vmin = _sample_cells(
+        samples, values, _LIFT_CELL * mesh.h)
+    tol = 1e-9 * (np.abs(values).max() + K * mesh.scale())
+
+    nodes = mesh.nodes
+    out = np.empty(len(nodes))
+    for lo in range(0, len(nodes), _LIFT_BLOCK):
+        p = nodes[lo:lo + _LIFT_BLOCK]
+        rows = np.arange(len(p))
+        # lb only needs to be accurate to well within tol
+        d = np.sqrt((p[:, :1] - centre[:, 0])**2 + (p[:, 1:] - centre[:, 1])**2)
+        lb = vmin + K * np.maximum(d - radius, 0.0)
+        best = lb.argmin(axis=1)
+        ub = (mv[best] + K * np.hypot(p[:, :1] - mx[best],
+                                      p[:, 1:] - my[best])).min(axis=1)
+        keep = lb <= (ub + tol)[:, None]
+        keep[rows, best] = True
+        node, cell = np.nonzero(keep)
+        g = mv[cell] + K * np.hypot(p[node, :1] - mx[cell],
+                                    p[node, 1:] - my[cell])
+        out[lo:lo + len(p)] = np.minimum.reduceat(
+            g.min(axis=1), np.searchsorted(node, rows))
     return out
 
 

@@ -125,7 +125,8 @@ def estimate_trace_lipschitz(space, phi) -> float:
 
     Computes the max difference quotient of phi between Dirichlet nodes
     and a dense sample of the Dirichlet boundary (the same density the
-    lifting uses), with a small safety factor.
+    lifting uses), with a small safety factor.  Raises ValueError on
+    non-finite wall data.
     """
     from .femcore import dirichlet_boundary_samples
 
@@ -135,6 +136,8 @@ def estimate_trace_lipschitz(space, phi) -> float:
     svals = np.atleast_1d(phi.eval_points(samples))
     nodes = _dirichlet_node_positions(space)
     nvals = np.atleast_1d(phi.eval_points(nodes))
+    if not (np.all(np.isfinite(svals)) and np.all(np.isfinite(nvals))):
+        raise ValueError("phi: wall data must be finite (found nan or inf)")
     scale = space.mesh.scale()
     best = 0.0
     for lo in range(0, len(nodes), 512):

@@ -86,6 +86,27 @@ def test_bad_configuration_exits_2(argv, capsys, tmp_path):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("phi", "const:nan"), ("phi", "const:inf"),
+    ("a2", "const:nan"), ("a2", "poly:nan"), ("a2", "const:inf"),
+    ("a0", "const:nan"), ("a0", "const:-inf"),
+])
+def test_non_finite_data_exits_2(key, value, capsys, tmp_path):
+    rc = cli.main(["solve", "--domain", "square", "--n", "4",
+                   f"--{key}", value, "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {key}: " in err
+    assert "finite" in err
+    assert not (tmp_path / "solution.csv").exists()
+
+
+def test_info_prints_non_finite_bounds(capsys):
+    assert cli.main(["info", "--domain", "square", "--n", "4",
+                     "--a2", "const:nan"]) == 0
+    assert "# lambda2 = " in capsys.readouterr().out
+
+
 def test_bad_config_file_exits_2(tmp_path, capsys):
     bad_key = tmp_path / "a.cfg"
     bad_key.write_text("banana = 3\n")

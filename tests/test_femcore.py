@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ventcelfem.domain import square_domain
+from ventcelfem.domain import annulus_domain, cable_domain, square_domain
 from ventcelfem.fields import (
+    EXACT_SOLUTIONS,
     ConstantCoefficient,
     FieldCoefficient,
     InverseCurvature,
@@ -177,6 +180,82 @@ def test_mcshane_lift_zero_data():
     assert K == 0.0
     lift = mcshane_lift(space, ZERO, K)
     assert np.abs(lift).max() == 0.0
+
+
+def brute_force_lift(space, phi, K):
+    """Reference McShane lift: every node against every wall sample."""
+    samples = dirichlet_boundary_samples(space.mesh)
+    if len(samples) == 0:
+        return np.zeros(space.n_nodes)
+    values = np.atleast_1d(phi.eval_points(samples))
+
+    out = np.empty(space.n_nodes)
+    nodes = space.mesh.nodes
+    K = float(K)
+    for lo in range(0, len(nodes), 1024):
+        chunk = nodes[lo:lo + 1024]
+        d = np.hypot(chunk[:, None, 0] - samples[None, :, 0],
+                     chunk[:, None, 1] - samples[None, :, 1])
+        out[lo:lo + 1024] = (values[None, :] + K * d).min(axis=1)
+    return out
+
+
+LIFT_DOMAINS = {"cable": cable_domain, "square": square_domain,
+                "annulus": annulus_domain}
+LIFT_PHIS = st.one_of(
+    st.sampled_from(sorted(EXACT_SOLUTIONS)).map(
+        lambda name: FieldCoefficient(EXACT_SOLUTIONS[name])),
+    st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6).map(
+        lambda c: FieldCoefficient(QuadraticField(*c))))
+
+
+@pytest.mark.parametrize("domain", sorted(LIFT_DOMAINS))
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.integers(2, 24), phi=LIFT_PHIS,
+       k_scale=st.sampled_from([1.0, 10.0, 0.0]))
+def test_mcshane_lift_matches_full_scan_bitwise(domain, n, phi, k_scale):
+    space = build_space(triangulate(LIFT_DOMAINS[domain](), n))
+    with np.errstate(divide="ignore"):       # log_radial at the origin
+        walls = phi.eval_points(dirichlet_boundary_samples(space.mesh))
+        if not np.all(np.isfinite(walls)):
+            with pytest.raises(ValueError, match="phi"):
+                mcshane_lift(space, phi, 1.0)
+            return
+    K = k_scale * estimate_trace_lipschitz(space, phi)
+    got = mcshane_lift(space, phi, K)
+    want = brute_force_lift(space, phi, K)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_mcshane_lift_rejects_bad_inputs():
+    space = build_space(triangulate(square_domain(), 4))
+    for K in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="lipschitz_k"):
+            mcshane_lift(space, AFFINE, K)
+    for v in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="phi"):
+            mcshane_lift(space, ConstantCoefficient(v), 1.0)
+        with pytest.raises(ValueError, match="phi"):
+            estimate_trace_lipschitz(space, ConstantCoefficient(v))
+
+
+def test_bounds_reject_non_finite_coefficients():
+    space = build_space(triangulate(square_domain(), 4))
+    one = ConstantCoefficient(1.0)
+    for v in (np.nan, np.inf, -np.inf):
+        bad = ConstantCoefficient(v)
+        with pytest.raises(ValueError, match="^a2: values"):
+            coefficient_bounds(space, bad, ZERO)
+        with pytest.raises(ValueError, match="^a0: values"):
+            coefficient_bounds(space, one, bad)
+        coefficient_bounds(space, bad, bad, check=False)
+
+    class NanSlope(ConstantCoefficient):
+        def tangential_deriv(self, curve, t):
+            return np.full(np.shape(t), np.nan)
+
+    with pytest.raises(ValueError, match="^a2: tangential derivatives"):
+        coefficient_bounds(space, NanSlope(1.0), ZERO)
 
 
 def test_load_pieces_on_reference_triangle():
