@@ -32,7 +32,6 @@ from .mesh import (
     Mesh,
     mesh_quality,
     read_mesh,
-    refine,
     triangulate,
     validate,
     write_mesh,

@@ -20,7 +20,7 @@ from . import verify
 from .domain import make_domain
 from .fields import EXACT_SOLUTIONS, parse_coefficient
 from .femcore import build_space, coefficient_bounds
-from .mesh import mesh_quality, triangulate, write_mesh
+from .mesh import _write_text, mesh_quality, triangulate, write_mesh
 from .solver import (
     SingularSystemError,
     VentcelProblem,
@@ -161,13 +161,6 @@ def build_problem(cfg: RunConfig, dom, mesh) -> VentcelProblem:
         f1=opt(cfg.f1, "f1"), f2=f2,
         g1=opt(cfg.g1, "g1"), g2=opt(cfg.g2, "g2"),
         phi=opt(cfg.phi, "phi"), exact=exact)
-
-
-def _write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def cmd_solve(cfg: RunConfig) -> int:

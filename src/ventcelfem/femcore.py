@@ -15,8 +15,8 @@ with tang the tangential derivative along the chain.  The first-order
 term makes the matrix unsymmetric whenever a2 varies along the chain.
 A nonnegative shift sigma0 = M^2/(2 lambda2) - lambda0 (M, lambda2,
 lambda0 coefficient bounds over the quadrature points) restores a
-coercivity certificate; the shifted matrix is kept alongside the plain
-one and never replaces it in the solve path.
+coercivity certificate; the shifted matrix is built on demand next to
+the plain one and never replaces it in the solve path.
 
 Quadrature: 3-point edge-midpoint rule on triangles (exact to degree
 2), 3-point Gauss on each boundary chord with coefficients evaluated
@@ -27,6 +27,7 @@ well-defined trace along the chain (smooth fields or nodal P1 data).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,6 +35,9 @@ import scipy.sparse as sp
 # 3-point Gauss-Legendre on [0, 1]
 GAUSS3_XI = np.array([0.5 * (1.0 - np.sqrt(0.6)), 0.5, 0.5 * (1.0 + np.sqrt(0.6))])
 GAUSS3_W = np.array([5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0])
+
+# P1 basis values of a chord's end nodes a, b at its Gauss points, (2, 3)
+_CHORD_BASIS = np.stack([1.0 - GAUSS3_XI, GAUSS3_XI])
 
 # P1 basis values at the three edge midpoints of a triangle
 _MID_BASIS = np.array([[0.5, 0.5, 0.0],
@@ -46,16 +50,54 @@ _LIFT_CELL = 2.0
 _LIFT_BLOCK = 2048
 
 
-@dataclass
-class VentcelEdgeData:
-    a: int
-    b: int
-    curve: object
-    ta: float
-    tb: float
-    ell: float                    # chord length
-    tq: np.ndarray                # (3,) parameters of the Gauss points
-    wq: np.ndarray                # (3,) weights scaled by chord length
+class VentcelChain:
+    """The Ventcel edges of a mesh as arrays, one row per edge.
+
+    End nodes a, b, parameter interval ta, tb and chord length ell are
+    (E,); the Gauss parameters tq and weights wq (scaled by ell) are
+    (E, 3).  Rows are grouped per curve, in ta order within a curve;
+    ``curves`` lists (curve, row slice) pairs.
+    """
+
+    def __init__(self, mesh):
+        groups = {}
+        for e in mesh.bedges:
+            if e.tag == "ventcel":
+                groups.setdefault(e.curve, []).append(e)
+        edges, self.curves = [], []
+        for curve, group in groups.items():
+            group.sort(key=lambda e: e.ta)
+            self.curves.append((curve, slice(len(edges), len(edges) + len(group))))
+            edges += group
+        self.a = np.array([e.a for e in edges], dtype=int)
+        self.b = np.array([e.b for e in edges], dtype=int)
+        self.ta = np.array([e.ta for e in edges], dtype=float)
+        self.tb = np.array([e.tb for e in edges], dtype=float)
+        d = mesh.nodes[self.b] - mesh.nodes[self.a]
+        self.ell = np.hypot(d[:, 0], d[:, 1])
+        self.tq = self.points(GAUSS3_XI)
+        self.wq = self.ell[:, None] * GAUSS3_W
+
+    def __len__(self):
+        return len(self.a)
+
+    def points(self, xi):
+        """Curve parameters of the reference points xi on every edge, (E, q)."""
+        return self.ta[:, None] + xi * (self.tb - self.ta)[:, None]
+
+    def on_curves(self, fn, t=None):
+        """fn(curve, t) once per curve on its rows of t (E, q), default tq."""
+        t = self.tq if t is None else t
+        out = np.empty(t.shape)
+        for curve, rows in self.curves:
+            out[rows] = fn(curve, t[rows])
+        return out
+
+    def add_to(self, vec, *blocks):
+        """Add (E, 2) blocks of node terms: edge by edge, block by block,
+        a before b, so every node sums its terms in a fixed order."""
+        idx = np.tile(np.stack([self.a, self.b], axis=1), (1, len(blocks)))
+        np.add.at(vec, idx, np.concatenate(blocks, axis=1))
 
 
 class FeSpace:
@@ -71,16 +113,7 @@ class FeSpace:
                 mask[e.a] = mask[e.b] = True
         self.dirichlet_mask = mask
         self.free = np.flatnonzero(~mask)
-
-        self.ventcel_edges = []
-        for e in mesh.bedges:
-            if e.tag != "ventcel":
-                continue
-            pa, pb = mesh.nodes[e.a], mesh.nodes[e.b]
-            ell = float(np.hypot(*(pb - pa)))
-            tq = e.ta + GAUSS3_XI * (e.tb - e.ta)
-            self.ventcel_edges.append(VentcelEdgeData(
-                e.a, e.b, e.curve, e.ta, e.tb, ell, tq, ell * GAUSS3_W))
+        self.ventcel_edges = VentcelChain(mesh)
 
         # triangle geometry: areas, constant basis gradients, midpoints
         p = mesh.nodes[mesh.triangles]
@@ -107,12 +140,9 @@ class FeSpace:
 
     def ventcel_dofs(self):
         """Indices of non-Dirichlet nodes lying on Ventcel chains."""
-        seen = set()
-        for e in self.ventcel_edges:
-            seen.add(e.a)
-            seen.add(e.b)
-        return np.array(sorted(i for i in seen if not self.dirichlet_mask[i]),
-                        dtype=int)
+        ch = self.ventcel_edges
+        nodes = np.unique(np.concatenate([ch.a, ch.b]))
+        return nodes[~self.dirichlet_mask[nodes]]
 
 
 def build_space(mesh) -> FeSpace:
@@ -140,30 +170,28 @@ class CoefficientBounds:
         return min(1.0, 0.5 * self.lambda2)
 
 
-def coefficient_bounds(space: FeSpace, a2, a0, check=True) -> CoefficientBounds:
-    lam2, Lam2 = np.inf, -np.inf
-    m_grad = 0.0
-    lam0, Lam0 = np.inf, -np.inf
-    for e in space.ventcel_edges:
-        v2 = np.atleast_1d(a2.eval_curve(e.curve, e.tq))
-        d2 = np.atleast_1d(a2.tangential_deriv(e.curve, e.tq))
-        v0 = np.atleast_1d(a0.eval_curve(e.curve, e.tq))
-        if check:
-            # min/max skip NaN here, so test finiteness explicitly
-            for key, what, v in (("a2", "values", v2),
-                                 ("a2", "tangential derivatives", d2),
-                                 ("a0", "values", v0)):
-                if not np.all(np.isfinite(v)):
-                    raise ValueError(
-                        f"{key}: {what} must be finite on the Ventcel "
-                        f"boundary (found nan or inf)")
-        lam2, Lam2 = min(lam2, v2.min()), max(Lam2, v2.max())
-        m_grad = max(m_grad, np.abs(d2).max())
-        lam0, Lam0 = min(lam0, v0.min()), max(Lam0, v0.max())
-    if not space.ventcel_edges:
+def _chain_coefficients(space: FeSpace, a2, a0):
+    """a2, d a2/ds and a0 at the chain's Gauss points, each (E, 3)."""
+    ch = space.ventcel_edges
+    if not len(ch):
         raise ValueError("space has no Ventcel edges")
-    bounds = CoefficientBounds(float(lam2), float(Lam2), float(m_grad),
-                               float(lam0), float(Lam0))
+    return (ch.on_curves(a2.eval_curve), ch.on_curves(a2.tangential_deriv),
+            ch.on_curves(a0.eval_curve))
+
+
+def _bounds(a2q, da2q, a0q, check) -> CoefficientBounds:
+    if check:
+        # min/max propagate NaN, so test finiteness first to name the key
+        for key, what, v in (("a2", "values", a2q),
+                             ("a2", "tangential derivatives", da2q),
+                             ("a0", "values", a0q)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(
+                    f"{key}: {what} must be finite on the Ventcel "
+                    f"boundary (found nan or inf)")
+    bounds = CoefficientBounds(float(a2q.min()), float(a2q.max()),
+                               float(np.abs(da2q).max()),
+                               float(a0q.min()), float(a0q.max()))
     if check and bounds.lambda2 <= 0:
         raise ValueError(
             f"a2 must be strictly positive on the Ventcel boundary "
@@ -173,6 +201,10 @@ def coefficient_bounds(space: FeSpace, a2, a0, check=True) -> CoefficientBounds:
             f"a0 must be nonnegative on the Ventcel boundary "
             f"(min {bounds.lambda0:g})")
     return bounds
+
+
+def coefficient_bounds(space: FeSpace, a2, a0, check=True) -> CoefficientBounds:
+    return _bounds(*_chain_coefficients(space, a2, a0), check)
 
 
 def dirichlet_boundary_samples(mesh) -> np.ndarray:
@@ -298,11 +330,20 @@ class FeSystem:
         self.A = parts["A"]
         self.sigma0 = bounds.sigma0
         self.shift_applied = self.sigma0 > 0
-        shift = max(self.sigma0, 0.0)
-        self.A_sigma = (self.A + shift * self.M_b).tocsr() if shift else self.A
         free = space.free
         self.matrix = self.A[free][:, free].tocsr()
-        self.matrix_shifted = self.A_sigma[free][:, free].tocsr()
+
+    @cached_property
+    def A_sigma(self):
+        """A + sigma0 M_b when the shift applies, else A itself."""
+        if not self.shift_applied:
+            return self.A
+        return (self.A + self.sigma0 * self.M_b).tocsr()
+
+    @cached_property
+    def matrix_shifted(self):
+        free = self.space.free
+        return self.A_sigma[free][:, free].tocsr()
 
     def gram_v0(self):
         """Free-dof Gram matrix of the energy norm |Dv|^2 + |tang v|^2."""
@@ -321,7 +362,8 @@ class FeSystem:
 
 def assemble_bilinear(space: FeSpace, a2, a0, check=True) -> FeSystem:
     """Assemble the full bilinear form; rows test, columns trial."""
-    bounds = coefficient_bounds(space, a2, a0, check=check)
+    a2q, da2q, a0q = _chain_coefficients(space, a2, a0)
+    bounds = _bounds(a2q, da2q, a0q, check)
     n = space.n_nodes
     tris = space.mesh.triangles
     area = space.tri_area
@@ -343,34 +385,26 @@ def assemble_bilinear(space: FeSpace, a2, a0, check=True) -> FeSystem:
     M_int = sp.coo_matrix((np.concatenate(m_vals), (rows, cols)),
                           shape=(n, n)).tocsr()
 
-    br, bc = [], []
-    s_vals, mb_vals, a2_vals, c_vals, a0_vals = [], [], [], [], []
-    for e in space.ventcel_edges:
-        a2q = np.atleast_1d(a2.eval_curve(e.curve, e.tq))
-        da2q = np.atleast_1d(a2.tangential_deriv(e.curve, e.tq))
-        a0q = np.atleast_1d(a0.eval_curve(e.curve, e.tq))
-        phi = np.stack([1.0 - GAUSS3_XI, GAUSS3_XI])      # (2, q)
-        dphi = np.array([-1.0, 1.0]) / e.ell              # (2,)
-        idx = (e.a, e.b)
-        for i in range(2):
-            for j in range(2):
-                br.append(idx[i])
-                bc.append(idx[j])
-                s_vals.append(e.ell * dphi[i] * dphi[j])
-                mb_vals.append(float(e.wq @ (phi[i] * phi[j])))
-                a2_vals.append(float(np.dot(e.wq, a2q)) * dphi[i] * dphi[j])
-                c_vals.append(float(np.dot(e.wq * da2q, phi[i]) * dphi[j]))
-                a0_vals.append(float(np.dot(e.wq * a0q, phi[i] * phi[j])))
-    if br:
-        br = np.array(br)
-        bc = np.array(bc)
-        S_b = sp.coo_matrix((np.array(s_vals), (br, bc)), shape=(n, n)).tocsr()
-        M_b = sp.coo_matrix((np.array(mb_vals), (br, bc)), shape=(n, n)).tocsr()
-        A2_b = sp.coo_matrix((np.array(a2_vals), (br, bc)), shape=(n, n)).tocsr()
-        C_b = sp.coo_matrix((np.array(c_vals), (br, bc)), shape=(n, n)).tocsr()
-        A0_b = sp.coo_matrix((np.array(a0_vals), (br, bc)), shape=(n, n)).tocsr()
-    else:
-        S_b = M_b = A2_b = C_b = A0_b = sp.csr_matrix((n, n))
+    # chain blocks (E, 2, 2), local (i, j) = (test, trial) over nodes (a, b);
+    # np.vecdot rounds each 3-point sum as a per-edge np.dot does (einsum
+    # does not), so the blocks do not depend on how the edges are batched
+    ch = space.ventcel_edges
+    phi = _CHORD_BASIS
+    phi2 = phi[:, None] * phi                         # (2, 2, q)
+    dphi = np.array([-1.0, 1.0]) / ch.ell[:, None]    # (E, 2)
+    di, dj = dphi[:, :, None], dphi[:, None, :]
+    idx = np.stack([ch.a, ch.b], axis=1)
+    br = np.repeat(idx, 2, axis=1).ravel()
+    bc = np.tile(idx, 2).ravel()
+
+    def block(vals):
+        return sp.coo_matrix((vals.ravel(), (br, bc)), shape=(n, n)).tocsr()
+
+    S_b = block(ch.ell[:, None, None] * di * dj)
+    M_b = block(np.vecdot(ch.wq[:, None, None], phi2))
+    A2_b = block(np.vecdot(ch.wq, a2q)[:, None, None] * di * dj)
+    C_b = block(np.vecdot((ch.wq * da2q)[:, None], phi)[:, :, None] * dj)
+    A0_b = block(np.vecdot((ch.wq * a0q)[:, None, None], phi2))
 
     A = (K_int + A2_b + C_b + A0_b).tocsr()
     parts = {"K_int": K_int, "M_int": M_int, "S_b": S_b, "M_b": M_b, "A": A}
@@ -382,6 +416,12 @@ class LoadData:
     full: np.ndarray              # linear functional on all nodes
     rhs_free: np.ndarray          # reduced right-hand side after lifting
     lift: np.ndarray              # nodal lifting of the Dirichlet data
+
+
+def _finite_load(key, vals):
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{key}: load data must be finite (found nan or inf)")
+    return vals
 
 
 def assemble_load(system: FeSystem, f1=None, f2=None, g1=None, g2=None,
@@ -399,30 +439,32 @@ def assemble_load(system: FeSystem, f1=None, f2=None, g1=None, g2=None,
     L = np.zeros(n)
 
     if f1 is not None:
-        vals = np.atleast_2d(f1.eval_points(space.tri_midpoints))
+        vals = _finite_load(
+            "f1", np.atleast_2d(f1.eval_points(space.tri_midpoints)))
         w = (area / 3.0)[:, None] * vals        # (M, 3) midpoint weights
         contrib = w @ _MID_BASIS                # (M, 3) per-vertex
         np.add.at(L, tris, contrib)
     if f2 is not None:
-        fx = np.atleast_2d(f2[0].eval_points(space.tri_midpoints))
-        fy = np.atleast_2d(f2[1].eval_points(space.tri_midpoints))
+        fx = _finite_load(
+            "f2x", np.atleast_2d(f2[0].eval_points(space.tri_midpoints)))
+        fy = _finite_load(
+            "f2y", np.atleast_2d(f2[1].eval_points(space.tri_midpoints)))
         mean_x = fx.mean(axis=1) * area
         mean_y = fy.mean(axis=1) * area
         contrib = -(space.tri_grads[..., 0] * mean_x[:, None]
                     + space.tri_grads[..., 1] * mean_y[:, None])
         np.add.at(L, tris, contrib)
-    for e in space.ventcel_edges:
-        phi = np.stack([1.0 - GAUSS3_XI, GAUSS3_XI])
-        dphi = np.array([-1.0, 1.0]) / e.ell
-        if g1 is not None:
-            g1q = np.atleast_1d(g1.eval_curve(e.curve, e.tq))
-            L[e.a] += float(np.dot(e.wq * g1q, phi[0]))
-            L[e.b] += float(np.dot(e.wq * g1q, phi[1]))
-        if g2 is not None:
-            g2q = np.atleast_1d(g2.eval_curve(e.curve, e.tq))
-            s = float(np.dot(e.wq, g2q))
-            L[e.a] -= s * dphi[0]
-            L[e.b] -= s * dphi[1]
+    ch = space.ventcel_edges
+    chain = []
+    if g1 is not None:
+        g1q = _finite_load("g1", ch.on_curves(g1.eval_curve))
+        chain.append(np.vecdot((ch.wq * g1q)[:, None], _CHORD_BASIS))
+    if g2 is not None:
+        g2q = _finite_load("g2", ch.on_curves(g2.eval_curve))
+        dphi = np.array([-1.0, 1.0]) / ch.ell[:, None]
+        chain.append(-(np.vecdot(ch.wq, g2q)[:, None] * dphi))
+    if chain:
+        ch.add_to(L, *chain)
 
     if lift is None:
         lift = np.zeros(n)

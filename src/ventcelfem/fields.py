@@ -23,6 +23,8 @@ import math
 
 import numpy as np
 
+from .femcore import VentcelChain
+
 
 # ----------------------------------------------------------------------
 # plane fields
@@ -88,7 +90,8 @@ class LogRadial:
     def value(self, p):
         p = np.asarray(p, dtype=float)
         r2 = p[..., 0] ** 2 + p[..., 1] ** 2
-        return 0.5 * np.log(r2) / self._L2
+        with np.errstate(divide="ignore"):      # -inf at the origin
+            return 0.5 * np.log(r2) / self._L2
 
     def grad(self, p):
         p = np.asarray(p, dtype=float)
@@ -290,7 +293,7 @@ class NodalCoefficient(Coefficient):
         self.mesh = mesh
         self.values = values
         self._tree = None
-        self._chains = {}
+        self._chain = None
 
     def eval_points(self, p):
         from scipy.spatial import cKDTree
@@ -328,40 +331,29 @@ class NodalCoefficient(Coefficient):
                 raise ValueError("point outside the mesh for nodal coefficient")
         return out.reshape(p.shape[:-1])
 
-    def _chain(self, curve):
-        key = curve.token()
-        if key not in self._chains:
-            rows = [(e.ta, e.tb, e.a, e.b) for e in self.mesh.bedges
-                    if e.curve is not None and e.curve.token() == key]
-            if not rows:
-                raise ValueError("curve has no boundary edges in the mesh")
-            rows.sort()
-            self._chains[key] = (
-                np.array([r[0] for r in rows]),
-                np.array([r[1] for r in rows]),
-                np.array([r[2] for r in rows], dtype=int),
-                np.array([r[3] for r in rows], dtype=int),
-            )
-        return self._chains[key]
+    def _edges_at(self, curve, t):
+        """The mesh's Ventcel chain and the row of the edge holding each t."""
+        if self._chain is None:
+            self._chain = VentcelChain(self.mesh)
+        ch = self._chain
+        rows = next((rows for c, rows in ch.curves if c == curve), None)
+        if rows is None:
+            raise ValueError("curve has no boundary edges in the mesh")
+        k = np.searchsorted(ch.ta[rows], np.atleast_1d(t), side="right") - 1
+        return ch, rows.start + np.clip(k, 0, rows.stop - rows.start - 1)
 
     def eval_curve(self, curve, t):
-        ta, tb, a, b = self._chain(curve)
         t = np.asarray(t, dtype=float)
-        tt = np.atleast_1d(t).astype(float)
-        k = np.clip(np.searchsorted(ta, tt, side="right") - 1, 0, len(ta) - 1)
-        xi = np.clip((tt - ta[k]) / (tb[k] - ta[k]), 0.0, 1.0)
-        vals = (1 - xi) * self.values[a[k]] + xi * self.values[b[k]]
+        ch, k = self._edges_at(curve, t)
+        xi = np.clip((np.atleast_1d(t) - ch.ta[k]) / (ch.tb[k] - ch.ta[k]),
+                     0.0, 1.0)
+        vals = (1 - xi) * self.values[ch.a[k]] + xi * self.values[ch.b[k]]
         return vals.reshape(t.shape) if t.ndim else float(vals[0])
 
     def tangential_deriv(self, curve, t):
-        ta, tb, a, b = self._chain(curve)
         t = np.asarray(t, dtype=float)
-        tt = np.atleast_1d(t).astype(float)
-        k = np.clip(np.searchsorted(ta, tt, side="right") - 1, 0, len(ta) - 1)
-        pa = self.mesh.nodes[a[k]]
-        pb = self.mesh.nodes[b[k]]
-        ell = np.hypot(*(pb - pa).T)
-        d = (self.values[b[k]] - self.values[a[k]]) / ell
+        ch, k = self._edges_at(curve, t)
+        d = (self.values[ch.b[k]] - self.values[ch.a[k]]) / ch.ell[k]
         return d.reshape(t.shape) if t.ndim else float(d[0])
 
 

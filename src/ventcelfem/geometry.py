@@ -428,6 +428,31 @@ class BoundaryFieldSample:
     u_ss_curvature: np.ndarray
 
 
+def frame_derivatives(field, curve: Curve, t):
+    """Derivatives of a plane field in the unit frame of a curve at t.
+
+    Returns (u_tau, u_tt, u_nu, kappa_oriented): the first and second
+    derivatives along the unit tangent, the outward normal derivative,
+    and the curvature with the outward orientation, so that
+    u_tt + kappa_oriented * u_nu is the second arc-length derivative of
+    the field's restriction to the curve.
+    """
+    p = curve.point(t)
+    d1 = curve.velocity(t)
+    sp = np.hypot(d1[..., 0], d1[..., 1])
+    g = field.grad(p)
+    H = field.hess(p)
+    u_tau = (d1[..., 0] * g[..., 0] + d1[..., 1] * g[..., 1]) / sp
+    u_tt = (
+        d1[..., 0] ** 2 * H[..., 0, 0]
+        + 2.0 * d1[..., 0] * d1[..., 1] * H[..., 0, 1]
+        + d1[..., 1] ** 2 * H[..., 1, 1]
+    ) / sp**2
+    u_nu = curve.normal_sign * (d1[..., 0] * g[..., 1] - d1[..., 1] * g[..., 0]) / sp
+    kappa_oriented = curve.normal_sign * curve.curvature(t)
+    return u_tau, u_tt, u_nu, kappa_oriented
+
+
 def boundary_field_sample(field, curve: Curve, t, h_rel: float = 1e-4):
     """Sample tangential/normal derivatives of ``field`` on ``curve`` at t.
 
@@ -443,20 +468,7 @@ def boundary_field_sample(field, curve: Curve, t, h_rel: float = 1e-4):
     scalar = t.ndim == 0
     tt = np.atleast_1d(t).astype(float)
 
-    p = curve.point(tt)
-    d1 = curve.velocity(tt)
-    sp = np.hypot(d1[..., 0], d1[..., 1])
-    g = field.grad(p)
-    H = field.hess(p)
-
-    u_tau = (d1[..., 0] * g[..., 0] + d1[..., 1] * g[..., 1]) / sp
-    u_tautau = (
-        d1[..., 0] ** 2 * H[..., 0, 0]
-        + 2.0 * d1[..., 0] * d1[..., 1] * H[..., 0, 1]
-        + d1[..., 1] ** 2 * H[..., 1, 1]
-    ) / sp**2
-    u_nu = curve.normal_sign * (d1[..., 0] * g[..., 1] - d1[..., 1] * g[..., 0]) / sp
-    kappa_oriented = curve.normal_sign * curve.curvature(tt)
+    u_tau, u_tautau, u_nu, kappa_oriented = frame_derivatives(field, curve, tt)
     u_ss_curv = u_tautau + kappa_oriented * u_nu
 
     L = curve.total_length

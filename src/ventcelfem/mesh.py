@@ -5,8 +5,7 @@ columns under the arc), polar grids for the annulus (4n angular by n
 radial cells), uniform grids for the square.  All triangles are
 counterclockwise.  Boundary edges carry a condition tag and, for
 Ventcel edges, the owning curve with the parameter interval of the
-edge, so nodes on the curved boundary lie exactly on the curve and
-refinement can snap new midpoints back onto it.
+edge, so nodes on the curved boundary lie exactly on the curve.
 
 Text format (round-trips doubles exactly via 17 significant digits):
 
@@ -214,49 +213,6 @@ def _mesh_cable(spec, n):
 
 
 # ----------------------------------------------------------------------
-# refinement
-
-
-def refine(mesh: Mesh) -> Mesh:
-    """Uniform 4-way refinement; new Ventcel midpoints snap to the curve."""
-    nodes = list(mesh.nodes)
-    midpoint = {}
-
-    def mid_index(a, b, pos):
-        key = (a, b) if a < b else (b, a)
-        i = midpoint.get(key)
-        if i is None:
-            i = len(nodes)
-            nodes.append(np.asarray(pos, dtype=float))
-            midpoint[key] = i
-        return i
-
-    new_bedges = []
-    for e in mesh.bedges:
-        tm = 0.5 * (e.ta + e.tb)
-        if e.tag == "ventcel":
-            pos = e.curve.point(tm)
-        else:
-            pos = 0.5 * (mesh.nodes[e.a] + mesh.nodes[e.b])
-        m = mid_index(e.a, e.b, pos)
-        new_bedges.append(BoundaryEdge(e.a, m, e.tag, e.curve, e.ta, tm))
-        new_bedges.append(BoundaryEdge(m, e.b, e.tag, e.curve, tm, e.tb))
-
-    new_tris = []
-    for a, b, c in mesh.triangles:
-        pab = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
-        pbc = 0.5 * (mesh.nodes[b] + mesh.nodes[c])
-        pca = 0.5 * (mesh.nodes[c] + mesh.nodes[a])
-        mab = mid_index(a, b, pab)
-        mbc = mid_index(b, c, pbc)
-        mca = mid_index(c, a, pca)
-        new_tris.extend([(a, mab, mca), (mab, b, mbc),
-                         (mca, mbc, c), (mab, mbc, mca)])
-
-    return Mesh(np.array(nodes), np.array(new_tris, dtype=int), new_bedges)
-
-
-# ----------------------------------------------------------------------
 # validation and quality
 
 
@@ -274,15 +230,12 @@ def validate(mesh: Mesh) -> list:
     for i in bad[:10]:
         out.append(f"triangle {i} has nonpositive area {areas[i]:.3g}")
 
-    counts = {}
-    for t in tris:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = (a, b) if a < b else (b, a)
-            counts[key] = counts.get(key, 0) + 1
-    overused = [k for k, v in counts.items() if v > 2]
-    if overused:
-        out.append(f"{len(overused)} edges shared by more than two triangles")
-    hull = {k for k, v in counts.items() if v == 1}
+    sides = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, counts = np.unique(sides, axis=0, return_counts=True)
+    if np.any(counts > 2):
+        out.append(f"{np.count_nonzero(counts > 2)} edges shared by more "
+                   "than two triangles")
+    hull = set(map(tuple, keys[counts == 1].tolist()))
 
     tagged = {}
     for e in mesh.bedges:
@@ -365,7 +318,16 @@ def mesh_quality(mesh: Mesh) -> float:
 
 
 def _fmt(x: float) -> str:
+    """17 significant digits, which read back as the same double."""
     return format(float(x), ".17g")
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and a rename."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def write_mesh(mesh: Mesh, path: str) -> None:
@@ -383,10 +345,7 @@ def write_mesh(mesh: Mesh, path: str) -> None:
                          f"{_fmt(e.ta)} {_fmt(e.tb)}")
         else:
             lines.append(f"{e.a} {e.b} dirichlet")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_mesh(path: str) -> Mesh:

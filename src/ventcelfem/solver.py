@@ -23,9 +23,11 @@ import scipy.sparse.linalg as spla
 from .domain import DomainSpec
 from .fields import (EXACT_SOLUTIONS, BoundaryFunction, Coefficient,
                      ConstantCoefficient, FieldCoefficient)
-from .femcore import (FeSystem, LoadData, assemble_bilinear, assemble_load,
-                      build_space, mcshane_lift)
-from .mesh import Mesh, triangulate
+from .femcore import (GAUSS3_XI, FeSystem, LoadData, assemble_bilinear,
+                      assemble_load, build_space, dirichlet_boundary_samples,
+                      mcshane_lift)
+from .geometry import frame_derivatives
+from .mesh import Mesh, _write_text, triangulate
 
 
 class SingularSystemError(RuntimeError):
@@ -80,22 +82,12 @@ def manufactured_problem(domain: DomainSpec, exact, a2, a0) -> VentcelProblem:
 
     def g1_func(curve, t):
         t = np.asarray(t, dtype=float)
-        p = curve.point(t)
-        d1 = curve.velocity(t)
-        sp = np.hypot(d1[..., 0], d1[..., 1])
-        g = exact.grad(p)
-        H = exact.hess(p)
-        u_nu = curve.normal_sign * (d1[..., 0] * g[..., 1]
-                                    - d1[..., 1] * g[..., 0]) / sp
-        u_tt = (d1[..., 0] ** 2 * H[..., 0, 0]
-                + 2 * d1[..., 0] * d1[..., 1] * H[..., 0, 1]
-                + d1[..., 1] ** 2 * H[..., 1, 1]) / sp**2
-        kappa = curve.normal_sign * curve.curvature(t)
+        _, u_tt, u_nu, kappa = frame_derivatives(exact, curve, t)
         u_ss = u_tt + kappa * u_nu
         a2v = np.atleast_1d(a2.eval_curve(curve, t))
         a0v = np.atleast_1d(a0.eval_curve(curve, t))
         return (u_nu - a2v.reshape(np.shape(u_nu)) * u_ss
-                + a0v.reshape(np.shape(u_nu)) * exact.value(p))
+                + a0v.reshape(np.shape(u_nu)) * exact.value(curve.point(t)))
 
     return VentcelProblem(
         domain=domain, a2=a2, a0=a0,
@@ -116,10 +108,6 @@ class Solution:
     factor: object | None = None  # SuperLU of system.matrix, if kept
 
 
-def _dirichlet_node_positions(space):
-    return space.mesh.nodes[space.dirichlet_mask]
-
-
 def estimate_trace_lipschitz(space, phi) -> float:
     """Smallest K making the node-exactness of the lifting certain.
 
@@ -128,13 +116,11 @@ def estimate_trace_lipschitz(space, phi) -> float:
     lifting uses), with a small safety factor.  Raises ValueError on
     non-finite wall data.
     """
-    from .femcore import dirichlet_boundary_samples
-
     samples = dirichlet_boundary_samples(space.mesh)
     if len(samples) == 0:
         return 0.0
     svals = np.atleast_1d(phi.eval_points(samples))
-    nodes = _dirichlet_node_positions(space)
+    nodes = space.mesh.nodes[space.dirichlet_mask]
     nvals = np.atleast_1d(phi.eval_points(nodes))
     if not (np.all(np.isfinite(svals)) and np.all(np.isfinite(nvals))):
         raise ValueError("phi: wall data must be finite (found nan or inf)")
@@ -285,22 +271,13 @@ def uniqueness_diagnostic(system: FeSystem, seed: int = 0,
 # CSV export
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_solution_csv(solution: Solution, path: str) -> None:
     """Nodal solution as x,y,u rows."""
-    import os
-
     nodes = solution.space.mesh.nodes
     rows = np.column_stack([nodes[:, 0], nodes[:, 1], solution.values]).tolist()
-    # "%.17g" % x prints the same digits as _fmt(x) for every float
+    # "%.17g" % x prints the same digits as mesh._fmt(x) for every float
     row_fmt = "%.17g,%.17g,%.17g\n".__mod__
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("x,y,u\n" + "".join(map(row_fmt, map(tuple, rows))))
-    os.replace(tmp, path)
+    _write_text(path, "x,y,u\n" + "".join(map(row_fmt, map(tuple, rows))))
 
 
 def write_trace_csv(solution: Solution, path: str) -> None:
@@ -308,25 +285,18 @@ def write_trace_csv(solution: Solution, path: str) -> None:
 
     Columns: curve_id,t,s,u,u_tau with s the arc length along the
     curve, u the P1 value at the mapped chord point, u_tau the chord
-    slope of the trace.
+    slope of the trace.  Rows go by curve token, then by parameter.
     """
-    import os
-
-    from .femcore import GAUSS3_XI
-
-    space = solution.space
-    u = solution.values
-    edges = sorted(space.ventcel_edges, key=lambda e: (e.curve.token(), e.ta))
-    lines = ["curve_id,t,s,u,u_tau"]
-    for e in edges:
-        ua, ub = u[e.a], u[e.b]
-        slope = (ub - ua) / e.ell
-        svals = np.atleast_1d(e.curve.arc_length(e.tq))
-        for xi, t, s in zip(GAUSS3_XI, e.tq, svals):
-            val = (1 - xi) * ua + xi * ub
-            lines.append(",".join([e.curve.token(), _fmt(t), _fmt(s),
-                                   _fmt(val), _fmt(slope)]))
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    ch = solution.space.ventcel_edges
+    ua = solution.values[ch.a][:, None]
+    ub = solution.values[ch.b][:, None]
+    vals = (1 - GAUSS3_XI) * ua + GAUSS3_XI * ub
+    slope = np.broadcast_to((ub - ua) / ch.ell[:, None], vals.shape)
+    text = ["curve_id,t,s,u,u_tau\n"]
+    for curve, rows in sorted(ch.curves, key=lambda c: c[0].token()):
+        t = ch.tq[rows]
+        cols = [x.ravel() for x in (t, curve.arc_length(t), vals[rows],
+                                    slope[rows])]
+        row_fmt = (curve.token() + ",%.17g,%.17g,%.17g,%.17g\n").__mod__
+        text += map(row_fmt, map(tuple, np.column_stack(cols).tolist()))
+    _write_text(path, "".join(text))

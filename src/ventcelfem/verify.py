@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .geometry import CABLE_HALF_WIDTH, CableArc, Circle
+from .geometry import (CABLE_HALF_WIDTH, CableArc, Circle,
+                       equivalence_residual, frame_derivatives)
 from .domain import DomainSpec, annulus_domain, cable_domain, square_domain
 from .fields import (
     EXACT_SOLUTIONS,
@@ -28,7 +29,7 @@ from .fields import (
     ZERO,
 )
 from .femcore import assemble_bilinear, build_space
-from .mesh import triangulate
+from .mesh import _fmt, _write_text, triangulate
 from .solver import (
     VentcelProblem,
     manufactured_problem,
@@ -56,40 +57,6 @@ _G5W = np.array([0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
                  0.4786286704993665, 0.2369268850561891])
 GAUSS5_XI = 0.5 * (1.0 + _G5X)
 GAUSS5_W = 0.5 * _G5W
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _arc_first_derivative(fld, curve, t):
-    """d/ds of the field's restriction to the curve (analytic)."""
-    d1 = curve.velocity(t)
-    sp = np.hypot(d1[..., 0], d1[..., 1])
-    g = fld.grad(curve.point(t))
-    return (d1[..., 0] * g[..., 0] + d1[..., 1] * g[..., 1]) / sp
-
-
-def _arc_second_derivative(fld, curve, t):
-    """d^2/ds^2 of the restriction via the frame decomposition u_tt + k u_nu."""
-    p = curve.point(t)
-    d1 = curve.velocity(t)
-    sp = np.hypot(d1[..., 0], d1[..., 1])
-    g = fld.grad(p)
-    H = fld.hess(p)
-    u_tt = (d1[..., 0] ** 2 * H[..., 0, 0]
-            + 2.0 * d1[..., 0] * d1[..., 1] * H[..., 0, 1]
-            + d1[..., 1] ** 2 * H[..., 1, 1]) / sp**2
-    u_nu = curve.normal_sign * (d1[..., 0] * g[..., 1]
-                                - d1[..., 1] * g[..., 0]) / sp
-    return u_tt + curve.normal_sign * curve.curvature(t) * u_nu
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +138,7 @@ def curve_poincare_check(w, curve, n_samples=4096,
     vv = np.atleast_1d(np.asarray(w.value(curve.point(t)), dtype=float))
     smid = 0.5 * (s[:-1] + s[1:])
     tmid = curve.param_at_arc_length(smid)
-    slopes = np.atleast_1d(_arc_first_derivative(w, curve, tmid))
+    slopes = np.atleast_1d(frame_derivatives(w, curve, tmid)[0])
     return _level_set_inequality(s, vv, slopes, label)
 
 
@@ -199,11 +166,11 @@ def poincare_counterexample(r_inner=1.0, r_outer=2.0, n=16) -> CounterexampleRep
     r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
     w = (r - r_inner) / (r_outer - r_inner)
     # per-edge form of w' S_b w: no cancellation when neighbors agree
-    semi_sq = sum((w[e.b] - w[e.a]) ** 2 / e.ell for e in space.ventcel_edges)
-    semi = float(np.sqrt(semi_sq))
+    ch = space.ventcel_edges
+    semi = float(np.sqrt(np.sum((w[ch.b] - w[ch.a]) ** 2 / ch.ell)))
     mass = float(w @ system.M_b.dot(w))
     expected = 2.0 * np.pi * r_outer
-    outer = np.unique([i for e in space.ventcel_edges for i in (e.a, e.b)])
+    outer = np.unique(np.concatenate([ch.a, ch.b]))
     node_dev = float(np.abs(w[outer] - 1.0).max())
     passed = (semi < 1e-10
               and abs(mass - expected) <= 0.01 * expected
@@ -368,22 +335,21 @@ def _independent_action(space, a2, a0, u):
         "td,tid->ti", du, space.tri_grads)
     np.add.at(q, tris, contrib)
 
-    for e in space.ventcel_edges:
-        tq = e.ta + GAUSS5_XI * (e.tb - e.ta)
-        wq = e.ell * GAUSS5_W
-        a2q = np.atleast_1d(a2.eval_curve(e.curve, tq))
-        da2q = np.atleast_1d(a2.tangential_deriv(e.curve, tq))
-        a0q = np.atleast_1d(a0.eval_curve(e.curve, tq))
-        ua, ub = u[e.a], u[e.b]
-        uq = ua * (1.0 - GAUSS5_XI) + ub * GAUSS5_XI
-        dus = (ub - ua) / e.ell
-        phi = np.stack([1.0 - GAUSS5_XI, GAUSS5_XI])
-        dphi = np.array([-1.0, 1.0]) / e.ell
-        for i, node in enumerate((e.a, e.b)):
-            q[node] += float(np.sum(wq * (
-                a2q * dphi[i] * dus
-                + phi[i] * da2q * dus
-                + a0q * uq * phi[i])))
+    ch = space.ventcel_edges
+    tq = ch.points(GAUSS5_XI)
+    wq = ch.ell[:, None] * GAUSS5_W
+    a2q = ch.on_curves(a2.eval_curve, tq)[:, None]
+    da2q = ch.on_curves(a2.tangential_deriv, tq)[:, None]
+    a0q = ch.on_curves(a0.eval_curve, tq)[:, None]
+    ua, ub = u[ch.a][:, None], u[ch.b][:, None]
+    uq = (ua * (1.0 - GAUSS5_XI) + ub * GAUSS5_XI)[:, None]
+    dus = ((ub - ua) / ch.ell[:, None])[:, None]
+    phi = np.stack([1.0 - GAUSS5_XI, GAUSS5_XI])       # (2, q)
+    dphi = (np.array([-1.0, 1.0]) / ch.ell[:, None])[:, :, None]
+    # (E, 2, q): test functions of nodes a and b on every edge
+    integrand = wq[:, None] * (a2q * dphi * dus + phi * da2q * dus
+                               + a0q * uq * phi)
+    ch.add_to(q, np.sum(integrand, axis=-1))
     return q
 
 
@@ -408,20 +374,20 @@ def _independent_load(space, problem):
         contrib = -(space.tri_grads[..., 0] * wx[:, None]
                     + space.tri_grads[..., 1] * wy[:, None])
         np.add.at(L, tris, contrib)
-    for e in space.ventcel_edges:
-        tq = e.ta + GAUSS5_XI * (e.tb - e.ta)
-        wq = e.ell * GAUSS5_W
+    ch = space.ventcel_edges
+    tq = ch.points(GAUSS5_XI)
+    wq = ch.ell[:, None] * GAUSS5_W
+    chain = []
+    if problem.g1 is not None:
+        g1q = ch.on_curves(problem.g1.eval_curve, tq)
         phi = np.stack([1.0 - GAUSS5_XI, GAUSS5_XI])
-        dphi = np.array([-1.0, 1.0]) / e.ell
-        if problem.g1 is not None:
-            g1q = np.atleast_1d(problem.g1.eval_curve(e.curve, tq))
-            L[e.a] += float(np.sum(wq * g1q * phi[0]))
-            L[e.b] += float(np.sum(wq * g1q * phi[1]))
-        if problem.g2 is not None:
-            g2q = np.atleast_1d(problem.g2.eval_curve(e.curve, tq))
-            s = float(np.sum(wq * g2q))
-            L[e.a] -= s * dphi[0]
-            L[e.b] -= s * dphi[1]
+        chain.append(np.sum((wq * g1q)[:, None] * phi, axis=-1))
+    if problem.g2 is not None:
+        g2q = ch.on_curves(problem.g2.eval_curve, tq)
+        dphi = np.array([-1.0, 1.0]) / ch.ell[:, None]
+        chain.append(-(np.sum(wq * g2q, axis=-1)[:, None] * dphi))
+    if chain:
+        ch.add_to(L, *chain)
     return L
 
 
@@ -495,9 +461,9 @@ def ibp_identity_check(curve, u_field, w_field, a2, n_panels=8192,
     sp = curve.speed(t)
     p = curve.point(t)
     wv = np.asarray(w_field.value(p), dtype=float)
-    dw = _arc_first_derivative(w_field, curve, t)
-    du = _arc_first_derivative(u_field, curve, t)
-    d2u = _arc_second_derivative(u_field, curve, t)
+    dw = frame_derivatives(w_field, curve, t)[0]
+    du, u_tt, u_nu, kappa = frame_derivatives(u_field, curve, t)
+    d2u = u_tt + kappa * u_nu
     a2v = np.atleast_1d(a2.eval_curve(curve, t))
     da2 = np.atleast_1d(a2.tangential_deriv(curve, t))
 
@@ -558,22 +524,12 @@ def compatibility_check(n_samples=1000) -> CompatibilityReport:
     decomposition, and the discrete trace's scaled second differences
     shrink with the mesh.
     """
-    from .geometry import boundary_field_sample
-
     curve = CableArc()
     exact = EXACT_SOLUTIONS["harmonic_cubic"]
     t = np.linspace(curve.t0, curve.t1, n_samples)
-    p = curve.point(t)
-    d1 = curve.velocity(t)
-    sp = np.hypot(d1[..., 0], d1[..., 1])
-    H = exact.hess(p)
-    u_tt = (d1[..., 0] ** 2 * H[..., 0, 0]
-            + 2.0 * d1[..., 0] * d1[..., 1] * H[..., 0, 1]
-            + d1[..., 1] ** 2 * H[..., 1, 1]) / sp**2
-    max_tt = float(np.abs(u_tt).max())
+    max_tt = float(np.abs(frame_derivatives(exact, curve, t)[1]).max())
 
-    samp = boundary_field_sample(exact, curve, t)
-    max_equiv = float(np.abs(samp.u_ss - samp.u_ss_curvature).max())
+    max_equiv = float(equivalence_residual(exact, curve, t).max())
 
     diffs = []
     for n in (16, 32):
@@ -586,16 +542,11 @@ def compatibility_check(n_samples=1000) -> CompatibilityReport:
 
 def _chain_second_difference(solution) -> float:
     """Max |u_{j+1} - 2 u_j + u_{j-1}| / h over interior chain nodes."""
-    space = solution.space
-    chains = {}
-    for e in space.ventcel_edges:
-        chains.setdefault(e.curve.token(), []).append(e)
+    ch = solution.space.ventcel_edges
     worst = 0.0
-    for edges in chains.values():
-        edges = sorted(edges, key=lambda e: e.ta)
-        idx = [edges[0].a] + [e.b for e in edges]
-        vals = solution.values[idx]
-        h = float(np.mean([e.ell for e in edges]))
+    for _, rows in ch.curves:
+        vals = solution.values[np.concatenate([ch.a[rows][:1], ch.b[rows]])]
+        h = float(np.mean(ch.ell[rows]))
         if len(vals) >= 3:
             d2 = np.abs(vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h
             worst = max(worst, float(d2.max()))
@@ -630,19 +581,18 @@ def solution_errors(solution, exact):
     gd = gex - gh[:, None, :]
     grad_sq = float(np.sum(w6 * np.einsum("tqd,tqd->tq", gd, gd)))
 
-    trace_sq = 0.0
-    tang_sq = 0.0
-    for e in space.ventcel_edges:
-        tq = e.ta + GAUSS5_XI * (e.tb - e.ta)
-        sp = e.curve.speed(tq)
-        wq = sp * (e.tb - e.ta) * GAUSS5_W
-        pq = e.curve.point(tq)
-        ex = np.asarray(exact.value(pq), dtype=float)
-        uhq = u[e.a] * (1.0 - GAUSS5_XI) + u[e.b] * GAUSS5_XI
-        trace_sq += float(np.sum(wq * (ex - uhq) ** 2))
-        dex = _arc_first_derivative(exact, e.curve, tq)
-        duh = (u[e.b] - u[e.a]) / ((e.tb - e.ta) * sp)
-        tang_sq += float(np.sum(wq * (dex - duh) ** 2))
+    ch = space.ventcel_edges
+    tq = ch.points(GAUSS5_XI)
+    sp = ch.on_curves(lambda curve, t: curve.speed(t), tq)
+    wq = sp * (ch.tb - ch.ta)[:, None] * GAUSS5_W
+    trace = FieldCoefficient(exact)
+    ex = ch.on_curves(trace.eval_curve, tq)
+    dex = ch.on_curves(trace.tangential_deriv, tq)
+    ua, ub = u[ch.a][:, None], u[ch.b][:, None]
+    uhq = ua * (1.0 - GAUSS5_XI) + ub * GAUSS5_XI
+    duh = (ub - ua) / ((ch.tb - ch.ta)[:, None] * sp)
+    trace_sq = float(np.sum(wq * (ex - uhq) ** 2))
+    tang_sq = float(np.sum(wq * (dex - duh) ** 2))
     e_v0 = float(np.sqrt(grad_sq + tang_sq))
     e_trace = float(np.sqrt(trace_sq))
     return e_l2, e_v0, e_trace
@@ -705,7 +655,7 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path: str) -> None:
-        _atomic_write(path, self.csv_text())
+        _write_text(path, self.csv_text())
 
 
 def manufactured_convergence(problem, n0=8, levels=4) -> ConvergenceReport:
@@ -776,7 +726,7 @@ class SuiteResult:
 
 
 def _csv(path, header, rows):
-    _atomic_write(path, "\n".join([header] + rows) + "\n")
+    _write_text(path, "\n".join([header] + rows) + "\n")
 
 
 def run_suite(output_dir: str, seed: int = 42) -> SuiteResult:
@@ -1010,6 +960,6 @@ def run_suite(output_dir: str, seed: int = 42) -> SuiteResult:
     record("uniqueness", u_ok, f"{len(urows)} systems, zero-data max {zmax:.3g}")
 
     result = SuiteResult(all(ok for _, ok, _ in lines), lines, output_dir)
-    _atomic_write(os.path.join(output_dir, "summary.txt"),
+    _write_text(os.path.join(output_dir, "summary.txt"),
                   result.summary_text())
     return result

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,8 @@ def test_bad_configuration_exits_2(argv, capsys, tmp_path):
     ("phi", "const:nan"), ("phi", "const:inf"),
     ("a2", "const:nan"), ("a2", "poly:nan"), ("a2", "const:inf"),
     ("a0", "const:nan"), ("a0", "const:-inf"),
+    ("f1", "const:nan"), ("f2x", "const:inf"), ("f2y", "poly:0,nan"),
+    ("g1", "const:-inf"), ("g2", "const:nan"),
 ])
 def test_non_finite_data_exits_2(key, value, capsys, tmp_path):
     rc = cli.main(["solve", "--domain", "square", "--n", "4",
@@ -99,6 +102,17 @@ def test_non_finite_data_exits_2(key, value, capsys, tmp_path):
     assert f"configuration error: {key}: " in err
     assert "finite" in err
     assert not (tmp_path / "solution.csv").exists()
+
+
+def test_wall_data_singular_at_a_wall_point_exits_2_without_warning(
+        capsys, tmp_path):
+    # log_radial is -inf at the origin, a wall point of the cable domain
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["solve", "--domain", "cable", "--n", "4",
+                       "--phi", "log_radial", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert "phi: wall data must be finite" in capsys.readouterr().err
 
 
 def test_info_prints_non_finite_bounds(capsys):

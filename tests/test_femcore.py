@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ventcelfem.domain import annulus_domain, cable_domain, square_domain
@@ -9,10 +10,12 @@ from ventcelfem.fields import (
     ConstantCoefficient,
     FieldCoefficient,
     InverseCurvature,
+    NodalCoefficient,
     QuadraticField,
     ZERO,
 )
 from ventcelfem.femcore import (
+    GAUSS3_W,
     GAUSS3_XI,
     CoefficientBounds,
     assemble_bilinear,
@@ -309,3 +312,105 @@ def test_shifted_matrix_bookkeeping():
                              ConstantCoefficient(1.0))
     assert not flat.shift_applied
     assert flat.A_sigma is flat.A
+
+
+def per_edge_chain(space, a2, a0, g1, g2):
+    """Chain blocks and chain load by one loop over the mesh's edges.
+
+    Reference for the array assembly: mesh edge order, np.dot for every
+    3-point sum, and one scalar update of the load per node and term.
+    """
+    mesh, n = space.mesh, space.n_nodes
+    phi = np.stack([1.0 - GAUSS3_XI, GAUSS3_XI])
+    rows, cols = [], []
+    vals = {key: [] for key in ("S", "M", "A2", "C", "A0")}
+    load = np.zeros(n)
+    for e in mesh.bedges:
+        if e.tag != "ventcel":
+            continue
+        ell = float(np.hypot(*(mesh.nodes[e.b] - mesh.nodes[e.a])))
+        tq = e.ta + GAUSS3_XI * (e.tb - e.ta)
+        wq = ell * GAUSS3_W
+        a2q = np.atleast_1d(a2.eval_curve(e.curve, tq))
+        da2q = np.atleast_1d(a2.tangential_deriv(e.curve, tq))
+        a0q = np.atleast_1d(a0.eval_curve(e.curve, tq))
+        dphi = np.array([-1.0, 1.0]) / ell
+        idx = (e.a, e.b)
+        for i in range(2):
+            for j in range(2):
+                rows.append(idx[i])
+                cols.append(idx[j])
+                vals["S"].append(ell * dphi[i] * dphi[j])
+                vals["M"].append(float(np.dot(wq, phi[i] * phi[j])))
+                vals["A2"].append(float(np.dot(wq, a2q)) * dphi[i] * dphi[j])
+                vals["C"].append(float(np.dot(wq * da2q, phi[i]) * dphi[j]))
+                vals["A0"].append(float(np.dot(wq * a0q, phi[i] * phi[j])))
+        g1q = np.atleast_1d(g1.eval_curve(e.curve, tq))
+        load[e.a] += float(np.dot(wq * g1q, phi[0]))
+        load[e.b] += float(np.dot(wq * g1q, phi[1]))
+        g2q = np.atleast_1d(g2.eval_curve(e.curve, tq))
+        s = float(np.dot(wq, g2q))
+        load[e.a] -= s * dphi[0]
+        load[e.b] -= s * dphi[1]
+    blocks = {key: sp.coo_matrix((np.array(v), (rows, cols)),
+                                 shape=(n, n)).tocsr()
+              for key, v in vals.items()}
+    return blocks, load
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64),
+                                                 y.view(np.int64))
+
+
+def same_csr(A, B):
+    A, B = A.tocsr(), B.tocsr()
+    A.sum_duplicates()
+    B.sum_duplicates()
+    return (np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices)
+            and same_bits(A.data, B.data))
+
+
+CHAIN_DOMAINS = {"cable": cable_domain, "square": square_domain,
+                 "annulus": annulus_domain,
+                 "annulus_inner": lambda: annulus_domain(ventcel_on="inner")}
+POLY = st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6).map(
+    lambda c: ("poly", c))
+CHAIN_COEFFICIENTS = st.one_of(
+    st.floats(0.1, 5.0).map(lambda v: ("const", v)), POLY,
+    st.integers(0, 2**16).map(lambda seed: ("nodal", seed)),
+    st.just(("inv_curvature", None)))
+
+
+def make_coefficient(kind, arg, mesh):
+    if kind == "const":
+        return ConstantCoefficient(arg)
+    if kind == "poly":
+        return FieldCoefficient(QuadraticField(*arg))
+    if kind == "nodal":
+        rng = np.random.default_rng(arg)
+        return NodalCoefficient(mesh, rng.uniform(0.5, 2.0, len(mesh.nodes)))
+    return InverseCurvature()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(domain=st.sampled_from(sorted(CHAIN_DOMAINS)), n=st.integers(2, 24),
+       a2=CHAIN_COEFFICIENTS, a0=CHAIN_COEFFICIENTS, g1=POLY, g2=POLY)
+def test_chain_assembly_matches_per_edge_loop_bitwise(domain, n, a2, a0,
+                                                      g1, g2):
+    # 1/kappa needs a chain with nonzero curvature
+    assume(domain != "square" or "inv_curvature" not in (a2[0], a0[0]))
+    mesh = triangulate(CHAIN_DOMAINS[domain](), n)
+    space = build_space(mesh)
+    a2, a0, g1, g2 = (make_coefficient(*c, mesh) for c in (a2, a0, g1, g2))
+    system = assemble_bilinear(space, a2, a0, check=False)
+    load = assemble_load(system, g1=g1, g2=g2)
+
+    blocks, want_load = per_edge_chain(space, a2, a0, g1, g2)
+    assert same_csr(system.S_b, blocks["S"])
+    assert same_csr(system.M_b, blocks["M"])
+    want_A = system.K_int + blocks["A2"] + blocks["C"] + blocks["A0"]
+    assert same_csr(system.A, want_A)
+    assert same_bits(load.full, want_load)

@@ -227,3 +227,15 @@ def test_nodal_eval_points_rejects_outside_point():
     for pts in (np.array([[3.0, 5.0]]), np.vstack([inside, [[3.0, 5.0]]])):
         with pytest.raises(ValueError, match="outside the mesh"):
             coef.eval_points(pts)
+
+
+def test_nodal_curve_evaluation_keeps_the_shape_of_t():
+    mesh = triangulate(annulus_domain(), 4)
+    rng = np.random.default_rng(5)
+    coef = NodalCoefficient(mesh, rng.uniform(1.0, 2.0, len(mesh.nodes)))
+    curve = annulus_domain().ventcel_curves[0]
+    t = rng.uniform(curve.t0, curve.t1, 12)
+    for method in (coef.eval_curve, coef.tangential_deriv):
+        flat = method(curve, t)
+        assert np.array_equal(method(curve, t.reshape(4, 3)),
+                              flat.reshape(4, 3))

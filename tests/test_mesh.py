@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ventcelfem.domain import annulus_domain, cable_domain, make_domain, square_domain
-from ventcelfem.mesh import mesh_quality, read_mesh, refine, triangulate, write_mesh
+from ventcelfem.mesh import mesh_quality, read_mesh, triangulate, write_mesh
 
 DOMAINS = [cable_domain(), square_domain(), annulus_domain(),
            annulus_domain(1.0, 2.0, "inner")]
@@ -80,21 +80,6 @@ def test_read_mesh_rejects_garbage(tmp_path):
     path.write_text("not a mesh\n")
     with pytest.raises(ValueError):
         read_mesh(str(path))
-
-
-@pytest.mark.parametrize("dom", DOMAINS[:3], ids=lambda d: d.kind)
-def test_refine(dom):
-    mesh = triangulate(dom, 3)
-    fine = refine(mesh)
-    assert fine.validate() == []
-    assert len(fine.triangles) == 4 * len(mesh.triangles)
-    assert len(fine.bedges) == 2 * len(mesh.bedges)
-    assert fine.h <= 0.6 * mesh.h
-    # new chain nodes sit on the exact curve at the split parameter
-    for e in fine.bedges:
-        if e.tag == "ventcel":
-            gap = np.hypot(*(fine.nodes[e.b] - e.curve.point(e.tb)))
-            assert gap < 1e-12
 
 
 @pytest.mark.parametrize("dom", DOMAINS[:3], ids=lambda d: d.kind)
