@@ -4,7 +4,8 @@ Configuration comes from flags and/or a "key = value" text file, with
 flags winning; the output directory can also come from the
 VENTCELFEM_OUTPUT_DIR environment variable (flag > env > file >
 default).  Exit codes: 0 success, 1 verification-suite failure,
-2 configuration error, 3 solver failure.
+2 configuration error, 3 solver failure.  A mesh above ``MAX_NODES``
+nodes is a configuration error, caught before anything is allocated.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from . import verify
 from .domain import make_domain
 from .fields import EXACT_SOLUTIONS, parse_coefficient
 from .femcore import build_space, coefficient_bounds
-from .mesh import _write_text, mesh_quality, triangulate, write_mesh
+from .mesh import (_write_text, mesh_quality, node_count, triangulate,
+                   write_mesh)
 from .solver import (
     SingularSystemError,
     VentcelProblem,
@@ -32,6 +34,10 @@ from .solver import (
 )
 
 ENV_OUTPUT_DIR = "VENTCELFEM_OUTPUT_DIR"
+
+# largest mesh a command builds: n = 999 on cable or square, n = 499 on
+# the annulus; a cable solve at n = 256 (66,049 nodes) peaks near 250 MiB
+MAX_NODES = 1_000_000
 
 COMMANDS = ("solve", "convergence", "verify", "mesh", "info")
 
@@ -133,11 +139,23 @@ def config_echo(cfg: RunConfig) -> str:
     return "\n".join(f"{key} = {getattr(cfg, key)}" for key in CONFIG_KEYS)
 
 
-def _domain_or_error(cfg: RunConfig):
+def _domain_or_error(cfg: RunConfig, finest_n: int | None = None):
+    """The configured domain, once its finest mesh is known to fit.
+
+    ``finest_n`` is the largest subdivision the command meshes
+    (default ``cfg.n``).
+    """
     try:
-        return make_domain(cfg.domain)
+        dom = make_domain(cfg.domain)
     except ValueError as exc:
         raise ConfigError(f"domain: {exc}") from None
+    n = cfg.n if finest_n is None else finest_n
+    nodes = node_count(dom, n)
+    if nodes > MAX_NODES:
+        raise ConfigError(
+            f"n: a {dom.kind} mesh at n = {n} has {nodes} nodes, above the "
+            f"cap of {MAX_NODES}")
+    return dom
 
 
 def _coefficient(text: str, mesh, role: str):
@@ -210,7 +228,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_convergence(cfg: RunConfig) -> int:
-    dom = _domain_or_error(cfg)
+    # the finest level is n * 2^(levels - 1); past 2^64 it is over the cap
+    # whatever n is, so the shift stays small for any levels
+    dom = _domain_or_error(cfg, cfg.n << min(cfg.levels - 1, 64))
     exact = cfg.exact or DEFAULT_EXACT.get(dom.kind, "")
     if not exact:
         raise ConfigError(f"exact: no default for domain {cfg.domain!r}")

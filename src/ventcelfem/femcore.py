@@ -252,14 +252,16 @@ def _sample_cells(samples, values, side):
     return mx, my, mv, centre, radius, mv.min(axis=1)
 
 
-def mcshane_lift(space: FeSpace, phi, lipschitz_k: float) -> np.ndarray:
+def mcshane_lift(space: FeSpace, phi, lipschitz_k: float,
+                 samples=None) -> np.ndarray:
     """Lipschitz extension of the Dirichlet data to all nodes.
 
     phi~(p) = min over boundary samples q of [phi(q) + K |p - q|];
     with K at least the Lipschitz constant of the trace this matches
     phi at every Dirichlet node (the nodes are among the samples) and
     extends with the same constant.  Samples are spaced at most h/4
-    along each Dirichlet edge.
+    along each Dirichlet edge; ``samples`` passes in a
+    ``dirichlet_boundary_samples(space.mesh)`` result already built.
 
     The minimum is found by branch and bound over square cells of side
     ``_LIFT_CELL * h`` grouping the samples.  A cell with centre c,
@@ -283,7 +285,8 @@ def mcshane_lift(space: FeSpace, phi, lipschitz_k: float) -> np.ndarray:
             f"lipschitz_k: must be finite and nonnegative, got {K!r}")
     K += 0.0                      # a -0.0 would make K * d a -0.0
     mesh = space.mesh
-    samples = dirichlet_boundary_samples(mesh)
+    if samples is None:
+        samples = dirichlet_boundary_samples(mesh)
     if len(samples) == 0:
         return np.zeros(space.n_nodes)
     values = np.atleast_1d(phi.eval_points(samples))

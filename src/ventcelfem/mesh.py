@@ -84,6 +84,15 @@ def triangulate(spec, n: int) -> Mesh:
     raise ValueError(f"unknown domain kind {spec.kind!r}")
 
 
+def node_count(spec, n: int) -> int:
+    """Nodes ``triangulate(spec, n)`` makes, computed without meshing."""
+    if spec.kind == "annulus":
+        return 4 * n * (n + 1)
+    if spec.kind in ("square", "cable"):
+        return (n + 1) ** 2
+    raise ValueError(f"unknown domain kind {spec.kind!r}")
+
+
 def _grid_triangles(idx):
     """CCW triangle pairs for a logically rectangular node index grid."""
     v00 = idx[:-1, :-1]
@@ -349,6 +358,8 @@ def write_mesh(mesh: Mesh, path: str) -> None:
 
 
 def read_mesh(path: str) -> Mesh:
+    """Parse a mesh file; raises ValueError if it is malformed or fails
+    ``validate`` (the message lists the violations)."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != "ventcel-mesh v1":
@@ -392,4 +403,8 @@ def read_mesh(path: str) -> Mesh:
             bedges.append(BoundaryEdge(a, b, tag, curves[token], ta, tb))
         else:
             raise ValueError(f"{path}: unknown boundary tag {tag!r}")
-    return Mesh(nodes, tris, bedges)
+    mesh = Mesh(nodes, tris, bedges)
+    problems = validate(mesh)
+    if problems:
+        raise ValueError(f"{path}: invalid mesh: " + "; ".join(problems))
+    return mesh

@@ -108,15 +108,17 @@ class Solution:
     factor: object | None = None  # SuperLU of system.matrix, if kept
 
 
-def estimate_trace_lipschitz(space, phi) -> float:
+def estimate_trace_lipschitz(space, phi, samples=None) -> float:
     """Smallest K making the node-exactness of the lifting certain.
 
     Computes the max difference quotient of phi between Dirichlet nodes
     and a dense sample of the Dirichlet boundary (the same density the
-    lifting uses), with a small safety factor.  Raises ValueError on
-    non-finite wall data.
+    lifting uses), with a small safety factor.  ``samples`` passes in a
+    ``dirichlet_boundary_samples(space.mesh)`` result already built.
+    Raises ValueError on non-finite wall data.
     """
-    samples = dirichlet_boundary_samples(space.mesh)
+    if samples is None:
+        samples = dirichlet_boundary_samples(space.mesh)
     if len(samples) == 0:
         return 0.0
     svals = np.atleast_1d(phi.eval_points(samples))
@@ -177,10 +179,11 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     system = assemble_bilinear(space, problem.a2, problem.a0)
 
     if problem.phi is not None:
+        samples = dirichlet_boundary_samples(mesh)
         k = problem.lipschitz_k
         if k is None:
-            k = estimate_trace_lipschitz(space, problem.phi)
-        lift = mcshane_lift(space, problem.phi, k)
+            k = estimate_trace_lipschitz(space, problem.phi, samples)
+        lift = mcshane_lift(space, problem.phi, k, samples)
     else:
         lift = np.zeros(space.n_nodes)
 
@@ -221,6 +224,8 @@ class UniquenessReport:
     rcond: float
     sigma_min: float
     singular: bool
+    iterations: int = 0               # inverse-power steps taken for sigma_min
+    last_rel_change: float = float("nan")  # |rho_k - rho_(k-1)| / |rho_k|
 
 
 def uniqueness_diagnostic(system: FeSystem, seed: int = 0,
@@ -228,7 +233,10 @@ def uniqueness_diagnostic(system: FeSystem, seed: int = 0,
     """Conditioning report for the reduced matrix.
 
     rcond is 1 / (norm1(A) * est norm1(inv A)); sigma_min comes from 20
-    steps of inverse power iteration on A^T A.  ``singular`` flags
+    steps of inverse power iteration on A^T A, with rho = x^T (A^T A)^-1 x
+    the step's estimate of 1 / sigma_min^2; ``iterations`` and
+    ``last_rel_change`` (of rho over the last step) report how far it
+    converged.  ``singular`` flags
     rcond below 1e-14 or a failed factorization.  ``lu`` reuses a
     ``factorize(system.matrix)`` result instead of factoring again.
     """
@@ -254,17 +262,19 @@ def uniqueness_diagnostic(system: FeSystem, seed: int = 0,
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(m)
     x /= np.linalg.norm(x)
-    rho = 0.0
-    for _ in range(20):
+    rho, change = 0.0, float("nan")
+    for it in range(1, 21):
         z = lu.solve(lu.solve(x, trans="T"))
-        rho = float(x @ z)
+        rho_prev, rho = rho, float(x @ z)
+        if it > 1:
+            change = abs(rho - rho_prev) / abs(rho) if rho else float("inf")
         nz = np.linalg.norm(z)
         if not np.isfinite(nz) or nz == 0:
-            return UniquenessReport(m, rcond, 0.0, True)
+            return UniquenessReport(m, rcond, 0.0, True, it, change)
         x = z / nz
     sigma_min = 1.0 / np.sqrt(rho) if rho > 0 else 0.0
     singular = (not np.isfinite(rcond)) or rcond < 1e-14
-    return UniquenessReport(m, rcond, float(sigma_min), singular)
+    return UniquenessReport(m, rcond, float(sigma_min), singular, it, change)
 
 
 # ----------------------------------------------------------------------

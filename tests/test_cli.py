@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ventcelfem import cli
+from ventcelfem import cli, solver
 from ventcelfem.mesh import read_mesh
 from ventcelfem.solver import SingularSystemError
 
@@ -113,6 +113,24 @@ def test_wall_data_singular_at_a_wall_point_exits_2_without_warning(
                        "--phi", "log_radial", "--output-dir", str(tmp_path)])
     assert rc == 2
     assert "phi: wall data must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--domain", "cable", "--n", "100000000"],
+    ["mesh", "--domain", "square", "--n", "1000"],
+    ["info", "--domain", "annulus", "--n", "500"],
+    ["convergence", "--domain", "square", "--n", "8", "--levels", "100"],
+])
+def test_oversized_mesh_exits_2_before_meshing(argv, monkeypatch, capsys,
+                                               tmp_path):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+    for module in (cli, solver):
+        monkeypatch.setattr(module, "triangulate", no_mesh)
+    assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: n: " in err
+    assert f"above the cap of {cli.MAX_NODES}" in err
 
 
 def test_info_prints_non_finite_bounds(capsys):

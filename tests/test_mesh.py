@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ventcelfem.domain import annulus_domain, cable_domain, make_domain, square_domain
-from ventcelfem.mesh import mesh_quality, read_mesh, triangulate, write_mesh
+from ventcelfem.mesh import (mesh_quality, node_count, read_mesh, triangulate,
+                            write_mesh)
 
 DOMAINS = [cable_domain(), square_domain(), annulus_domain(),
            annulus_domain(1.0, 2.0, "inner")]
@@ -80,6 +81,24 @@ def test_read_mesh_rejects_garbage(tmp_path):
     path.write_text("not a mesh\n")
     with pytest.raises(ValueError):
         read_mesh(str(path))
+
+
+def test_read_mesh_rejects_clockwise_triangle(tmp_path):
+    path = tmp_path / "mesh.txt"
+    write_mesh(triangulate(square_domain(), 2), str(path))
+    lines = path.read_text().splitlines()
+    first = lines.index("TRIANGLES 8") + 1
+    a, b, c = lines[first].split()
+    lines[first] = f"{a} {c} {b}"           # triangle 0 now clockwise
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="triangle 0 has nonpositive area"):
+        read_mesh(str(path))
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.params.get("ventcel_on", d.kind))
+def test_node_count_matches_triangulate(dom):
+    for n in range(1, 7):
+        assert node_count(dom, n) == len(triangulate(dom, n).nodes)
 
 
 @pytest.mark.parametrize("dom", DOMAINS[:3], ids=lambda d: d.kind)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ventcelfem import cli
+from ventcelfem import cli, femcore, solver
 from ventcelfem.domain import square_domain
 from ventcelfem.fields import ConstantCoefficient, FieldCoefficient, QuadraticField, ZERO
 from ventcelfem.solver import (
@@ -125,6 +125,33 @@ def test_uniqueness_diagnostic_healthy_system():
     # deterministic for a fixed seed
     rep2 = uniqueness_diagnostic(sol.system, seed=0)
     assert rep2.rcond == rep.rcond and rep2.sigma_min == rep.sigma_min
+
+
+def test_uniqueness_diagnostic_reports_convergence():
+    sol = solve_ventcel(cable_problem(), n=8)
+    rep = uniqueness_diagnostic(sol.system, seed=0)
+    assert rep.iterations == 20
+    assert 0.0 <= rep.last_rel_change < 1e-10
+    # a singular factorization reports no iterations
+    bad = SimpleNamespace(matrix=sp.csr_matrix(np.ones((2, 2))))
+    rep = uniqueness_diagnostic(bad)
+    assert rep.singular and rep.iterations == 0
+
+
+def test_solve_builds_wall_samples_once(monkeypatch):
+    calls = []
+    build = femcore.dirichlet_boundary_samples
+
+    def counting(mesh):
+        calls.append(mesh)
+        return build(mesh)
+
+    for module in (femcore, solver):
+        monkeypatch.setattr(module, "dirichlet_boundary_samples", counting)
+    sol = solve_ventcel(cable_problem(), n=8)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert np.array_equal(sol.values, solve_ventcel(cable_problem(), n=8).values)
 
 
 def test_csv_exports(tmp_path):

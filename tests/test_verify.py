@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ventcelfem.domain import square_domain
+from ventcelfem.domain import annulus_domain, cable_domain, square_domain
 from ventcelfem.fields import (
     ConstantCoefficient,
     EXACT_SOLUTIONS,
@@ -158,6 +161,81 @@ def test_coercivity_eigencheck_rejects_indefinite_gram():
     I = sp.identity(6, format="csc")
     with pytest.raises(ValueError):
         coercivity_eigencheck(I, -I, seed=0)
+
+
+def _dense_lambda_min(system):
+    B = system.matrix_shifted.toarray()
+    return scipy.linalg.eigh(0.5 * (B + B.T), system.gram_v0().toarray(),
+                             eigvals_only=True, subset_by_index=[0, 0])[0]
+
+
+def _positive_quadratic(raw, floor):
+    # |x|, |y| <= 2 on every built-in domain, so the constant term
+    # below keeps the quadratic above ``floor`` everywhere
+    c00, c10, c01, c20, c11, c02 = raw
+    c00 = floor + abs(c00) + 2 * (abs(c10) + abs(c01)) \
+        + 4 * (abs(c20) + abs(c11) + abs(c02))
+    return FieldCoefficient(QuadraticField(c00, c10, c01, c20, c11, c02))
+
+
+COERCIVITY_DOMAINS = {"square": square_domain(), "annulus": annulus_domain(),
+                      "cable": cable_domain()}
+QUAD_RAW = st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6)
+
+
+@settings(max_examples=100)
+@given(domain=st.sampled_from(sorted(COERCIVITY_DOMAINS)), n=st.integers(2, 8),
+       a2_raw=QUAD_RAW, a0_raw=st.one_of(st.none(), QUAD_RAW),
+       seed=st.integers(0, 2**16))
+def test_coercivity_certificate_is_a_tight_lower_bound(domain, n, a2_raw,
+                                                        a0_raw, seed):
+    space = build_space(triangulate(COERCIVITY_DOMAINS[domain], n))
+    a0 = ZERO if a0_raw is None else _positive_quadratic(a0_raw, 0.0)
+    system = assemble_bilinear(space, _positive_quadratic(a2_raw, 0.05), a0)
+    lam = coercivity_eigencheck(system.matrix_shifted, system.gram_v0(),
+                                seed=seed)
+    dense = _dense_lambda_min(system)
+    assert lam <= dense
+    assert dense - lam <= 1e-8 * abs(dense)
+    assert lam >= system.bounds.coercivity_constant() - 1e-8
+
+
+def _square_system():
+    space = build_space(triangulate(square_domain(), 4))
+    return assemble_bilinear(
+        space, FieldCoefficient(QuadraticField(3.0, 1.0)), ZERO)
+
+
+def test_coercivity_eigencheck_rejects_an_estimate_above_the_minimum(
+        monkeypatch):
+    system = _square_system()
+    too_high = 1.01 * _dense_lambda_min(system)
+    monkeypatch.setattr(spla, "eigsh",
+                        lambda *args, **kwargs: np.array([too_high]))
+    assert np.isnan(coercivity_eigencheck(system.matrix_shifted,
+                                          system.gram_v0()))
+
+
+def test_coercivity_eigencheck_is_nan_when_arpack_fails(monkeypatch):
+    system = _square_system()
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.array([]),
+                                       np.array([]))
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    assert np.isnan(coercivity_eigencheck(system.matrix_shifted,
+                                          system.gram_v0()))
+
+
+def test_coercivity_eigencheck_stays_below_dense_annulus():
+    # inverse power iteration returned 0.183304262 here, above the
+    # dense minimum 0.183304217
+    space = build_space(triangulate(annulus_domain(), 16))
+    system = assemble_bilinear(space, ConstantCoefficient(0.1),
+                               ConstantCoefficient(1.0))
+    lam = coercivity_eigencheck(system.matrix_shifted, system.gram_v0(),
+                                seed=42)
+    assert lam <= _dense_lambda_min(system)
 
 
 def test_continuity_bound_holds():
