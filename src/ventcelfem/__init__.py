@@ -15,7 +15,6 @@ from .geometry import (
     CableArc,
     Circle,
     Curve,
-    ReparametrizedCurve,
     Segment,
     boundary_field_sample,
     curve_from_token,
@@ -39,7 +38,6 @@ from .mesh import (
 from .fields import (
     EXACT_SOLUTIONS,
     BoundaryFunction,
-    CallableField,
     Coefficient,
     ConstantCoefficient,
     CubicHarmonic,
@@ -68,7 +66,6 @@ from .solver import (
     Solution,
     UniquenessReport,
     VentcelProblem,
-    defect_correction_solve,
     estimate_trace_lipschitz,
     manufactured_problem,
     solve_ventcel,

@@ -1,10 +1,9 @@
 """Built-in problem domains.
 
-A domain specification lists the boundary pieces and which condition
-each carries: Ventcel pieces are parametrized curves (with outward
-orientation recorded on the curve), Dirichlet pieces are straight
-polylines, except for the annulus whose Dirichlet circle is polygonal
-at whatever resolution the mesh generator uses.
+A domain specification names its kind, lists the Ventcel pieces as
+parametrized curves (with outward orientation recorded on the curve)
+and carries the parameters the mesh generator needs.  The rest of the
+boundary is Dirichlet; the mesh generator tags those edges itself.
 
 Built-ins:
 
@@ -19,66 +18,26 @@ Built-ins:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .geometry import CABLE_HALF_WIDTH, CableArc, Circle, Curve, Segment
+from .geometry import CableArc, Circle, Segment
 
 
 @dataclass
 class DomainSpec:
     kind: str
     ventcel_curves: tuple
-    dirichlet_polylines: tuple
     params: dict = field(default_factory=dict)
-
-    def bbox(self):
-        if self.kind == "cable":
-            c = CABLE_HALF_WIDTH
-            return (-c, c, 0.0, c)
-        if self.kind == "square":
-            return (0.0, 1.0, 1.0, 2.0)
-        if self.kind == "annulus":
-            r = self.params["r_outer"]
-            return (-r, r, -r, r)
-        raise ValueError(f"unknown domain kind {self.kind!r}")
-
-    def diameter(self):
-        x0, x1, y0, y1 = self.bbox()
-        return math.hypot(x1 - x0, y1 - y0)
-
-    def dirichlet_length(self):
-        if self.kind == "annulus":
-            return 2.0 * math.pi * self.params["dirichlet_radius"]
-        total = 0.0
-        for poly in self.dirichlet_polylines:
-            seg = np.diff(np.asarray(poly, dtype=float), axis=0)
-            total += float(np.hypot(seg[:, 0], seg[:, 1]).sum())
-        return total
-
-    def validate(self):
-        """Lightweight sanity check; raises on an unusable specification."""
-        if not self.ventcel_curves:
-            raise ValueError("domain needs at least one Ventcel curve")
-        if self.dirichlet_length() <= 0 and not all(
-                c.closed for c in self.ventcel_curves):
-            raise ValueError("open Ventcel chains require Dirichlet boundary")
 
 
 def cable_domain() -> DomainSpec:
-    c = CABLE_HALF_WIDTH
-    poly = np.array([[-c, c], [-c, 0.0], [c, 0.0], [c, c]])
-    return DomainSpec("cable", (CableArc(),), (poly,))
+    return DomainSpec("cable", (CableArc(),))
 
 
 def square_domain() -> DomainSpec:
     bottom = Segment((0.0, 1.0), (1.0, 1.0), normal_sign=-1)
     top = Segment((0.0, 2.0), (1.0, 2.0), normal_sign=+1)
-    left = np.array([[0.0, 1.0], [0.0, 2.0]])
-    right = np.array([[1.0, 1.0], [1.0, 2.0]])
-    return DomainSpec("square", (bottom, top), (left, right))
+    return DomainSpec("square", (bottom, top))
 
 
 def annulus_domain(r_inner=1.0, r_outer=2.0, ventcel_on="outer") -> DomainSpec:
@@ -88,13 +47,11 @@ def annulus_domain(r_inner=1.0, r_outer=2.0, ventcel_on="outer") -> DomainSpec:
         raise ValueError("ventcel_on must be 'inner' or 'outer'")
     if ventcel_on == "outer":
         curve = Circle(r_outer, normal_sign=-1)
-        rd = r_inner
     else:
         curve = Circle(r_inner, normal_sign=+1)
-        rd = r_outer
     params = {"r_inner": float(r_inner), "r_outer": float(r_outer),
-              "ventcel_on": ventcel_on, "dirichlet_radius": float(rd)}
-    return DomainSpec("annulus", (curve,), (), params)
+              "ventcel_on": ventcel_on}
+    return DomainSpec("annulus", (curve,), params)
 
 
 def make_domain(text: str) -> DomainSpec:

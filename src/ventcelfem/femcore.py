@@ -117,9 +117,7 @@ class FeSpace:
 
         # triangle geometry: areas, constant basis gradients, midpoints
         p = mesh.nodes[mesh.triangles]
-        self.tri_area = 0.5 * (
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        self.tri_area = mesh.signed_areas()
         if np.any(self.tri_area <= 0):
             raise ValueError("mesh has nonpositive triangle areas")
         g = np.empty_like(p)
@@ -137,12 +135,6 @@ class FeSpace:
     @property
     def n_free(self):
         return len(self.free)
-
-    def ventcel_dofs(self):
-        """Indices of non-Dirichlet nodes lying on Ventcel chains."""
-        ch = self.ventcel_edges
-        nodes = np.unique(np.concatenate([ch.a, ch.b]))
-        return nodes[~self.dirichlet_mask[nodes]]
 
 
 def build_space(mesh) -> FeSpace:
@@ -327,40 +319,25 @@ class FeSystem:
         self.a0 = a0
         self.bounds = bounds
         self.K_int = parts["K_int"]
-        self.M_int = parts["M_int"]
         self.S_b = parts["S_b"]
         self.M_b = parts["M_b"]
         self.A = parts["A"]
         self.sigma0 = bounds.sigma0
-        self.shift_applied = self.sigma0 > 0
         free = space.free
         self.matrix = self.A[free][:, free].tocsr()
 
     @cached_property
-    def A_sigma(self):
-        """A + sigma0 M_b when the shift applies, else A itself."""
-        if not self.shift_applied:
-            return self.A
-        return (self.A + self.sigma0 * self.M_b).tocsr()
-
-    @cached_property
     def matrix_shifted(self):
+        """Reduced A + sigma0 M_b; the plain matrix when sigma0 <= 0."""
+        if not self.sigma0 > 0:
+            return self.matrix
         free = self.space.free
-        return self.A_sigma[free][:, free].tocsr()
+        return (self.A + self.sigma0 * self.M_b).tocsr()[free][:, free].tocsr()
 
     def gram_v0(self):
         """Free-dof Gram matrix of the energy norm |Dv|^2 + |tang v|^2."""
         free = self.space.free
         return (self.K_int + self.S_b)[free][:, free].tocsr()
-
-    def v0_norm(self, v: np.ndarray) -> float:
-        g = self.K_int.dot(v) + self.S_b.dot(v)
-        return float(np.sqrt(max(v @ g, 0.0)))
-
-    def v_norm(self, v: np.ndarray) -> float:
-        g = (self.K_int.dot(v) + self.S_b.dot(v)
-             + self.M_int.dot(v) + self.M_b.dot(v))
-        return float(np.sqrt(max(v @ g, 0.0)))
 
 
 def assemble_bilinear(space: FeSpace, a2, a0, check=True) -> FeSystem:
@@ -372,21 +349,16 @@ def assemble_bilinear(space: FeSpace, a2, a0, check=True) -> FeSystem:
     area = space.tri_area
     grads = space.tri_grads
 
-    rows, cols, k_vals, m_vals = [], [], [], []
+    rows, cols, k_vals = [], [], []
     for i in range(3):
         for j in range(3):
             rows.append(tris[:, i])
             cols.append(tris[:, j])
             k_vals.append(area * np.einsum("td,td->t",
                                            grads[:, i], grads[:, j]))
-            m_vals.append(area / (6.0 if i == j else 12.0))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    K_int = sp.coo_matrix((np.concatenate(k_vals), (rows, cols)),
-                          shape=(n, n)).tocsr()
-    m_vals = [np.broadcast_to(v, tris.shape[:1]) for v in m_vals]
-    M_int = sp.coo_matrix((np.concatenate(m_vals), (rows, cols)),
-                          shape=(n, n)).tocsr()
+    K_int = sp.coo_matrix(
+        (np.concatenate(k_vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
 
     # chain blocks (E, 2, 2), local (i, j) = (test, trial) over nodes (a, b);
     # np.vecdot rounds each 3-point sum as a per-edge np.dot does (einsum
@@ -410,7 +382,7 @@ def assemble_bilinear(space: FeSpace, a2, a0, check=True) -> FeSystem:
     A0_b = block(np.vecdot((ch.wq * a0q)[:, None, None], phi2))
 
     A = (K_int + A2_b + C_b + A0_b).tocsr()
-    parts = {"K_int": K_int, "M_int": M_int, "S_b": S_b, "M_b": M_b, "A": A}
+    parts = {"K_int": K_int, "S_b": S_b, "M_b": M_b, "A": A}
     return FeSystem(space, a2, a0, bounds, parts)
 
 

@@ -3,9 +3,8 @@
 Plane fields expose ``value``, ``grad`` and ``hess`` as vectorized maps
 over points with trailing axis 2.  Coefficient fields are the objects
 the assembly consumes: they evaluate at interior points and/or along a
-parametrized boundary curve, and provide the tangential derivative
-along the curve (analytically where possible, otherwise by centered
-differences in arc length with step 1e-6 * curve length).
+parametrized boundary curve, and those used as a2 provide the
+tangential derivative along the curve.
 
 The string grammar understood by ``parse_coefficient``:
 
@@ -133,46 +132,6 @@ class ProductField:
                 + cross + np.swapaxes(cross, -1, -2))
 
 
-class CallableField:
-    """Plane field from a value callable; derivatives by central differences.
-
-    Step h = 1e-5 * scale (scale should be the domain diameter).
-    """
-
-    def __init__(self, func, scale=1.0):
-        self.func = func
-        self.h = 1e-5 * float(scale)
-
-    def value(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.asarray(self.func(p[..., 0], p[..., 1]), dtype=float)
-
-    def _sh(self, p, dx, dy):
-        q = np.array(p, dtype=float, copy=True)
-        q[..., 0] += dx
-        q[..., 1] += dy
-        return self.value(q)
-
-    def grad(self, p):
-        h = self.h
-        gx = (self._sh(p, h, 0) - self._sh(p, -h, 0)) / (2 * h)
-        gy = (self._sh(p, 0, h) - self._sh(p, 0, -h)) / (2 * h)
-        return np.stack([gx, gy], axis=-1)
-
-    def hess(self, p):
-        h = self.h
-        u0 = self.value(np.asarray(p, dtype=float))
-        uxx = (self._sh(p, h, 0) - 2 * u0 + self._sh(p, -h, 0)) / h**2
-        uyy = (self._sh(p, 0, h) - 2 * u0 + self._sh(p, 0, -h)) / h**2
-        uxy = (self._sh(p, h, h) - self._sh(p, h, -h)
-               - self._sh(p, -h, h) + self._sh(p, -h, -h)) / (4 * h**2)
-        out = np.empty(np.shape(u0) + (2, 2))
-        out[..., 0, 0] = uxx
-        out[..., 0, 1] = out[..., 1, 0] = uxy
-        out[..., 1, 1] = uyy
-        return out
-
-
 EXACT_SOLUTIONS = {
     "harmonic_cubic": CubicHarmonic(),
     "affine": QuadraticField(0.0, 1.0, 1.0),
@@ -192,9 +151,7 @@ class Coefficient:
 
     ``eval_points`` evaluates at plane points, ``eval_curve`` along a
     parametrized curve, ``tangential_deriv`` differentiates the trace
-    along arc length.  Subclasses override what they support; the
-    generic tangential derivative is a centered difference in arc
-    length with step 1e-6 * length (shrinking near open-curve ends).
+    along arc length.  Subclasses override what they support.
     """
 
     def eval_points(self, p):
@@ -204,22 +161,8 @@ class Coefficient:
         return self.eval_points(curve.point(t))
 
     def tangential_deriv(self, curve, t):
-        t = np.asarray(t, dtype=float)
-        L = curve.total_length
-        s = np.atleast_1d(curve.arc_length(t)).astype(float)
-        h = 1e-6 * L
-        if curve.closed:
-            sm, sp_ = (s - h) % L, (s + h) % L
-            den = np.full_like(s, 2 * h)
-        else:
-            # one-sided at the very ends of an open curve
-            sm, sp_ = np.clip(s - h, 0.0, L), np.clip(s + h, 0.0, L)
-            den = sp_ - sm
-        tm = curve.param_at_arc_length(sm)
-        tp = curve.param_at_arc_length(sp_)
-        d = (np.atleast_1d(self.eval_curve(curve, tp))
-             - np.atleast_1d(self.eval_curve(curve, tm))) / den
-        return d.reshape(t.shape) if t.ndim else float(d[0])
+        raise ValueError(
+            f"{type(self).__name__} has no tangential derivative")
 
 
 class FieldCoefficient(Coefficient):
@@ -264,12 +207,10 @@ class InverseCurvature(Coefficient):
         return 1.0 / (curve.normal_sign * curve.curvature(t))
 
     def tangential_deriv(self, curve, t):
-        dkdt = getattr(curve, "curvature_dt", None)
-        if dkdt is None:
-            return super().tangential_deriv(curve, t)
         kappa = curve.curvature(t)
         # d/ds (1/(sign k)) = -sign k'(t) / (k^2 |r'|)
-        return -curve.normal_sign * dkdt(t) / (kappa**2 * curve.speed(t))
+        return -curve.normal_sign * curve.curvature_dt(t) / (
+            kappa**2 * curve.speed(t))
 
 
 class NodalCoefficient(Coefficient):
@@ -360,17 +301,11 @@ class NodalCoefficient(Coefficient):
 class BoundaryFunction(Coefficient):
     """Coefficient from a callable (curve, t) -> value, boundary only."""
 
-    def __init__(self, func, dfds=None):
+    def __init__(self, func):
         self.func = func
-        self.dfds = dfds
 
     def eval_curve(self, curve, t):
         return np.asarray(self.func(curve, np.asarray(t, dtype=float)), dtype=float)
-
-    def tangential_deriv(self, curve, t):
-        if self.dfds is not None:
-            return np.asarray(self.dfds(curve, np.asarray(t, dtype=float)), dtype=float)
-        return super().tangential_deriv(curve, t)
 
 
 ZERO = ConstantCoefficient(0.0)
@@ -400,21 +335,48 @@ def parse_coefficient(text, mesh=None, role="coefficient"):
         if mesh is None:
             raise ValueError(f"{role}: nodal coefficient needs a mesh")
         path = text[6:]
-        vals = _read_nodal_csv(path, len(mesh.nodes))
+        vals = _read_nodal_csv(path, len(mesh.nodes), role)
         return NodalCoefficient(mesh, vals)
     if text in EXACT_SOLUTIONS:
         return FieldCoefficient(EXACT_SOLUTIONS[text])
     raise ValueError(f"{role}: unknown coefficient {text!r}")
 
 
-def _read_nodal_csv(path, n_nodes):
-    vals = np.full(n_nodes, np.nan)
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() in ("node", "#"):
-                continue
-            i = int(row[0])
-            vals[i] = float(row[1])
-    if np.any(np.isnan(vals)):
-        raise ValueError(f"nodal csv {path} does not cover all {n_nodes} nodes")
-    return vals
+def _read_nodal_csv(path, n_nodes, role):
+    """One finite value per mesh node from ``index,value`` rows.
+
+    Blank rows and rows whose first cell is ``node`` or ``#`` are
+    skipped.  Every fault (unreadable file, short row, bad or non-finite
+    number, index outside 0..n_nodes-1 or given twice, missing nodes)
+    raises ValueError naming the role, the file and the line.
+    """
+    where = f"{role}: nodal csv {path}"
+    vals = [None] * n_nodes
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                if not row or row[0].strip().lower() in ("node", "#"):
+                    continue
+                try:
+                    i, v = int(row[0]), float(row[1])
+                except (IndexError, ValueError):
+                    fault = f"expected index,value, got {row!r}"
+                else:
+                    if not 0 <= i < n_nodes:
+                        fault = f"node index {i} outside 0..{n_nodes - 1}"
+                    elif vals[i] is not None:
+                        fault = f"node {i} given twice"
+                    elif not math.isfinite(v):
+                        fault = f"value must be finite, got {v!r}"
+                    else:
+                        vals[i] = v
+                        continue
+                raise ValueError(f"{where}:{reader.line_num}: {fault}")
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{where}: cannot read ({exc})") from None
+    missing = vals.count(None)
+    if missing:
+        raise ValueError(f"{where} does not cover all {n_nodes} nodes "
+                         f"({missing} missing)")
+    return np.array(vals, dtype=float)

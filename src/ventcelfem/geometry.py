@@ -8,10 +8,10 @@ derivatives), so boundary arcs must be C2.
 The module provides the closed-form curve family used by the built-in
 domains (a strictly convex "cable" arc, circles, straight segments),
 arc length as a monotone reparametrization with an accurate inverse,
-parametric curvature, tangent/outward-normal frames, and sampling of a
-scalar field restricted to a curve: tangential first and second
-derivatives both in the parametric frame and along arc length, plus the
-normal derivative.
+parametric curvature, and sampling of a scalar field restricted to a
+curve: tangential first and second derivatives both in the unit
+tangent / outward normal frame and along arc length, plus the normal
+derivative.
 """
 
 from __future__ import annotations
@@ -74,20 +74,6 @@ class Curve:
         cross = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
         sp = np.hypot(d1[..., 0], d1[..., 1])
         return cross / sp**3
-
-    def tangent_normal(self, t):
-        """Unit tangent and outward unit normal at t.
-
-        Returns a pair (tau, nu) of arrays with trailing axis 2.  The
-        normal is the velocity rotated by +90 degrees, scaled by
-        ``normal_sign`` so it points out of the owning domain, and is
-        orthogonal to tau by construction.
-        """
-        d = self.velocity(t)
-        sp = np.hypot(d[..., 0], d[..., 1])[..., None]
-        tau = d / sp
-        nu = self.normal_sign * np.stack([-d[..., 1], d[..., 0]], axis=-1) / sp
-        return tau, nu
 
     # arc length ---------------------------------------------------------
 
@@ -282,37 +268,6 @@ class Segment(Curve):
         vals = [self.p0[0], self.p0[1], self.p1[0], self.p1[1]]
         return "segment;" + ";".join(format(v, ".17g") for v in vals) + \
             ";%+d" % self.normal_sign
-
-
-class ReparametrizedCurve(Curve):
-    """The same geometric arc under a strictly increasing C2 parameter map.
-
-    Wraps ``base`` with t = phi(s), phi' > 0 on [s0, s1].  Used to check
-    that geometric quantities are parametrization invariant.
-    """
-
-    name = "reparametrized"
-
-    def __init__(self, base: Curve, phi, dphi, d2phi, s_range):
-        self.base = base
-        self.phi, self.dphi, self.d2phi = phi, dphi, d2phi
-        self.t0, self.t1 = float(s_range[0]), float(s_range[1])
-        self.closed = base.closed
-        self.normal_sign = base.normal_sign
-
-    def point(self, s):
-        return self.base.point(self.phi(np.asarray(s, dtype=float)))
-
-    def velocity(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.base.velocity(self.phi(s)) * self.dphi(s)[..., None]
-
-    def acceleration(self, s):
-        s = np.asarray(s, dtype=float)
-        t = self.phi(s)
-        dp = self.dphi(s)[..., None]
-        return self.base.acceleration(t) * dp**2 + \
-            self.base.velocity(t) * self.d2phi(s)[..., None]
 
 
 def curve_from_token(token: str) -> Curve:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +46,9 @@ class Mesh:
     triangles: np.ndarray         # (M, 3) int, counterclockwise
     bedges: list = field(default_factory=list)
 
-    @property
+    @cached_property
     def h(self) -> float:
+        """Longest triangle side; computed once (meshes are never mutated)."""
         p = self.nodes[self.triangles]
         e = p - p[:, [1, 2, 0], :]
         return float(np.hypot(e[..., 0], e[..., 1]).max())

@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 
 from .domain import DomainSpec
 from .fields import (EXACT_SOLUTIONS, BoundaryFunction, Coefficient,
-                     ConstantCoefficient, FieldCoefficient)
+                     FieldCoefficient)
 from .femcore import (GAUSS3_XI, FeSystem, LoadData, assemble_bilinear,
                       assemble_load, build_space, dirichlet_boundary_samples,
                       mcshane_lift)
@@ -199,23 +199,6 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     return Solution(space=space, system=system, load=load,
                     values=u, homogeneous=hom,
                     factor=lu if keep_factor else None)
-
-
-def defect_correction_solve(system: FeSystem, load: LoadData):
-    """Solve plainly, then once through the shifted equation.
-
-    The shifted form adds sigma0 * (v, w) on the chain to both sides;
-    with the plain solution inserted on the right the shifted solve
-    must reproduce it.  Returns (v_plain, v_shifted) on the free dofs.
-    """
-    v_plain = solve_linear(system.matrix, load.rhs_free)
-    if not system.shift_applied:
-        return v_plain, v_plain.copy()
-    full = np.zeros(system.space.n_nodes)
-    full[system.space.free] = v_plain
-    extra = (system.sigma0 * system.M_b.dot(full))[system.space.free]
-    v_shifted = solve_linear(system.matrix_shifted, load.rhs_free + extra)
-    return v_plain, v_shifted
 
 
 @dataclass

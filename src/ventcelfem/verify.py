@@ -13,14 +13,14 @@ plus a PASS/FAIL summary.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .geometry import (CABLE_HALF_WIDTH, CableArc, Circle,
                        equivalence_residual, frame_derivatives)
-from .domain import DomainSpec, annulus_domain, cable_domain, square_domain
+from .domain import annulus_domain, cable_domain, square_domain
 from .fields import (
     EXACT_SOLUTIONS,
     ConstantCoefficient,
@@ -192,10 +192,6 @@ class TracePoincareReport:
     L_est: float
     sampled_max: float
     iterations: int
-    maximizer: np.ndarray = field(repr=False, default=None)
-
-    def __float__(self):
-        return self.L_est
 
 
 def trace_poincare_estimate(space, n_random=100, seed=0) -> TracePoincareReport:
@@ -248,10 +244,8 @@ def trace_poincare_estimate(space, n_random=100, seed=0) -> TracePoincareReport:
             lam = lam_new
             break
         lam = lam_new
-    full = np.zeros(space.n_nodes)
-    full[fr] = x
     return TracePoincareReport(float(np.sqrt(max(lam, 0.0))), sampled_max,
-                               it_used, full)
+                               it_used)
 
 
 def coercivity_eigencheck(matrix, gram, seed=0) -> float:

@@ -19,7 +19,8 @@ def read_diagnostics(path):
 
 
 def read_solution(path):
-    rows = open(path, encoding="utf-8").read().strip().splitlines()
+    with open(path, encoding="utf-8") as fh:
+        rows = fh.read().strip().splitlines()
     assert rows[0] == "x,y,u"
     return np.array([[float(c) for c in r.split(",")] for r in rows[1:]])
 
@@ -101,6 +102,37 @@ def test_non_finite_data_exits_2(key, value, capsys, tmp_path):
     err = capsys.readouterr().err
     assert f"configuration error: {key}: " in err
     assert "finite" in err
+    assert not (tmp_path / "solution.csv").exists()
+
+
+# every node of the n = 2 square, once
+NODAL_ROWS = "node,value\n" + "".join(f"{i},1.0\n" for i in range(9))
+MALFORMED_NODAL = {
+    "missing": None, "directory": None,
+    "short_row": "node,value\n0\n",
+    "past_count": NODAL_ROWS + "9,1.0\n",
+    "negative": "node,value\n-1,2.0\n",
+    "duplicate": NODAL_ROWS + "3,2.0\n",
+    "bad_number": "node,value\n0,abc\n",
+    "non_finite": "node,value\n0,inf\n",
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_NODAL)
+def test_malformed_nodal_file_exits_2(name, capsys, tmp_path):
+    text = MALFORMED_NODAL[name]
+    path = tmp_path / f"{name}.csv"
+    if name == "directory":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
+    rc = cli.main(["solve", "--domain", "square", "--n", "2",
+                   "--a2", f"nodal:{path}", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: a2: nodal csv {path}" in err
+    if text is not None:
+        assert f"{path}:{len(text.splitlines())}: " in err
     assert not (tmp_path / "solution.csv").exists()
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ventcelfem.domain import annulus_domain, cable_domain, make_domain, square_domain
 from ventcelfem.mesh import (mesh_quality, node_count, read_mesh, triangulate,
@@ -59,10 +61,13 @@ def test_triangulate_rejects_bad_n():
         triangulate(square_domain(), 0)
 
 
-@pytest.mark.parametrize("text", ["cable", "square", "annulus"])
-def test_mesh_round_trip(tmp_path, text):
-    mesh = triangulate(make_domain(text), 3)
-    path = str(tmp_path / "mesh.txt")
+@pytest.mark.parametrize("text", ["cable", "square", "annulus",
+                                  "annulus:1,2,inner"])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(n=st.integers(2, 12))
+def test_mesh_round_trip(tmp_path_factory, text, n):
+    mesh = triangulate(make_domain(text), n)
+    path = str(tmp_path_factory.mktemp("round_trip") / "mesh.txt")
     write_mesh(mesh, path)
     back = read_mesh(path)
     assert np.array_equal(back.nodes, mesh.nodes)

@@ -11,7 +11,6 @@ from ventcelfem.fields import ConstantCoefficient, FieldCoefficient, QuadraticFi
 from ventcelfem.solver import (
     SingularSystemError,
     VentcelProblem,
-    defect_correction_solve,
     estimate_trace_lipschitz,
     factorize,
     manufactured_problem,
@@ -65,23 +64,6 @@ def test_zero_data_gives_zero_solution():
     prob = VentcelProblem(domain=square_domain(), a2=A2_ONE, a0=ZERO)
     sol = solve_ventcel(prob, n=6)
     assert np.abs(sol.values).max() == 0.0
-
-
-def test_defect_correction_shift_neutral():
-    sol = solve_ventcel(cable_problem(), n=8)
-    assert sol.system.shift_applied
-    v_plain, v_shifted = defect_correction_solve(sol.system, sol.load)
-    scale = np.abs(v_plain).max()
-    assert np.abs(v_plain - v_shifted).max() < 1e-9 * scale
-
-
-def test_defect_correction_without_shift():
-    prob = VentcelProblem(domain=square_domain(), a2=A2_ONE,
-                          a0=ZERO, f1=ConstantCoefficient(1.0))
-    sol = solve_ventcel(prob, n=6)
-    assert not sol.system.shift_applied
-    v_plain, v_shifted = defect_correction_solve(sol.system, sol.load)
-    assert np.array_equal(v_plain, v_shifted)
 
 
 def test_manufactured_chain_load_values():

@@ -134,7 +134,6 @@ def test_trace_estimate_square():
     assert rep.iterations >= 1
     rep2 = trace_poincare_estimate(space, n_random=100, seed=0)
     assert rep2.L_est == rep.L_est          # deterministic
-    assert float(rep) == rep.L_est
     with pytest.raises(ValueError):
         trace_poincare_estimate(space, n_random=10)
 
@@ -430,6 +429,7 @@ def test_run_suite_green(tmp_path):
     assert all(ok for _, ok, _ in result.lines)
     for fname in SUITE_FILES:
         assert os.path.exists(os.path.join(out, fname)), fname
-    summary = open(os.path.join(out, "summary.txt")).read()
+    with open(os.path.join(out, "summary.txt")) as fh:
+        summary = fh.read()
     assert summary.splitlines()[-1] == "ALL PASS"
     assert summary.count("PASS") == len(SUITE_CHECKS) + 1
