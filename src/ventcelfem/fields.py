@@ -204,13 +204,15 @@ class InverseCurvature(Coefficient):
     """1 / (oriented curvature); positive exactly on strictly convex arcs."""
 
     def eval_curve(self, curve, t):
-        return 1.0 / (curve.normal_sign * curve.curvature(t))
+        with np.errstate(divide="ignore"):      # inf on a straight chain
+            return 1.0 / (curve.normal_sign * curve.curvature(t))
 
     def tangential_deriv(self, curve, t):
         kappa = curve.curvature(t)
         # d/ds (1/(sign k)) = -sign k'(t) / (k^2 |r'|)
-        return -curve.normal_sign * curve.curvature_dt(t) / (
-            kappa**2 * curve.speed(t))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -curve.normal_sign * curve.curvature_dt(t) / (
+                kappa**2 * curve.speed(t))
 
 
 class NodalCoefficient(Coefficient):

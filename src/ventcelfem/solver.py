@@ -10,7 +10,9 @@ manufactured from.  The solve pipeline is
 
 so the discrete solution matches the Dirichlet data exactly at
 Dirichlet nodes and is independent (up to conditioning) of the lifting
-used.
+used.  ``uniqueness_diagnostic`` checks the discrete problem's unique
+solvability on the solve's own LU factor: a 1-norm rcond estimate, and
+sigma_min from Lanczos on (A^T A)^-1, which stops once converged.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .domain import DomainSpec
 from .fields import (EXACT_SOLUTIONS, BoundaryFunction, Coefficient,
@@ -201,27 +204,37 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
                     factor=lu if keep_factor else None)
 
 
+# Lanczos steps on (A^T A)^-1: each costs two LU solves and one stored
+# basis vector, so this also caps the basis at 20 x n_free floats
+_LANCZOS_STEPS = 20
+
+
 @dataclass
 class UniquenessReport:
     n_free: int
     rcond: float
     sigma_min: float
     singular: bool
-    iterations: int = 0               # inverse-power steps taken for sigma_min
-    last_rel_change: float = float("nan")  # |rho_k - rho_(k-1)| / |rho_k|
+    iterations: int = 0               # Lanczos steps taken for sigma_min
+    last_rel_change: float = float("nan")  # |theta_k - theta_(k-1)| / theta_k
 
 
 def uniqueness_diagnostic(system: FeSystem, seed: int = 0,
                           lu=None) -> UniquenessReport:
     """Conditioning report for the reduced matrix.
 
-    rcond is 1 / (norm1(A) * est norm1(inv A)); sigma_min comes from 20
-    steps of inverse power iteration on A^T A, with rho = x^T (A^T A)^-1 x
-    the step's estimate of 1 / sigma_min^2; ``iterations`` and
-    ``last_rel_change`` (of rho over the last step) report how far it
-    converged.  ``singular`` flags
-    rcond below 1e-14 or a failed factorization.  ``lu`` reuses a
-    ``factorize(system.matrix)`` result instead of factoring again.
+    rcond is 1 / (norm1(A) * est norm1(inv A)).  sigma_min = 1/sqrt(theta)
+    with theta the largest Ritz value of Lanczos on the SPD operator
+    B = A^-1 A^-T = (A^T A)^-1, started from a seeded random unit vector
+    and fully reorthogonalized (two Gram-Schmidt passes per step).  The
+    Ritz value grows towards lambda_max(B) = 1/sigma_min^2, so the
+    estimate approaches sigma_min from above (up to rounding).  Lanczos
+    stops once theta changes by at most 1e-13 relative, on breakdown (the
+    Krylov space is invariant and theta exact), or after 20 steps;
+    ``iterations`` and ``last_rel_change`` (of theta over the last step)
+    report how far it converged.  ``singular`` flags rcond below 1e-14 or
+    a failed factorization.  ``lu`` reuses a ``factorize(system.matrix)``
+    result instead of factoring again.
     """
     A = system.matrix.tocsc()
     m = A.shape[0]
@@ -243,19 +256,30 @@ def uniqueness_diagnostic(system: FeSystem, seed: int = 0,
     rcond = 1.0 / (norm1 * inv_norm1) if norm1 * inv_norm1 > 0 else 0.0
 
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(m)
-    x /= np.linalg.norm(x)
-    rho, change = 0.0, float("nan")
-    for it in range(1, 21):
-        z = lu.solve(lu.solve(x, trans="T"))
-        rho_prev, rho = rho, float(x @ z)
-        if it > 1:
-            change = abs(rho - rho_prev) / abs(rho) if rho else float("inf")
-        nz = np.linalg.norm(z)
-        if not np.isfinite(nz) or nz == 0:
+    q = rng.standard_normal(m)
+    q /= np.linalg.norm(q)
+    basis = np.empty((_LANCZOS_STEPS, m))
+    alpha, beta = [], []
+    theta, change = 0.0, float("nan")
+    for it in range(1, _LANCZOS_STEPS + 1):
+        basis[it - 1] = q
+        w = lu.solve(lu.solve(q, trans="T"))
+        if not np.all(np.isfinite(w)):
             return UniquenessReport(m, rcond, 0.0, True, it, change)
-        x = z / nz
-    sigma_min = 1.0 / np.sqrt(rho) if rho > 0 else 0.0
+        alpha.append(float(q @ w))
+        done = basis[:it]
+        for _ in range(2):
+            w -= done.T @ (done @ w)
+        beta.append(float(np.linalg.norm(w)))
+        theta_prev, theta = theta, float(
+            eigvalsh_tridiagonal(alpha, beta[:-1])[-1])
+        if it > 1:
+            change = (abs(theta - theta_prev) / theta if theta > 0
+                      else float("inf"))
+        if change <= 1e-13 or beta[-1] <= 1e-14 * theta:
+            break
+        q = w / beta[-1]
+    sigma_min = 1.0 / np.sqrt(theta) if theta > 0 else 0.0
     singular = (not np.isfinite(rcond)) or rcond < 1e-14
     return UniquenessReport(m, rcond, float(sigma_min), singular, it, change)
 

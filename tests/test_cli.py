@@ -147,6 +147,21 @@ def test_wall_data_singular_at_a_wall_point_exits_2_without_warning(
     assert "phi: wall data must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, rc, message", [
+    ("solve", 2, "a2: values must be finite"),
+    ("info", 0, "# sigma0 = nan"),
+])
+def test_inv_curvature_on_a_straight_chain_runs_without_warning(
+        command, rc, message, capsys, tmp_path):
+    # the square's chains are straight, so 1/curvature is infinite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cli.main([command, "--domain", "square", "--n", "4",
+                        "--a2", "inv_curvature", "--output-dir", str(tmp_path)])
+    assert got == rc
+    assert message in "".join(capsys.readouterr())
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--domain", "cable", "--n", "100000000"],
     ["mesh", "--domain", "square", "--n", "1000"],

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ventcelfem import cli, femcore, solver
-from ventcelfem.domain import square_domain
-from ventcelfem.fields import ConstantCoefficient, FieldCoefficient, QuadraticField, ZERO
+from ventcelfem.domain import annulus_domain, cable_domain, square_domain
+from ventcelfem.femcore import assemble_bilinear, build_space
+from ventcelfem.fields import (ConstantCoefficient, FieldCoefficient,
+                               QuadraticField, ZERO, parse_coefficient)
+from ventcelfem.mesh import triangulate
 from ventcelfem.solver import (
     SingularSystemError,
     VentcelProblem,
@@ -81,6 +86,23 @@ def test_manufactured_chain_load_values():
     assert np.abs(prob.f1.eval_points(pts)).max() < 1e-14
 
 
+@settings(max_examples=30)
+@given(n=st.integers(2, 12),
+       c=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                   st.floats(-2.0, 2.0)),
+       a2=st.floats(0.1, 10.0), a0=st.floats(0.0, 3.0))
+def test_square_reproduces_an_affine_exact_solution(n, c, a2, a0):
+    # P1 holds affine fields and the square's chains are straight, so the
+    # discrete solution is the exact one up to rounding
+    exact = QuadraticField(*c)
+    sol = solve_ventcel(manufactured_problem(
+        square_domain(), exact, ConstantCoefficient(a2),
+        ConstantCoefficient(a0)), n=n)
+    want = exact.value(sol.space.mesh.nodes)
+    scale = max(1.0, np.abs(want).max())
+    assert np.abs(sol.values - want).max() <= 1e-10 * scale
+
+
 def test_manufactured_problem_rejects_unknown_name():
     with pytest.raises(ValueError, match="exact"):
         manufactured_problem(square_domain(), "mystery", A2_ONE, ZERO)
@@ -109,15 +131,58 @@ def test_uniqueness_diagnostic_healthy_system():
     assert rep2.rcond == rep.rcond and rep2.sigma_min == rep.sigma_min
 
 
-def test_uniqueness_diagnostic_reports_convergence():
+def test_uniqueness_diagnostic_stops_once_converged():
     sol = solve_ventcel(cable_problem(), n=8)
     rep = uniqueness_diagnostic(sol.system, seed=0)
-    assert rep.iterations == 20
-    assert 0.0 <= rep.last_rel_change < 1e-10
+    assert 1 < rep.iterations < 20
+    assert 0.0 <= rep.last_rel_change <= 1e-13
     # a singular factorization reports no iterations
     bad = SimpleNamespace(matrix=sp.csr_matrix(np.ones((2, 2))))
     rep = uniqueness_diagnostic(bad)
     assert rep.singular and rep.iterations == 0
+
+
+def test_uniqueness_diagnostic_of_a_1x1_system():
+    rep = uniqueness_diagnostic(SimpleNamespace(
+        matrix=sp.csr_matrix(np.array([[-4.0]]))))
+    assert rep.n_free == 1 and not rep.singular
+    assert rep.rcond == 1.0
+    assert rep.iterations == 1     # one step spans the whole space
+    assert abs(rep.sigma_min - 4.0) <= 1e-15 * 4.0
+
+
+def _dense_sigma_min(system):
+    return np.linalg.svd(system.matrix.toarray(), compute_uv=False)[-1]
+
+
+UNIQUENESS_DOMAINS = {"square": square_domain(), "annulus": annulus_domain(),
+                      "cable": cable_domain()}
+
+
+@settings(max_examples=60)
+@given(domain=st.sampled_from(sorted(UNIQUENESS_DOMAINS)), n=st.integers(2, 8),
+       a2=st.tuples(st.floats(2.5, 5.0), st.floats(-1.0, 1.0) | st.just(0.0)),
+       a0=st.floats(0.0, 3.0), seed=st.integers(0, 2**16))
+def test_uniqueness_sigma_min_matches_dense_svd(domain, n, a2, a0, seed):
+    # c0 + c1 x stays >= 0.5 on |x| <= 2; c1 != 0 varies a2 along every
+    # chain, which makes the matrix unsymmetric
+    space = build_space(triangulate(UNIQUENESS_DOMAINS[domain], n))
+    system = assemble_bilinear(space, FieldCoefficient(QuadraticField(*a2)),
+                               ConstantCoefficient(a0))
+    rep = uniqueness_diagnostic(system, seed=seed)
+    dense = _dense_sigma_min(system)
+    assert not rep.singular
+    assert abs(rep.sigma_min - dense) <= 1e-12 * dense
+
+
+def test_uniqueness_sigma_min_converges_with_varying_a2_on_the_annulus():
+    # slow to converge: a fixed 20 inverse-power steps end 1.2e-12 away
+    mesh = triangulate(annulus_domain(), 8)
+    system = assemble_bilinear(
+        build_space(mesh), parse_coefficient("poly:1,0.5,0,0,0,0", mesh), ZERO)
+    rep = uniqueness_diagnostic(system, seed=42)
+    dense = _dense_sigma_min(system)
+    assert abs(rep.sigma_min - dense) <= 1e-13 * dense
 
 
 def test_solve_builds_wall_samples_once(monkeypatch):
