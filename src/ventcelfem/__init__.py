@@ -17,7 +17,6 @@ from .geometry import (
     Curve,
     Segment,
     boundary_field_sample,
-    curve_from_token,
     equivalence_residual,
 )
 from .domain import (
@@ -30,7 +29,6 @@ from .domain import (
 from .mesh import (
     Mesh,
     mesh_quality,
-    read_mesh,
     triangulate,
     validate,
     write_mesh,

@@ -3,7 +3,7 @@
 A domain specification names its kind, lists the Ventcel pieces as
 parametrized curves (with outward orientation recorded on the curve)
 and carries the parameters the mesh generator needs.  The rest of the
-boundary is Dirichlet; the mesh generator tags those edges itself.
+boundary is Dirichlet; the mesh generator lists those edges itself.
 
 Built-ins:
 

@@ -55,24 +55,21 @@ class VentcelChain:
 
     End nodes a, b, parameter interval ta, tb and chord length ell are
     (E,); the Gauss parameters tq and weights wq (scaled by ell) are
-    (E, 3).  Rows are grouped per curve, in ta order within a curve;
+    (E, 3).  Rows follow the mesh's chain paths, curve by curve;
     ``curves`` lists (curve, row slice) pairs.
     """
 
     def __init__(self, mesh):
-        groups = {}
-        for e in mesh.bedges:
-            if e.tag == "ventcel":
-                groups.setdefault(e.curve, []).append(e)
-        edges, self.curves = [], []
-        for curve, group in groups.items():
-            group.sort(key=lambda e: e.ta)
-            self.curves.append((curve, slice(len(edges), len(edges) + len(group))))
-            edges += group
-        self.a = np.array([e.a for e in edges], dtype=int)
-        self.b = np.array([e.b for e in edges], dtype=int)
-        self.ta = np.array([e.ta for e in edges], dtype=float)
-        self.tb = np.array([e.tb for e in edges], dtype=float)
+        self.curves, start = [], 0
+        for curve, path, _ in mesh.chains:
+            self.curves.append((curve, slice(start, start + len(path) - 1)))
+            start += len(path) - 1
+        paths = [np.zeros(0, dtype=int)] + [p for _, p, _ in mesh.chains]
+        params = [np.zeros(0)] + [t for _, _, t in mesh.chains]
+        self.a = np.concatenate([p[:-1] for p in paths])
+        self.b = np.concatenate([p[1:] for p in paths])
+        self.ta = np.concatenate([t[:-1] for t in params])
+        self.tb = np.concatenate([t[1:] for t in params])
         d = mesh.nodes[self.b] - mesh.nodes[self.a]
         self.ell = np.hypot(d[:, 0], d[:, 1])
         self.tq = self.points(GAUSS3_XI)
@@ -108,9 +105,7 @@ class FeSpace:
         n = len(mesh.nodes)
 
         mask = np.zeros(n, dtype=bool)
-        for e in mesh.bedges:
-            if e.tag == "dirichlet":
-                mask[e.a] = mask[e.b] = True
+        mask[mesh.walls] = True
         self.dirichlet_mask = mask
         self.free = np.flatnonzero(~mask)
         self.ventcel_edges = VentcelChain(mesh)
@@ -207,10 +202,7 @@ def dirichlet_boundary_samples(mesh) -> np.ndarray:
     """
     h = mesh.h
     pts = []
-    for e in mesh.bedges:
-        if e.tag != "dirichlet":
-            continue
-        pa, pb = mesh.nodes[e.a], mesh.nodes[e.b]
+    for pa, pb in mesh.nodes[mesh.walls]:
         ell = np.hypot(*(pb - pa))
         m = max(1, int(np.ceil(ell / (0.25 * h))))
         xi = np.linspace(0.0, 1.0, m + 1)[:, None]

@@ -270,21 +270,6 @@ class Segment(Curve):
             ";%+d" % self.normal_sign
 
 
-def curve_from_token(token: str) -> Curve:
-    """Reconstruct a curve from its serial token (inverse of ``token()``)."""
-    parts = token.split(";")
-    kind = parts[0]
-    if kind == "cable":
-        return CableArc()
-    if kind == "circle":
-        r, cx, cy, sign = parts[1:]
-        return Circle(float(r), (float(cx), float(cy)), int(sign))
-    if kind == "segment":
-        x0, y0, x1, y1, sign = parts[1:]
-        return Segment((float(x0), float(y0)), (float(x1), float(y1)), int(sign))
-    raise ValueError(f"unknown curve token {token!r}")
-
-
 class ArcLengthTable:
     """Cumulative arc length on a uniform parameter grid.
 

@@ -3,11 +3,16 @@
 Meshes are structured: mapped grids for the cable domain (vertical
 columns under the arc), polar grids for the annulus (4n angular by n
 radial cells), uniform grids for the square.  All triangles are
-counterclockwise.  Boundary edges carry a condition tag and, for
-Ventcel edges, the owning curve with the parameter interval of the
-edge, so nodes on the curved boundary lie exactly on the curve.
+counterclockwise.  The boundary is kept as arrays: ``walls`` holds the
+Dirichlet edges, one (a, b) row each, and ``chains`` one (curve, node
+path, parameter path) triple per Ventcel curve, the path running along
+the curve in increasing parameter, so its nodes lie exactly on the
+curve.  A closed curve's path ends by repeating its first node, at
+parameter ``curve.t1``.
 
-Text format (round-trips doubles exactly via 17 significant digits):
+Text format, written only (doubles keep 17 significant digits, so they
+read back exactly); BEDGES lists the chain edges curve by curve, then
+the wall edges:
 
     ventcel-mesh v1
     NODES <count>
@@ -22,29 +27,18 @@ Text format (round-trips doubles exactly via 17 significant digits):
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .geometry import Curve, curve_from_token
-
-
-@dataclass
-class BoundaryEdge:
-    a: int
-    b: int
-    tag: str                      # "dirichlet" | "ventcel"
-    curve: Curve | None = None
-    ta: float = 0.0
-    tb: float = 0.0
 
 
 @dataclass(eq=False)
 class Mesh:
     nodes: np.ndarray             # (N, 2)
     triangles: np.ndarray         # (M, 3) int, counterclockwise
-    bedges: list = field(default_factory=list)
+    walls: np.ndarray             # (D, 2) int, Dirichlet edges
+    chains: list                  # (curve, node path, parameter path)
 
     @cached_property
     def h(self) -> float:
@@ -64,9 +58,6 @@ class Mesh:
         lo = self.nodes.min(axis=0)
         hi = self.nodes.max(axis=0)
         return float(np.hypot(*(hi - lo)))
-
-    def validate(self) -> list:
-        return validate(self)
 
 
 # ----------------------------------------------------------------------
@@ -106,6 +97,13 @@ def _grid_triangles(idx):
     return np.concatenate([t1, t2])
 
 
+def _path_edges(*paths):
+    """Edges (p[k], p[k + 1]) of equally long node paths, one row per
+    edge; for each k the paths' edges follow in the order given."""
+    return np.stack([np.column_stack([p[:-1], p[1:]]) for p in paths],
+                    axis=1).reshape(-1, 2)
+
+
 def _mesh_square(spec, n):
     bottom, top = spec.ventcel_curves
     xs = np.linspace(0.0, 1.0, n + 1)
@@ -113,28 +111,16 @@ def _mesh_square(spec, n):
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    def idx(i, j):
-        return j * (n + 1) + i
-
     grid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1).T  # [i, j]
     tris = _grid_triangles(grid)
-
-    bedges = []
-    for i in range(n):
-        bedges.append(BoundaryEdge(idx(i, 0), idx(i + 1, 0), "ventcel",
-                                   bottom, xs[i], xs[i + 1]))
-        bedges.append(BoundaryEdge(idx(i, n), idx(i + 1, n), "ventcel",
-                                   top, xs[i], xs[i + 1]))
-    for j in range(n):
-        bedges.append(BoundaryEdge(idx(0, j), idx(0, j + 1), "dirichlet"))
-        bedges.append(BoundaryEdge(idx(n, j), idx(n, j + 1), "dirichlet"))
-    return Mesh(nodes, tris, bedges)
+    walls = _path_edges(grid[0], grid[n])
+    return Mesh(nodes, tris, walls,
+                [(bottom, grid[:, 0], xs), (top, grid[:, n], xs)])
 
 
 def _mesh_annulus(spec, n):
     r0 = spec.params["r_inner"]
     r1 = spec.params["r_outer"]
-    nu_on = spec.params["ventcel_on"]
     curve = spec.ventcel_curves[0]
     ntheta = 4 * n
     theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
@@ -145,32 +131,18 @@ def _mesh_annulus(spec, n):
         nodes[k * ntheta:(k + 1) * ntheta, 0] = r * np.cos(theta)
         nodes[k * ntheta:(k + 1) * ntheta, 1] = r * np.sin(theta)
 
-    def idx(k, m):
-        return k * ntheta + (m % ntheta)
+    # ring k walks m = 0 .. ntheta - 1 and closes back on m = 0
+    ring = np.append(np.arange(ntheta), 0)
+    p00 = np.arange(n)[:, None] * ntheta + ring[:-1]
+    p01 = np.arange(n)[:, None] * ntheta + ring[1:]
+    tris = np.stack([p00, p00 + ntheta, p01 + ntheta,
+                     p00, p01 + ntheta, p01], axis=-1).reshape(-1, 3)
 
-    tris = []
-    for k in range(n):
-        for m in range(ntheta):
-            p00, p10 = idx(k, m), idx(k + 1, m)
-            p11, p01 = idx(k + 1, m + 1), idx(k, m + 1)
-            tris.append((p00, p10, p11))
-            tris.append((p00, p11, p01))
-    tris = np.array(tris, dtype=int)
-
-    two_pi = 2.0 * np.pi
-    bedges = []
-    for ring, k in (("inner", 0), ("outer", n)):
-        is_ventcel = ring == nu_on
-        for m in range(ntheta):
-            ta = theta[m]
-            tb = theta[m + 1] if m + 1 < ntheta else two_pi
-            if is_ventcel:
-                bedges.append(BoundaryEdge(idx(k, m), idx(k, m + 1),
-                                           "ventcel", curve, ta, tb))
-            else:
-                bedges.append(BoundaryEdge(idx(k, m), idx(k, m + 1),
-                                           "dirichlet"))
-    return Mesh(nodes, tris, bedges)
+    chain, wall = ring, n * ntheta + ring          # Ventcel on the inner ring
+    if spec.params["ventcel_on"] == "outer":
+        chain, wall = wall, chain
+    return Mesh(nodes, tris, _path_edges(wall),
+                [(curve, chain, np.append(theta, curve.t1))])
 
 
 def _cable_column_params(curve, n):
@@ -208,19 +180,9 @@ def _mesh_cable(spec, n):
 
     grid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1).T  # [i, j]
     tris = _grid_triangles(grid)
-
-    def idx(i, j):
-        return j * (n + 1) + i
-
-    bedges = []
-    for i in range(n):
-        bedges.append(BoundaryEdge(idx(i, n), idx(i + 1, n), "ventcel",
-                                   curve, t_cols[i], t_cols[i + 1]))
-        bedges.append(BoundaryEdge(idx(i, 0), idx(i + 1, 0), "dirichlet"))
-    for j in range(n):
-        bedges.append(BoundaryEdge(idx(0, j), idx(0, j + 1), "dirichlet"))
-        bedges.append(BoundaryEdge(idx(n, j), idx(n, j + 1), "dirichlet"))
-    return Mesh(nodes, tris, bedges)
+    walls = np.concatenate([_path_edges(grid[:, 0]),
+                            _path_edges(grid[0], grid[n])])
+    return Mesh(nodes, tris, walls, [(curve, grid[:, n], t_cols)])
 
 
 # ----------------------------------------------------------------------
@@ -248,66 +210,41 @@ def validate(mesh: Mesh) -> list:
                    "than two triangles")
     hull = set(map(tuple, keys[counts == 1].tolist()))
 
-    tagged = {}
-    for e in mesh.bedges:
-        key = (e.a, e.b) if e.a < e.b else (e.b, e.a)
-        if key in tagged:
-            out.append(f"boundary edge {key} tagged twice")
-        tagged[key] = e
-    if set(tagged) != hull:
-        missing = hull - set(tagged)
-        extra = set(tagged) - hull
-        if missing:
-            out.append(f"{len(missing)} hull edges lack a boundary tag")
-        if extra:
-            out.append(f"{len(extra)} tagged edges are not hull edges")
-
-    deg = {}
-    for a, b in tagged:
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-    odd = [v for v, d in deg.items() if d != 2]
+    edges = np.concatenate([mesh.walls]
+                           + [_path_edges(p) for _, p, _ in mesh.chains])
+    keys, counts = np.unique(np.sort(edges, axis=1), axis=0,
+                             return_counts=True)
+    if np.any(counts > 1):
+        out.append(f"{np.count_nonzero(counts > 1)} boundary edges tagged twice")
+    tagged = set(map(tuple, keys.tolist()))
+    if hull - tagged:
+        out.append(f"{len(hull - tagged)} hull edges lack a boundary tag")
+    if tagged - hull:
+        out.append(f"{len(tagged - hull)} tagged edges are not hull edges")
+    deg = np.bincount(keys.ravel(), minlength=n)
+    odd = np.count_nonzero((deg != 0) & (deg != 2))
     if odd:
-        out.append(f"{len(odd)} boundary nodes without exactly two boundary edges")
+        out.append(f"{odd} boundary nodes without exactly two boundary edges")
 
-    dirichlet_nodes = set()
-    for e in mesh.bedges:
-        if e.tag == "dirichlet":
-            dirichlet_nodes.add(e.a)
-            dirichlet_nodes.add(e.b)
-
-    chains = {}
-    for e in mesh.bedges:
-        if e.tag == "ventcel":
-            if e.curve is None:
-                out.append("ventcel edge without a curve")
-                continue
-            chains.setdefault(e.curve.token(), []).append(e)
-            if not e.ta < e.tb:
-                out.append(f"ventcel edge ({e.a},{e.b}) has ta >= tb")
-            for node, tval in ((e.a, e.ta), (e.b, e.tb)):
-                gap = np.hypot(*(mesh.nodes[node] - e.curve.point(tval)))
-                if gap > 1e-12 * scale:
-                    out.append(
-                        f"ventcel node {node} off its curve by {gap:.3g}")
-
-    for token, edges in chains.items():
-        edges.sort(key=lambda e: e.ta)
-        curve = edges[0].curve
-        for p, q in zip(edges, edges[1:]):
-            if abs(p.tb - q.ta) > 1e-12 or p.b != q.a:
-                out.append(f"ventcel chain on {token} is not contiguous")
-                break
-        span_lo = abs(edges[0].ta - curve.t0) > 1e-12
-        span_hi = abs(edges[-1].tb - curve.t1) > 1e-12
-        if span_lo or span_hi:
-            out.append(f"ventcel chain on {token} does not cover the curve")
+    for curve, path, t in mesh.chains:
+        if len(path) != len(t) or len(path) < 2:
+            out.append(f"ventcel chain on {curve!r} has {len(path)} nodes "
+                       f"and {len(t)} parameters")
+            continue
+        if not np.all(np.diff(t) > 0):
+            out.append(f"ventcel chain on {curve!r} has a parameter "
+                       "that does not increase")
+        gap = np.hypot(*(mesh.nodes[path] - curve.point(t)).T)
+        for i in np.flatnonzero(gap > 1e-12 * scale)[:10]:
+            out.append(f"ventcel node {path[i]} off its curve by {gap[i]:.3g}")
+        if abs(t[0] - curve.t0) > 1e-12 or abs(t[-1] - curve.t1) > 1e-12:
+            out.append(f"ventcel chain on {curve!r} does not cover the curve")
         if curve.closed:
-            if edges[0].a != edges[-1].b:
-                out.append(f"closed ventcel chain on {token} does not wrap")
+            if path[0] != path[-1]:
+                out.append(f"closed ventcel chain on {curve!r} does not wrap")
         else:
-            for endpoint in (edges[0].a, edges[-1].b):
-                if endpoint not in dirichlet_nodes:
+            for endpoint in (path[0], path[-1]):
+                if endpoint not in mesh.walls:
                     out.append(
                         f"open ventcel chain endpoint {endpoint} "
                         "is not on the Dirichlet boundary")
@@ -349,64 +286,10 @@ def write_mesh(mesh: Mesh, path: str) -> None:
     lines.append(f"TRIANGLES {len(mesh.triangles)}")
     for a, b, c in mesh.triangles:
         lines.append(f"{a} {b} {c}")
-    lines.append(f"BEDGES {len(mesh.bedges)}")
-    for e in mesh.bedges:
-        if e.tag == "ventcel":
-            lines.append(f"{e.a} {e.b} ventcel {e.curve.token()} "
-                         f"{_fmt(e.ta)} {_fmt(e.tb)}")
-        else:
-            lines.append(f"{e.a} {e.b} dirichlet")
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def read_mesh(path: str) -> Mesh:
-    """Parse a mesh file; raises ValueError if it is malformed or fails
-    ``validate`` (the message lists the violations)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "ventcel-mesh v1":
-        raise ValueError(f"{path}: not a ventcel-mesh v1 file")
-    pos = 1
-
-    def section(name):
-        nonlocal pos
-        head = lines[pos].split()
-        if len(head) != 2 or head[0] != name:
-            raise ValueError(f"{path}: expected '{name} <count>'")
-        pos += 1
-        count = int(head[1])
-        rows = lines[pos:pos + count]
-        if len(rows) != count:
-            raise ValueError(f"{path}: truncated {name} section")
-        pos += count
-        return rows
-
-    node_rows = section("NODES")
-    nodes = np.empty((len(node_rows), 2))
-    for row in node_rows:
-        i, x, y = row.split()
-        nodes[int(i)] = (float(x), float(y))
-
-    tri_rows = section("TRIANGLES")
-    tris = np.array([[int(v) for v in row.split()] for row in tri_rows],
-                    dtype=int).reshape(len(tri_rows), 3)
-
-    curves = {}
-    bedges = []
-    for row in section("BEDGES"):
-        parts = row.split()
-        a, b, tag = int(parts[0]), int(parts[1]), parts[2]
-        if tag == "dirichlet":
-            bedges.append(BoundaryEdge(a, b, tag))
-        elif tag == "ventcel":
-            token, ta, tb = parts[3], float(parts[4]), float(parts[5])
-            if token not in curves:
-                curves[token] = curve_from_token(token)
-            bedges.append(BoundaryEdge(a, b, tag, curves[token], ta, tb))
-        else:
-            raise ValueError(f"{path}: unknown boundary tag {tag!r}")
-    mesh = Mesh(nodes, tris, bedges)
-    problems = validate(mesh)
-    if problems:
-        raise ValueError(f"{path}: invalid mesh: " + "; ".join(problems))
-    return mesh
+    rows = []
+    for curve, p, t in mesh.chains:
+        rows += [f"{a} {b} ventcel {curve.token()} {_fmt(ta)} {_fmt(tb)}"
+                 for a, b, ta, tb in zip(p[:-1], p[1:], t[:-1], t[1:])]
+    rows += [f"{a} {b} dirichlet" for a, b in mesh.walls]
+    lines.append(f"BEDGES {len(rows)}")
+    _write_text(path, "\n".join(lines + rows) + "\n")

@@ -26,7 +26,7 @@ from ventcelfem.femcore import (
     mcshane_lift,
 )
 from ventcelfem.geometry import CableArc, Segment
-from ventcelfem.mesh import BoundaryEdge, Mesh, triangulate
+from ventcelfem.mesh import Mesh, triangulate
 from ventcelfem.solver import estimate_trace_lipschitz
 
 AFFINE = FieldCoefficient(QuadraticField(0.0, 1.0, 1.0))
@@ -37,12 +37,9 @@ def one_triangle_mesh():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
     bottom = Segment((0.0, 0.0), (1.0, 0.0), normal_sign=-1)
-    bedges = [
-        BoundaryEdge(0, 1, "ventcel", bottom, 0.0, 1.0),
-        BoundaryEdge(1, 2, "dirichlet"),
-        BoundaryEdge(2, 0, "dirichlet"),
-    ]
-    return Mesh(nodes, tris, bedges)
+    walls = np.array([[1, 2], [2, 0]])
+    return Mesh(nodes, tris, walls,
+                [(bottom, np.array([0, 1]), np.array([0.0, 1.0]))])
 
 
 def test_reference_stiffness_and_mass():
@@ -304,9 +301,9 @@ def test_shifted_matrix_bookkeeping():
 
 
 def per_edge_chain(space, a2, a0, g1, g2):
-    """Chain blocks and chain load by one loop over the mesh's edges.
+    """Chain blocks and chain load by one loop over the chain edges.
 
-    Reference for the array assembly: mesh edge order, np.dot for every
+    Reference for the array assembly: chain path order, np.dot for every
     3-point sum, and one scalar update of the load per node and term.
     """
     mesh, n = space.mesh, space.n_nodes
@@ -314,17 +311,17 @@ def per_edge_chain(space, a2, a0, g1, g2):
     rows, cols = [], []
     vals = {key: [] for key in ("S", "M", "A2", "C", "A0")}
     load = np.zeros(n)
-    for e in mesh.bedges:
-        if e.tag != "ventcel":
-            continue
-        ell = float(np.hypot(*(mesh.nodes[e.b] - mesh.nodes[e.a])))
-        tq = e.ta + GAUSS3_XI * (e.tb - e.ta)
+    edges = [(curve, *e) for curve, path, t in mesh.chains
+             for e in zip(path[:-1], path[1:], t[:-1], t[1:])]
+    for curve, a, b, ta, tb in edges:
+        ell = float(np.hypot(*(mesh.nodes[b] - mesh.nodes[a])))
+        tq = ta + GAUSS3_XI * (tb - ta)
         wq = ell * GAUSS3_W
-        a2q = np.atleast_1d(a2.eval_curve(e.curve, tq))
-        da2q = np.atleast_1d(a2.tangential_deriv(e.curve, tq))
-        a0q = np.atleast_1d(a0.eval_curve(e.curve, tq))
+        a2q = np.atleast_1d(a2.eval_curve(curve, tq))
+        da2q = np.atleast_1d(a2.tangential_deriv(curve, tq))
+        a0q = np.atleast_1d(a0.eval_curve(curve, tq))
         dphi = np.array([-1.0, 1.0]) / ell
-        idx = (e.a, e.b)
+        idx = (a, b)
         for i in range(2):
             for j in range(2):
                 rows.append(idx[i])
@@ -334,13 +331,13 @@ def per_edge_chain(space, a2, a0, g1, g2):
                 vals["A2"].append(float(np.dot(wq, a2q)) * dphi[i] * dphi[j])
                 vals["C"].append(float(np.dot(wq * da2q, phi[i]) * dphi[j]))
                 vals["A0"].append(float(np.dot(wq * a0q, phi[i] * phi[j])))
-        g1q = np.atleast_1d(g1.eval_curve(e.curve, tq))
-        load[e.a] += float(np.dot(wq * g1q, phi[0]))
-        load[e.b] += float(np.dot(wq * g1q, phi[1]))
-        g2q = np.atleast_1d(g2.eval_curve(e.curve, tq))
+        g1q = np.atleast_1d(g1.eval_curve(curve, tq))
+        load[a] += float(np.dot(wq * g1q, phi[0]))
+        load[b] += float(np.dot(wq * g1q, phi[1]))
+        g2q = np.atleast_1d(g2.eval_curve(curve, tq))
         s = float(np.dot(wq, g2q))
-        load[e.a] -= s * dphi[0]
-        load[e.b] -= s * dphi[1]
+        load[a] -= s * dphi[0]
+        load[b] -= s * dphi[1]
     blocks = {key: sp.coo_matrix((np.array(v), (rows, cols)),
                                  shape=(n, n)).tocsr()
               for key, v in vals.items()}

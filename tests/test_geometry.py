@@ -8,7 +8,6 @@ from ventcelfem.geometry import (
     Curve,
     Segment,
     boundary_field_sample,
-    curve_from_token,
     equivalence_residual,
     frame_derivatives,
 )
@@ -131,15 +130,6 @@ def test_segment_basics():
     seg = Segment((0.0, 0.0), (3.0, 4.0))
     assert abs(seg.total_length - 5.0) < 1e-13
     assert np.abs(seg.curvature(np.linspace(0, 1, 11))).max() == 0.0
-
-
-def test_curve_tokens_round_trip():
-    for curve in (CableArc(), Circle(2.0), Circle(1.5, (0.3, -0.2), 1),
-                  Segment((0.0, 1.0), (1.0, 1.0), -1)):
-        clone = curve_from_token(curve.token())
-        assert clone == curve
-        t = np.linspace(curve.t0, curve.t1, 7)
-        assert np.allclose(clone.point(t), curve.point(t), atol=1e-15)
 
 
 def test_reparametrization_invariance():

@@ -1,10 +1,13 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ventcelfem.domain import annulus_domain, cable_domain, make_domain, square_domain
-from ventcelfem.mesh import (mesh_quality, node_count, read_mesh, triangulate,
+from ventcelfem.mesh import (mesh_quality, node_count, triangulate, validate,
                             write_mesh)
 
 DOMAINS = [cable_domain(), square_domain(), annulus_domain(),
@@ -15,7 +18,7 @@ DOMAINS = [cable_domain(), square_domain(), annulus_domain(),
 def test_builders_produce_valid_meshes(dom):
     for n in (2, 5):
         mesh = triangulate(dom, n)
-        assert mesh.validate() == []
+        assert validate(mesh) == []
         assert np.all(mesh.signed_areas() > 0)
 
 
@@ -23,9 +26,8 @@ def test_square_counts():
     mesh = triangulate(square_domain(), 2)
     assert len(mesh.nodes) == 9
     assert len(mesh.triangles) == 8
-    tags = [e.tag for e in mesh.bedges]
-    assert tags.count("ventcel") == 4
-    assert tags.count("dirichlet") == 4
+    assert sum(len(path) - 1 for _, path, _ in mesh.chains) == 4
+    assert len(mesh.walls) == 4
     assert abs(mesh.signed_areas().sum() - 1.0) < 1e-14
 
 
@@ -48,12 +50,10 @@ def test_cable_top_row_on_curve():
     dom = cable_domain()
     curve = dom.ventcel_curves[0]
     mesh = triangulate(dom, 8)
-    for e in mesh.bedges:
-        if e.tag != "ventcel":
-            continue
-        for node, t in ((e.a, e.ta), (e.b, e.tb)):
-            gap = np.hypot(*(mesh.nodes[node] - curve.point(t)))
-            assert gap < 1e-12
+    (chain_curve, path, t), = mesh.chains
+    assert chain_curve == curve and len(path) == 9
+    gap = np.hypot(*(mesh.nodes[path] - curve.point(t)).T)
+    assert gap.max() < 1e-12
 
 
 def test_triangulate_rejects_bad_n():
@@ -61,43 +61,66 @@ def test_triangulate_rejects_bad_n():
         triangulate(square_domain(), 0)
 
 
-@pytest.mark.parametrize("text", ["cable", "square", "annulus",
-                                  "annulus:1,2,inner"])
-@settings(max_examples=10, derandomize=True, deadline=None)
-@given(n=st.integers(2, 12))
+def _boundary_row(row):
+    """One BEDGES row as (a, b, tag[, curve token, ta, tb])."""
+    a, b, tag, *rest = row.split()
+    if tag == "ventcel":
+        token, ta, tb = rest
+        return (int(a), int(b), tag, token, float(ta), float(tb))
+    assert tag == "dirichlet" and not rest
+    return (int(a), int(b), tag)
+
+
+@settings(max_examples=60)
+@given(text=st.sampled_from(["cable", "square", "annulus",
+                             "annulus:1,2,inner"]),
+       n=st.integers(1, 12))
 def test_mesh_round_trip(tmp_path_factory, text, n):
     mesh = triangulate(make_domain(text), n)
-    path = str(tmp_path_factory.mktemp("round_trip") / "mesh.txt")
-    write_mesh(mesh, path)
-    back = read_mesh(path)
-    assert np.array_equal(back.nodes, mesh.nodes)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert len(back.bedges) == len(mesh.bedges)
-    for e0, e1 in zip(mesh.bedges, back.bedges):
-        assert (e0.a, e0.b, e0.tag) == (e1.a, e1.b, e1.tag)
-        if e0.tag == "ventcel":
-            assert e0.curve == e1.curve
-            assert e0.ta == e1.ta and e0.tb == e1.tb
-    assert back.validate() == []
-
-
-def test_read_mesh_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.txt"
-    path.write_text("not a mesh\n")
-    with pytest.raises(ValueError):
-        read_mesh(str(path))
-
-
-def test_read_mesh_rejects_clockwise_triangle(tmp_path):
-    path = tmp_path / "mesh.txt"
-    write_mesh(triangulate(square_domain(), 2), str(path))
+    path = tmp_path_factory.mktemp("round_trip") / "mesh.txt"
+    write_mesh(mesh, str(path))
     lines = path.read_text().splitlines()
-    first = lines.index("TRIANGLES 8") + 1
-    a, b, c = lines[first].split()
-    lines[first] = f"{a} {c} {b}"           # triangle 0 now clockwise
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="triangle 0 has nonpositive area"):
-        read_mesh(str(path))
+    assert lines[0] == "ventcel-mesh v1"
+    sections, pos = {}, 1
+    for name in ("NODES", "TRIANGLES", "BEDGES"):
+        head, count = lines[pos].split()
+        assert head == name
+        sections[name] = lines[pos + 1:pos + 1 + int(count)]
+        pos += 1 + int(count)
+    assert pos == len(lines)
+
+    rows = [row.split() for row in sections["NODES"]]
+    assert [int(i) for i, _, _ in rows] == list(range(len(mesh.nodes)))
+    nodes = np.array([[float(x), float(y)] for _, x, y in rows])
+    assert np.array_equal(nodes, mesh.nodes)
+    tris = np.array([row.split() for row in sections["TRIANGLES"]], dtype=int)
+    assert np.array_equal(tris.reshape(-1, 3), mesh.triangles)
+
+    want = [(a, b, "dirichlet") for a, b in mesh.walls.tolist()]
+    for curve, p, t in mesh.chains:
+        want += [(a, b, "ventcel", curve.token(), ta, tb) for a, b, ta, tb
+                 in zip(p[:-1].tolist(), p[1:].tolist(),
+                        t[:-1].tolist(), t[1:].tolist())]
+    assert len(set(want)) == len(want)
+    assert Counter(map(_boundary_row, sections["BEDGES"])) == Counter(want)
+    assert validate(mesh) == []
+
+
+def test_validate_names_each_fault():
+    mesh = triangulate(square_domain(), 3)
+    (bottom, path, t), top = mesh.chains
+    faults = {
+        "triangle 0 has nonpositive area":
+            replace(mesh, triangles=mesh.triangles[:, [0, 2, 1]]),
+        "hull edges lack a boundary tag": replace(mesh, walls=mesh.walls[1:]),
+        "boundary edges tagged twice":
+            replace(mesh, walls=np.concatenate([mesh.walls, mesh.walls[:1]])),
+        "off its curve": replace(mesh, chains=[(bottom, path, 0.5 * t), top]),
+        "is not on the Dirichlet boundary":
+            replace(mesh, walls=mesh.walls[1:-1]),
+    }
+    for message, bad in faults.items():
+        assert any(message in p for p in validate(bad)), message
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.params.get("ventcel_on", d.kind))

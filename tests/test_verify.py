@@ -283,6 +283,37 @@ def test_weak_residual_zero_problem():
     assert rep.max_residual == 0.0
 
 
+# the square's chains lie on y = 1 and y = 2 with 0 <= x <= 1, where the
+# monomials x, y, x^2, xy, y^2 are bounded by these values
+_MONOMIAL_MAX = np.array([1.0, 2.0, 1.0, 2.0, 4.0])
+_COEF = st.floats(-1.0, 1.0)
+
+
+def _quadratic(c, floor=None):
+    """QuadraticField with coefficients c (6,); with ``floor`` the
+    constant is raised so the field is at least floor on the chains."""
+    c = list(c)
+    if floor is not None:
+        c[0] = floor + float(np.abs(c[1:]) @ _MONOMIAL_MAX)
+    return FieldCoefficient(QuadraticField(*c))
+
+
+@settings(max_examples=30)
+@given(n=st.integers(2, 10),
+       c=st.lists(_COEF, min_size=27, max_size=27).map(np.array))
+def test_weak_residual_vanishes_on_exactly_integrated_data(n, c):
+    # data of degree <= 2 along straight chains: both the assembly's and
+    # the check's quadrature rules integrate every term exactly
+    a2 = _quadratic(c[0:6], floor=0.5)
+    a0 = _quadratic(c[6:12], floor=0.0)
+    g1, phi = _quadratic(c[12:18]), _quadratic(c[18:24])
+    f1 = _quadratic([*c[24:27], 0.0, 0.0, 0.0])
+    prob = VentcelProblem(domain=square_domain(), a2=a2, a0=a0, f1=f1,
+                          g1=g1, phi=phi)
+    sol = solve_ventcel(prob, n=n)
+    assert weak_residual_check(sol, prob).max_residual < 1e-8
+
+
 # ----------------------------------------------------------------------
 # integration by parts
 
