@@ -71,10 +71,10 @@ def _boundary_row(row):
     return (int(a), int(b), tag)
 
 
-@settings(max_examples=60)
-@given(text=st.sampled_from(["cable", "square", "annulus",
-                             "annulus:1,2,inner"]),
-       n=st.integers(1, 12))
+@pytest.mark.parametrize("text", ["cable", "square", "annulus",
+                                  "annulus:1,2,inner"])
+@settings(max_examples=15)
+@given(n=st.integers(1, 12))
 def test_mesh_round_trip(tmp_path_factory, text, n):
     mesh = triangulate(make_domain(text), n)
     path = tmp_path_factory.mktemp("round_trip") / "mesh.txt"
