@@ -16,7 +16,6 @@ from .geometry import (
     Circle,
     Curve,
     Segment,
-    boundary_field_sample,
     equivalence_residual,
 )
 from .domain import (

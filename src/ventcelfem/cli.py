@@ -125,6 +125,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     if cfg.n < 2:
         raise ConfigError(f"n: subdivision must be at least 2, got {cfg.n}")
+    if cfg.seed < 0:
+        raise ConfigError(
+            f"seed: must be a nonnegative integer, got {cfg.seed}")
     if cfg.command == "convergence" and cfg.levels < 3:
         raise ConfigError(
             f"levels: need at least 3 for a convergence study, got {cfg.levels}")
@@ -158,6 +161,15 @@ def _domain_or_error(cfg: RunConfig, finest_n: int | None = None):
     return dom
 
 
+def _output_dir(cfg: RunConfig) -> None:
+    """Create the artifact directory before any work is done."""
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot use {cfg.output_dir!r}: "
+                          f"{exc.strerror or exc}") from None
+
+
 def _coefficient(text: str, mesh, role: str):
     try:
         return parse_coefficient(text, mesh, role=role)
@@ -183,6 +195,7 @@ def build_problem(cfg: RunConfig, dom, mesh) -> VentcelProblem:
 
 def cmd_solve(cfg: RunConfig) -> int:
     dom = _domain_or_error(cfg)
+    _output_dir(cfg)
     mesh = triangulate(dom, cfg.n)
     problem = build_problem(cfg, dom, mesh)
     solution = solve_ventcel(problem, mesh=mesh, keep_factor=True)
@@ -195,7 +208,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     diag = uniqueness_diagnostic(system, seed=cfg.seed, lu=solution.factor)
     solution.factor = None    # free the LU fill before output and errors
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
     sol_path = os.path.join(cfg.output_dir, "solution.csv")
     write_solution_csv(solution, sol_path)
     write_trace_csv(solution, os.path.join(cfg.output_dir, "trace.csv"))
@@ -237,9 +249,9 @@ def cmd_convergence(cfg: RunConfig) -> int:
     a2 = _coefficient(cfg.a2, None, "a2")
     a0 = _coefficient(cfg.a0, None, "a0")
     problem = manufactured_problem(dom, exact, a2, a0)
+    _output_dir(cfg)
     report = verify.manufactured_convergence(problem, n0=cfg.n,
                                              levels=cfg.levels)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "convergence.csv")
     report.write_csv(path)
     o2, ov, ot = report.observed_orders
@@ -250,6 +262,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    _output_dir(cfg)
     result = verify.run_suite(cfg.output_dir, seed=cfg.seed)
     sys.stdout.write(result.summary_text())
     return 0 if result.passed else 1
@@ -257,8 +270,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_mesh(cfg: RunConfig) -> int:
     dom = _domain_or_error(cfg)
+    _output_dir(cfg)
     mesh = triangulate(dom, cfg.n)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "mesh.txt")
     write_mesh(mesh, path)
     print(f"mesh {cfg.domain} n={cfg.n}: {len(mesh.nodes)} nodes, "

@@ -2,22 +2,20 @@
 
 Plane curves are twice continuously differentiable parametrizations
 r(t) = (x(t), y(t)) with nonvanishing velocity; two derivatives are
-required throughout (curvature, arc-length sampling, second tangential
-derivatives), so boundary arcs must be C2.
+required throughout (curvature, second tangential derivatives), so
+boundary arcs must be C2.
 
 The module provides the closed-form curve family used by the built-in
 domains (a strictly convex "cable" arc, circles, straight segments),
 arc length as a monotone reparametrization with an accurate inverse,
-parametric curvature, and sampling of a scalar field restricted to a
-curve: tangential first and second derivatives both in the unit
-tangent / outward normal frame and along arc length, plus the normal
-derivative.
+parametric curvature, and the first and second tangential and the
+normal derivatives of a plane field in a curve's unit tangent /
+outward normal frame.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -348,26 +346,6 @@ class ArcLengthTable:
         return float(t[0]) if scalar else t.reshape(s.shape)
 
 
-@dataclass
-class BoundaryFieldSample:
-    """Derivatives of a scalar field restricted to a boundary curve.
-
-    u_tau, u_tautau are the first and second tangential derivatives in
-    the unit-tangent frame, u_nu the outward normal derivative.  u_s and
-    u_ss are arc-length derivatives by finite differences along the
-    curve; u_ss_curvature is the second arc-length derivative obtained
-    instead from u_tautau + kappa_oriented * u_nu.  For C2 fields
-    u_s == u_tau (to 1e-10) and u_ss == u_ss_curvature (to 1e-6).
-    """
-
-    u_tau: np.ndarray
-    u_tautau: np.ndarray
-    u_nu: np.ndarray
-    u_s: np.ndarray
-    u_ss: np.ndarray
-    u_ss_curvature: np.ndarray
-
-
 def frame_derivatives(field, curve: Curve, t):
     """Derivatives of a plane field in the unit frame of a curve at t.
 
@@ -393,70 +371,35 @@ def frame_derivatives(field, curve: Curve, t):
     return u_tau, u_tt, u_nu, kappa_oriented
 
 
-def boundary_field_sample(field, curve: Curve, t, h_rel: float = 1e-4):
-    """Sample tangential/normal derivatives of ``field`` on ``curve`` at t.
+def equivalence_residual(field, curve: Curve, t):
+    """|u_ss - u_tautau - kappa u_nu| at t, u_ss by differences.
 
-    ``field`` provides value/grad/hess on plane points (analytic fields,
-    or a finite-difference wrapper).  Frame quantities come from the
-    parametrization; u_s and u_ss use centered differences along arc
-    length with step h = h_rel * total_length (4th order for u_s).  The
-    step shrinks near the ends of an open curve; within 2.5e-4 * length
-    of an endpoint the stencil no longer fits and the frame identities
-    are substituted for the arc-length differences.
+    u_ss is the centred second difference along arc length with step
+    h = 1e-4 * length, shrunk on an open curve so that s +/- 2h stays
+    on it; where that leaves h below 2.5e-5 * length the residual is 0.
+    Small values certify that both routes to the tangential Laplacian
+    agree.
     """
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    tt = np.atleast_1d(t).astype(float)
-
-    u_tau, u_tautau, u_nu, kappa_oriented = frame_derivatives(field, curve, tt)
-    u_ss_curv = u_tautau + kappa_oriented * u_nu
+    tt = np.atleast_1d(t)
+    _, u_tt, u_nu, kappa_oriented = frame_derivatives(field, curve, tt)
+    u_ss_curv = u_tt + kappa_oriented * u_nu
 
     L = curve.total_length
     s0 = np.atleast_1d(curve.arc_length(tt)).astype(float)
-    h = np.full_like(s0, h_rel * L)
+    h = np.full_like(s0, 1e-4 * L)
     if not curve.closed:
-        # shrink so the widest stencil point s +/- 2h stays on the curve
-        room = np.minimum(s0, L - s0)
-        h = np.minimum(h, room / 2.0)
-    ok = h >= 0.25 * h_rel * L
+        h = np.minimum(h, np.minimum(s0, L - s0) / 2.0)
+    ok = h >= 2.5e-5 * L
 
-    u_s = np.atleast_1d(u_tau).copy()
-    u_ss = np.atleast_1d(u_ss_curv).copy()
-    if np.any(ok):
-        si, hi = s0[ok], h[ok]
+    def uval(s):
+        s = np.mod(s, L) if curve.closed else s
+        return field.value(curve.point(curve.param_at_arc_length(s)))
 
-        def uval(s):
-            if curve.closed:
-                s = np.mod(s, L)
-            ts = curve.param_at_arc_length(s)
-            return field.value(curve.point(ts))
-
-        up1, um1 = uval(si + hi), uval(si - hi)
-        up2, um2 = uval(si + 2 * hi), uval(si - 2 * hi)
-        uc = field.value(curve.point(tt))
-        uc = np.atleast_1d(uc)[ok]
-        u_s[ok] = (-up2 + 8.0 * up1 - 8.0 * um1 + um2) / (12.0 * hi)
-        u_ss[ok] = (up1 - 2.0 * uc + um1) / hi**2
-
-    def out(a):
-        return float(a[0]) if scalar else a.reshape(t.shape)
-
-    return BoundaryFieldSample(
-        u_tau=out(np.atleast_1d(u_tau)),
-        u_tautau=out(np.atleast_1d(u_tautau)),
-        u_nu=out(np.atleast_1d(u_nu)),
-        u_s=out(u_s),
-        u_ss=out(u_ss),
-        u_ss_curvature=out(np.atleast_1d(u_ss_curv)),
-    )
-
-
-def equivalence_residual(field, curve: Curve, t):
-    """|u_ss(FD along arc length) - u_tautau - kappa u_nu| at t.
-
-    Measures how well the finite-difference second derivative along the
-    curve matches the frame identity; small values certify that both
-    routes to the tangential Laplacian agree.
-    """
-    smp = boundary_field_sample(field, curve, t)
-    return np.abs(smp.u_ss - smp.u_ss_curvature)
+    res = np.zeros_like(u_ss_curv)
+    si, hi = s0[ok], h[ok]
+    if si.size:
+        uc = field.value(curve.point(tt[ok]))
+        u_ss = (uval(si + hi) - 2.0 * uc + uval(si - hi)) / hi**2
+        res[ok] = np.abs(u_ss - u_ss_curv[ok])
+    return res.reshape(t.shape)

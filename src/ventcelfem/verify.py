@@ -2,9 +2,9 @@
 
 Everything here re-derives its numbers independently of the assembly
 path in femcore: quadrature rules are one order higher (6-point
-interior, 5-point boundary), the trace constant comes from a pencil
-power iteration, the coercivity constant is a certified lower bound
-(an ARPACK estimate checked by an inertia count), and the weak-form
+interior, 5-point boundary), the trace constant is a certified upper
+bound and the coercivity constant a certified lower bound (each an
+ARPACK estimate checked by an inertia count), and the weak-form
 residual is evaluated without touching the assembled matrix.
 ``run_suite`` drives all checks and writes deterministic CSV reports
 plus a PASS/FAIL summary.
@@ -40,8 +40,9 @@ from .solver import (
 )
 
 RELATIVE_SLACK = 1e-8            # inequality checks pass iff lhs <= rhs*(1+slack)
-# coercivity_eigencheck: relative distances below the eigenvalue
-# estimate at which a lower bound is certified, tried in order
+# relative distances from an ARPACK eigenvalue estimate at which a bound
+# is certified, tried in order: below it for coercivity_eigencheck's
+# lower bound, above it for trace_poincare_estimate's upper bound
 _CERTIFY_MARGINS = (1e-13, 1e-12, 1e-11, 1e-10)
 
 # independent quadrature: 6-point degree-4 triangle rule
@@ -187,20 +188,39 @@ def poincare_counterexample(r_inner=1.0, r_outer=2.0, n=16) -> CounterexampleRep
 # pencil eigenvalues
 
 
+def _positive_definite(matrix) -> bool:
+    """Inertia certificate that the symmetric ``matrix`` is positive definite.
+
+    LU without pivoting under a symmetric ordering: with perm_r == perm_c,
+    U = D L^T and the signs of diag(U) are the inertia (Sylvester's law).
+    The proof is for the matrix the rounded factorization represents;
+    ``_CERTIFY_MARGINS`` leave room for that rounding.
+    """
+    try:
+        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:
+        return False
+    return bool(np.array_equal(lu.perm_r, lu.perm_c)
+                and np.all(lu.U.diagonal() > 0.0))
+
+
 @dataclass
 class TracePoincareReport:
     L_est: float
     sampled_max: float
-    iterations: int
 
 
 def trace_poincare_estimate(space, n_random=100, seed=0) -> TracePoincareReport:
-    """Best discrete constant in |v|_chain <= L |Dv|_domain over V0.
+    """Bracket the best constant in |v|_chain <= L |Dv|_domain over V0.
 
-    Seeds with random free-dof fields and every hat function, then
-    refines the best candidate by power iteration on the generalized
-    pencil (boundary mass, interior stiffness) restricted to the free
-    dofs; the refined quotient is the discrete operator norm.
+    L^2 is the top eigenvalue of the pencil (boundary mass Mb, interior
+    stiffness K) on the free dofs.  ``sampled_max`` is the best quotient
+    over random fields and every hat function, a lower value.  ``L_est``
+    is sqrt(mu) for the first mu = est + delta |est|, delta in
+    ``_CERTIFY_MARGINS``, with mu K - Mb certified positive definite,
+    an upper bound; nan when ARPACK fails or no margin certifies.
     """
     if n_random < 100:
         raise ValueError("n_random must be at least 100")
@@ -220,8 +240,7 @@ def trace_poincare_estimate(space, n_random=100, seed=0) -> TracePoincareReport:
         q = float(x @ Mb.dot(x)) / den
         if q > best_q:
             best_q, best_x = q, x
-    kd = K.diagonal()
-    hat_q = Mb.diagonal() / kd
+    hat_q = Mb.diagonal() / K.diagonal()
     ih = int(np.argmax(hat_q))
     if hat_q[ih] > best_q:
         best_q = float(hat_q[ih])
@@ -230,22 +249,18 @@ def trace_poincare_estimate(space, n_random=100, seed=0) -> TracePoincareReport:
     sampled_max = float(np.sqrt(best_q))
 
     lu = spla.splu(K)
-    x = best_x / np.linalg.norm(best_x)
-    lam, it_used = best_q, 0
-    for it in range(1, 5001):
-        y = lu.solve(Mb.dot(x))
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            break
-        x = y / ny
-        lam_new = float(x @ Mb.dot(x)) / float(x @ K.dot(x))
-        it_used = it
-        if abs(lam_new - lam) <= 1e-13 * max(lam_new, 1e-30):
-            lam = lam_new
-            break
-        lam = lam_new
-    return TracePoincareReport(float(np.sqrt(max(lam, 0.0))), sampled_max,
-                               it_used)
+    inv = spla.LinearOperator((nf, nf), matvec=lu.solve, dtype=np.float64)
+    try:
+        est = float(spla.eigsh(Mb, k=1, M=K, Minv=inv, which="LA",
+                               tol=1e-12, v0=best_x,
+                               return_eigenvectors=False)[0])
+    except spla.ArpackError:          # ArpackNoConvergence included
+        return TracePoincareReport(float("nan"), sampled_max)
+    for delta in _CERTIFY_MARGINS:
+        mu = est + delta * abs(est)
+        if _positive_definite(mu * K - Mb):
+            return TracePoincareReport(float(np.sqrt(mu)), sampled_max)
+    return TracePoincareReport(float("nan"), sampled_max)
 
 
 def coercivity_eigencheck(matrix, gram, seed=0) -> float:
@@ -254,16 +269,10 @@ def coercivity_eigencheck(matrix, gram, seed=0) -> float:
     Only the symmetric part enters, since the quadratic form discards
     the skew part.  ARPACK in shift-invert mode about 0 (one LU of
     sym(matrix)) estimates the smallest eigenvalue ``est``.  For each
-    margin delta in ``_CERTIFY_MARGINS`` in turn, sym(matrix) - c gram
-    with c = est - delta |est| is factored without pivoting under a
-    symmetric ordering; when the factorization succeeds with
-    perm_r == perm_c, U = D L^T and the signs of diag(U) are the
-    inertia (Sylvester's law), so an all-positive diagonal proves
-    sym(matrix) - c gram positive definite and c below every eigenvalue.
-    The proof is for the matrix the rounded factorization represents;
-    the margins leave room for that rounding rather than bound it.
-    Returns the first certified c, or nan when ARPACK fails or no
-    margin certifies.
+    margin delta in ``_CERTIFY_MARGINS`` in turn, c = est - delta |est|
+    is returned once sym(matrix) - c gram is certified positive
+    definite, which puts c below every eigenvalue.  nan when ARPACK
+    fails or no margin certifies.
     """
     symB = (0.5 * (matrix + matrix.T)).tocsc()
     n = matrix.shape[0]
@@ -281,15 +290,7 @@ def coercivity_eigencheck(matrix, gram, seed=0) -> float:
         return float("nan")
     for delta in _CERTIFY_MARGINS:
         c = est - delta * abs(est)
-        try:
-            shifted = spla.splu((symB - c * gram).tocsc(),
-                                permc_spec="MMD_AT_PLUS_A",
-                                diag_pivot_thresh=0.0,
-                                options={"SymmetricMode": True})
-        except RuntimeError:
-            continue
-        if (np.array_equal(shifted.perm_r, shifted.perm_c)
-                and np.all(shifted.U.diagonal() > 0.0)):
+        if _positive_definite(symB - c * gram):
             return c
     return float("nan")
 

@@ -209,6 +209,44 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--domain", "cable", "--n", "128"],
+    ["verify"],
+])
+def test_negative_seed_exits_2_before_any_work(argv, monkeypatch, capsys,
+                                               tmp_path):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a system was solved")
+    monkeypatch.setattr(cli, "solve_ventcel", no_solve)
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--seed", "-1", "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "seed: must be a nonnegative integer, got -1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, below", [
+    (["solve", "--domain", "square", "--n", "2"], "sub"),
+    (["convergence", "--domain", "square", "--n", "2", "--levels", "3"], ""),
+    (["verify"], ""),
+    (["mesh", "--domain", "square", "--n", "2"], "sub"),
+])
+def test_unusable_output_dir_exits_2_before_any_work(argv, below, monkeypatch,
+                                                     capsys, tmp_path):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+    for module in (cli, solver):
+        monkeypatch.setattr(module, "triangulate", no_mesh)
+    monkeypatch.setattr(cli.verify, "run_suite", no_mesh)
+    monkeypatch.setattr(cli.verify, "manufactured_convergence", no_mesh)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = os.path.join(str(blocker), below) if below else str(blocker)
+    assert cli.main(argv + ["--output-dir", target]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: output_dir: cannot use {target!r}" in err
+
+
 # ----------------------------------------------------------------------
 # commands
 

@@ -7,7 +7,6 @@ from ventcelfem.geometry import (
     Circle,
     Curve,
     Segment,
-    boundary_field_sample,
     equivalence_residual,
     frame_derivatives,
 )
@@ -169,12 +168,10 @@ def test_arc_derivative_matches_tangential_gradient(name):
     field = EXACT_SOLUTIONS[name]
     curve = CableArc()
     t = np.linspace(-0.99, 0.99, 211)
-    samp = boundary_field_sample(field, curve, t)
     tau, _ = tangent_normal(curve, t)
     g = field.grad(curve.point(t))
     u_tau = np.einsum("id,id->i", tau, g)
-    assert np.abs(samp.u_s - u_tau).max() < 1e-10
-    assert np.abs(samp.u_tau - u_tau).max() < 1e-13
+    assert np.abs(frame_derivatives(field, curve, t)[0] - u_tau).max() < 1e-13
 
 
 def test_equivalence_identity_on_cable():
@@ -195,10 +192,12 @@ def test_equivalence_identity_wraps_on_circle():
 
 
 def test_boundary_sample_second_derivative():
-    # on the circle, u = x restricted is R cos(s/R); u_ss = -u / R^2
+    # on the circle, u = x restricted is R cos(s/R): the second difference
+    # along arc length must match u_tautau + kappa u_nu = -u / R^2
     field = QuadraticField(0.0, 1.0)
     circle = Circle(2.0)
     t = np.linspace(0.0, 2 * np.pi, 97)
-    samp = boundary_field_sample(field, circle, t)
+    _, u_tt, u_nu, kappa = frame_derivatives(field, circle, t)
     u = field.value(circle.point(t))
-    assert np.abs(samp.u_ss + u / 4.0).max() < 1e-6
+    assert np.abs(u_tt + kappa * u_nu + u / 4.0).max() < 1e-13
+    assert equivalence_residual(field, circle, t).max() < 1e-6

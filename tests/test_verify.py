@@ -131,11 +131,59 @@ def test_trace_estimate_square():
     rep = trace_poincare_estimate(space, n_random=100, seed=0)
     assert rep.L_est >= rep.sampled_max * (1.0 - 1e-12)
     assert 0.5 < rep.L_est < 0.7
-    assert rep.iterations >= 1
     rep2 = trace_poincare_estimate(space, n_random=100, seed=0)
     assert rep2.L_est == rep.L_est          # deterministic
     with pytest.raises(ValueError):
         trace_poincare_estimate(space, n_random=10)
+
+
+TRACE_DOMAINS = {"square": square_domain(), "cable": cable_domain(),
+                 "annulus": annulus_domain(),
+                 "annulus:inner": annulus_domain(ventcel_on="inner")}
+
+
+def _trace_pencil(space):
+    system = assemble_bilinear(space, ConstantCoefficient(1.0), ZERO)
+    fr = space.free
+    return (system.K_int[fr][:, fr].toarray(),
+            system.M_b[fr][:, fr].toarray())
+
+
+def _dense_trace_constant(space):
+    K, Mb = _trace_pencil(space)
+    top = len(K) - 1
+    return float(np.sqrt(scipy.linalg.eigh(
+        Mb, K, eigvals_only=True, subset_by_index=[top, top])[0]))
+
+
+@settings(max_examples=100)
+@given(domain=st.sampled_from(sorted(TRACE_DOMAINS)), n=st.integers(2, 8),
+       seed=st.integers(0, 2**16))
+def test_trace_estimate_brackets_the_dense_constant(domain, n, seed):
+    space = build_space(triangulate(TRACE_DOMAINS[domain], n))
+    rep = trace_poincare_estimate(space, n_random=100, seed=seed)
+    L = _dense_trace_constant(space)
+    assert rep.sampled_max <= L <= rep.L_est <= L * (1.0 + 1e-8)
+
+
+def test_trace_estimate_is_nan_when_arpack_fails(monkeypatch):
+    space = build_space(triangulate(square_domain(), 4))
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.array([]),
+                                       np.array([]))
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    rep = trace_poincare_estimate(space, n_random=100, seed=0)
+    assert np.isnan(rep.L_est)
+    assert rep.sampled_max > 0.0
+
+
+def test_trace_estimate_rejects_an_estimate_below_the_maximum(monkeypatch):
+    space = build_space(triangulate(square_domain(), 4))
+    too_low = _dense_trace_constant(space) ** 2 * (1.0 - 1e-6)
+    monkeypatch.setattr(spla, "eigsh",
+                        lambda *args, **kwargs: np.array([too_low]))
+    assert np.isnan(trace_poincare_estimate(space, n_random=100).L_est)
 
 
 def test_coercivity_eigencheck_against_dense():
