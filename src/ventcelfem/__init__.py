@@ -51,6 +51,7 @@ from .femcore import (
     CoefficientBounds,
     FeSpace,
     FeSystem,
+    InternalError,
     LoadData,
     assemble_bilinear,
     assemble_load,

@@ -4,7 +4,9 @@ Configuration comes from flags and/or a "key = value" text file, with
 flags winning; the output directory can also come from the
 VENTCELFEM_OUTPUT_DIR environment variable (flag > env > file >
 default).  Exit codes: 0 success, 1 verification-suite failure,
-2 configuration error, 3 solver failure.  A mesh above ``MAX_NODES``
+2 configuration error, 3 solver failure, 4 internal error (a broken
+invariant of the program, such as a mesh triangle of nonpositive
+area, not a fault of the input).  A mesh above ``MAX_NODES``
 nodes is a configuration error, caught before anything is allocated.
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 from . import verify
 from .domain import make_domain
 from .fields import EXACT_SOLUTIONS, parse_coefficient
-from .femcore import build_space, coefficient_bounds
+from .femcore import InternalError, build_space, coefficient_bounds
 from .mesh import (_write_text, mesh_quality, node_count, triangulate,
                    write_mesh)
 from .solver import (
@@ -337,6 +339,9 @@ def main(argv=None) -> int:
     except SingularSystemError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -50,6 +50,10 @@ _LIFT_CELL = 2.0
 _LIFT_BLOCK = 2048
 
 
+class InternalError(RuntimeError):
+    """An invariant of the program failed; no input can cause it."""
+
+
 class VentcelChain:
     """The Ventcel edges of a mesh as arrays, one row per edge.
 
@@ -114,7 +118,7 @@ class FeSpace:
         p = mesh.nodes[mesh.triangles]
         self.tri_area = mesh.signed_areas()
         if np.any(self.tri_area <= 0):
-            raise ValueError("mesh has nonpositive triangle areas")
+            raise InternalError("mesh has nonpositive triangle areas")
         g = np.empty_like(p)
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .femcore import VentcelChain
+from .femcore import InternalError, VentcelChain
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +271,8 @@ class NodalCoefficient(Coefficient):
                 if not len(todo):
                     break
             else:
-                raise ValueError("point outside the mesh for nodal coefficient")
+                raise InternalError(
+                    "point outside the mesh for nodal coefficient")
         return out.reshape(p.shape[:-1])
 
     def _edges_at(self, curve, t):

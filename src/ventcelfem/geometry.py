@@ -376,9 +376,11 @@ def equivalence_residual(field, curve: Curve, t):
 
     u_ss is the centred second difference along arc length with step
     h = 1e-4 * length, shrunk on an open curve so that s +/- 2h stays
-    on it; where that leaves h below 2.5e-5 * length the residual is 0.
-    Small values certify that both routes to the tangential Laplacian
-    agree.
+    on it.  Where that leaves h below 2.5e-5 * length (within
+    5e-5 * length of an open curve's end) it is the second-order
+    one-sided difference (2 u_0 - 5 u_1 + 4 u_2 - u_3) / h^2 at
+    h = 1e-4 * length, stepping into the curve.  Small values certify
+    that both routes to the tangential Laplacian agree.
     """
     t = np.asarray(t, dtype=float)
     tt = np.atleast_1d(t)
@@ -396,10 +398,17 @@ def equivalence_residual(field, curve: Curve, t):
         s = np.mod(s, L) if curve.closed else s
         return field.value(curve.point(curve.param_at_arc_length(s)))
 
-    res = np.zeros_like(u_ss_curv)
+    res = np.empty_like(u_ss_curv)
     si, hi = s0[ok], h[ok]
     if si.size:
         uc = field.value(curve.point(tt[ok]))
         u_ss = (uval(si + hi) - 2.0 * uc + uval(si - hi)) / hi**2
         res[ok] = np.abs(u_ss - u_ss_curv[ok])
+    se = s0[~ok]
+    if se.size:
+        he = np.where(se < 0.5 * L, 1e-4 * L, -1e-4 * L)
+        u0 = field.value(curve.point(tt[~ok]))
+        u_ss = (2.0 * u0 - 5.0 * uval(se + he) + 4.0 * uval(se + 2.0 * he)
+                - uval(se + 3.0 * he)) / he**2
+        res[~ok] = np.abs(u_ss - u_ss_curv[~ok])
     return res.reshape(t.shape)

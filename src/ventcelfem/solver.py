@@ -5,8 +5,9 @@ A problem couples a domain with boundary coefficients (a2, a0), loads
 its Lipschitz constant, and optionally the exact solution it was
 manufactured from.  The solve pipeline is
 
-    triangulate -> build space -> assemble -> lift Dirichlet data ->
-    reduced solve -> add lifting back
+    triangulate -> build space -> assemble ->
+        (lift Dirichlet data -> load) || factor -> reduced solve ->
+        add lifting back
 
 so the discrete solution matches the Dirichlet data exactly at
 Dirichlet nodes and is independent (up to conditioning) of the lifting
@@ -17,6 +18,7 @@ sigma_min from Lanczos on (A^T A)^-1, which stops once converged.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +172,13 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
                   mesh: Mesh | None = None, keep_factor: bool = False) -> Solution:
     """Solve ``problem`` on ``mesh`` (or a fresh mesh with subdivision n).
 
+    lift || factor: the calling thread factors the reduced matrix while
+    one worker thread builds the Dirichlet lift and the load; the worker
+    is joined before the solve and never outlives the call.  A
+    ValueError from the lift or the load (bad data) is raised in
+    preference to a SingularSystemError from the factor, as a serial
+    run would report them.
+
     With ``keep_factor`` the Solution holds the LU factor of the reduced
     matrix, for ``uniqueness_diagnostic`` to reuse; the caller drops it
     (``solution.factor = None``) once done, since it dominates memory.
@@ -181,21 +190,31 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     space = build_space(mesh)
     system = assemble_bilinear(space, problem.a2, problem.a0)
 
-    if problem.phi is not None:
-        samples = dirichlet_boundary_samples(mesh)
-        k = problem.lipschitz_k
-        if k is None:
-            k = estimate_trace_lipschitz(space, problem.phi, samples)
-        lift = mcshane_lift(space, problem.phi, k, samples)
-    else:
-        lift = np.zeros(space.n_nodes)
+    def lift_and_load():
+        if problem.phi is not None:
+            samples = dirichlet_boundary_samples(mesh)
+            k = problem.lipschitz_k
+            if k is None:
+                k = estimate_trace_lipschitz(space, problem.phi, samples)
+            lift = mcshane_lift(space, problem.phi, k, samples)
+        else:
+            lift = np.zeros(space.n_nodes)
+        return assemble_load(system, f1=problem.f1, f2=problem.f2,
+                             g1=problem.g1, g2=problem.g2, lift=lift)
 
-    load = assemble_load(system, f1=problem.f1, f2=problem.f2,
-                         g1=problem.g1, g2=problem.g2, lift=lift)
-    lu = factorize(system.matrix)
+    # SuperLU releases the GIL while it factors, so the lift and the load
+    # run meanwhile; the factor stays on this thread, where its fill
+    # reuses the main heap.  Leaving the block joins the worker.
+    with ThreadPoolExecutor(1) as pool:
+        pending = pool.submit(lift_and_load)
+        try:
+            lu = factorize(system.matrix)
+        finally:
+            # a ValueError from the worker replaces a SingularSystemError
+            load = pending.result()
     v_free = solve_linear(system.matrix, load.rhs_free, lu=lu)
 
-    u = lift.copy()
+    u = load.lift.copy()
     u[space.free] += v_free
     hom = np.zeros(space.n_nodes)
     hom[space.free] = v_free

@@ -1,4 +1,5 @@
 import os
+import threading
 import warnings
 
 import numpy as np
@@ -197,6 +198,74 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["info", "--config", str(no_eq)]) == 2
     assert cli.main(["info", "--config", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
+
+
+def _singular(matrix):
+    raise SingularSystemError("synthetic failure")
+
+
+def test_bad_wall_data_outranks_a_failed_factorization(tmp_path, monkeypatch,
+                                                       capsys):
+    # the factor fails at once, the lift on the worker fails too; the
+    # lift's ValueError wins, as it would in a serial solve
+    monkeypatch.setattr(solver, "factorize", _singular)
+    threads = threading.active_count()
+    rc = cli.main(["solve", "--domain", "square", "--n", "4",
+                   "--phi", "const:nan", "--output-dir", str(tmp_path)])
+    assert threading.active_count() == threads
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: phi: wall data must be finite" in err
+    assert "solver failure" not in err
+
+
+def test_failed_factorization_alone_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(solver, "factorize", _singular)
+    threads = threading.active_count()
+    rc = cli.main(["solve", "--domain", "square", "--n", "4",
+                   "--phi", "affine", "--output-dir", str(tmp_path)])
+    assert threading.active_count() == threads
+    assert rc == 3
+    assert "solver failure: synthetic failure" in capsys.readouterr().err
+
+
+def test_nonpositive_triangle_area_exits_4(tmp_path, monkeypatch, capsys):
+    triangulate = cli.triangulate
+
+    def one_clockwise(dom, n):
+        mesh = triangulate(dom, n)
+        mesh.triangles[0] = mesh.triangles[0, ::-1]
+        return mesh
+
+    monkeypatch.setattr(cli, "triangulate", one_clockwise)
+    rc = cli.main(["solve", "--domain", "square", "--n", "4",
+                   "--output-dir", str(tmp_path)])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "internal error: mesh has nonpositive triangle areas\n")
+
+
+def test_nodal_load_asked_outside_its_mesh_exits_4(tmp_path, monkeypatch,
+                                                  capsys):
+    # the load is assembled on the worker thread; its error must surface
+    path = tmp_path / "f1.csv"
+    path.write_text(NODAL_ROWS)
+    build = solver.build_space
+
+    def shifted_midpoints(mesh):
+        space = build(mesh)
+        space.tri_midpoints = space.tri_midpoints + 10.0
+        return space
+
+    monkeypatch.setattr(solver, "build_space", shifted_midpoints)
+    threads = threading.active_count()
+    rc = cli.main(["solve", "--domain", "square", "--n", "2",
+                   "--f1", f"nodal:{path}", "--output-dir", str(tmp_path)])
+    assert threading.active_count() == threads
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "internal error: point outside the mesh for nodal coefficient\n")
+    assert not (tmp_path / "solution.csv").exists()
 
 
 def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):

@@ -17,6 +17,7 @@ from ventcelfem.fields import (
     ZERO,
     parse_coefficient,
 )
+from ventcelfem.femcore import InternalError
 from ventcelfem.geometry import CableArc, Circle
 from ventcelfem.mesh import triangulate
 
@@ -212,7 +213,7 @@ def test_nodal_eval_points_rejects_outside_point():
     coef = NodalCoefficient(mesh, np.ones(len(mesh.nodes)))
     inside = mesh.nodes[mesh.triangles].mean(axis=1)
     for pts in (np.array([[3.0, 5.0]]), np.vstack([inside, [[3.0, 5.0]]])):
-        with pytest.raises(ValueError, match="outside the mesh"):
+        with pytest.raises(InternalError, match="outside the mesh"):
             coef.eval_points(pts)
 
 

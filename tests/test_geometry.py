@@ -182,6 +182,26 @@ def test_equivalence_identity_on_cable():
     assert np.max(res) < 1e-6
 
 
+def test_equivalence_residual_tests_the_ends_of_the_cable_arc():
+    # the centred stencil does not fit at s = 0 or s = L; the one-sided
+    # one must still compare the two routes there
+    field = EXACT_SOLUTIONS["harmonic_cubic"]
+    curve = CableArc()
+    res = equivalence_residual(field, curve, np.array([curve.t0, curve.t1]))
+    assert np.all(res > 0.0)
+    assert np.all(res < 1e-6)
+
+
+def test_one_sided_second_difference_on_a_segment():
+    # u = x^2 along a straight segment has u_ss = 2 (dx/ds)^2 = 1.6
+    field = QuadraticField(0, 0, 0, 1.0, 0, 0)
+    seg = Segment((0.0, 0.0), (2.0, 1.0))
+    t = np.array([0.0, 1e-6, 1.0 - 1e-6, 1.0])   # all within 5e-5 L of an end
+    _, u_tt, u_nu, kappa = frame_derivatives(field, seg, t)
+    assert np.abs(u_tt + kappa * u_nu - 1.6).max() < 1e-12
+    assert np.max(equivalence_residual(field, seg, t)) < 1e-6
+
+
 def test_equivalence_identity_wraps_on_circle():
     field = QuadraticField(0, 0, 0, 1.0, 0, -1.0)   # x^2 - y^2
     circle = Circle(2.0)

@@ -1,3 +1,5 @@
+import dataclasses
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,6 +103,51 @@ def test_square_reproduces_an_affine_exact_solution(n, c, a2, a0):
     want = exact.value(sol.space.mesh.nodes)
     scale = max(1.0, np.abs(want).max())
     assert np.abs(sol.values - want).max() <= 1e-10 * scale
+
+
+def _serial_solve(problem, mesh):
+    """values, homogeneous and rhs_free from the solve's stages in turn."""
+    space = build_space(mesh)
+    system = assemble_bilinear(space, problem.a2, problem.a0)
+    samples = femcore.dirichlet_boundary_samples(mesh)
+    k = estimate_trace_lipschitz(space, problem.phi, samples)
+    lift = femcore.mcshane_lift(space, problem.phi, k, samples)
+    load = femcore.assemble_load(system, f1=problem.f1, f2=problem.f2,
+                                 g1=problem.g1, g2=problem.g2, lift=lift)
+    v = solve_linear(system.matrix, load.rhs_free,
+                     lu=factorize(system.matrix))
+    values = lift.copy()
+    values[space.free] += v
+    hom = np.zeros(space.n_nodes)
+    hom[space.free] = v
+    return values, hom, load.rhs_free
+
+
+DOMAIN_EXACT = {"square": (square_domain, "affine"),
+                "cable": (cable_domain, "harmonic_cubic"),
+                "annulus": (annulus_domain, "log_radial")}
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(sorted(DOMAIN_EXACT)), n=st.integers(2, 12),
+       a2=st.floats(0.1, 10.0), a0=st.floats(0.0, 3.0),
+       flux=st.floats(-2.0, 2.0))
+def test_threaded_solve_matches_the_serial_stages_bit_for_bit(
+        kind, n, a2, a0, flux):
+    make, exact = DOMAIN_EXACT[kind]
+    problem = dataclasses.replace(
+        manufactured_problem(make(), exact, ConstantCoefficient(a2),
+                             ConstantCoefficient(a0)),
+        f2=(ConstantCoefficient(flux), FieldCoefficient(QuadraticField(0, 1))),
+        g2=ConstantCoefficient(-flux))
+    mesh = triangulate(problem.domain, n)
+    threads = threading.active_count()
+    sol = solve_ventcel(problem, mesh=mesh)
+    assert threading.active_count() == threads
+    values, hom, rhs = _serial_solve(problem, mesh)
+    assert sol.values.tobytes() == values.tobytes()
+    assert sol.homogeneous.tobytes() == hom.tobytes()
+    assert sol.load.rhs_free.tobytes() == rhs.tobytes()
 
 
 def test_manufactured_problem_rejects_unknown_name():
