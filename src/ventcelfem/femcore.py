@@ -198,22 +198,24 @@ def coefficient_bounds(space: FeSpace, a2, a0, check=True) -> CoefficientBounds:
     return _bounds(*_chain_coefficients(space, a2, a0), check)
 
 
-def dirichlet_boundary_samples(mesh) -> np.ndarray:
+def dirichlet_boundary_samples(mesh):
     """Points covering the Dirichlet boundary at spacing at most h/4.
 
-    Every Dirichlet node appears among the samples (edge endpoints are
-    always included).
+    Returns (points, a, b, xi): point i lies at fraction xi[i] along the
+    wall edge (a[i], b[i]).  Every Dirichlet node appears among the
+    samples (edge endpoints are always included, at xi 0 and 1 exactly).
     """
     h = mesh.h
-    pts = []
+    pts, fracs, counts = [np.zeros((0, 2))], [np.zeros(0)], []
     for pa, pb in mesh.nodes[mesh.walls]:
         ell = np.hypot(*(pb - pa))
         m = max(1, int(np.ceil(ell / (0.25 * h))))
-        xi = np.linspace(0.0, 1.0, m + 1)[:, None]
-        pts.append(pa + xi * (pb - pa))
-    if not pts:
-        return np.zeros((0, 2))
-    return np.concatenate(pts)
+        xi = np.linspace(0.0, 1.0, m + 1)
+        pts.append(pa + xi[:, None] * (pb - pa))
+        fracs.append(xi)
+        counts.append(m + 1)
+    a, b = np.repeat(mesh.walls, counts, axis=0).T
+    return np.concatenate(pts), a, b, np.concatenate(fracs)
 
 
 def _sample_cells(samples, values, side):
@@ -275,14 +277,15 @@ def mcshane_lift(space: FeSpace, phi, lipschitz_k: float,
     mesh = space.mesh
     if samples is None:
         samples = dirichlet_boundary_samples(mesh)
-    if len(samples) == 0:
+    pts, a, b, xi = samples
+    if len(pts) == 0:
         return np.zeros(space.n_nodes)
-    values = np.atleast_1d(phi.eval_points(samples))
+    values = np.atleast_1d(phi.eval_edges(mesh, a, b, xi, pts))
     if not np.all(np.isfinite(values)):
         raise ValueError("phi: wall data must be finite (found nan or inf)")
 
     mx, my, mv, centre, radius, vmin = _sample_cells(
-        samples, values, _LIFT_CELL * mesh.h)
+        pts, values, _LIFT_CELL * mesh.h)
     tol = 1e-9 * (np.abs(values).max() + K * mesh.scale())
 
     nodes = mesh.nodes
@@ -409,17 +412,19 @@ def assemble_load(system: FeSystem, f1=None, f2=None, g1=None, g2=None,
     area = space.tri_area
     L = np.zeros(n)
 
+    def at_midpoints(key, coef):
+        # tri_midpoints[:, i] halves the edge (tris[:, i], tris[:, (i+1) % 3])
+        return _finite_load(key, np.atleast_2d(coef.eval_edges(
+            space.mesh, tris, tris[:, [1, 2, 0]], 0.5, space.tri_midpoints)))
+
     if f1 is not None:
-        vals = _finite_load(
-            "f1", np.atleast_2d(f1.eval_points(space.tri_midpoints)))
+        vals = at_midpoints("f1", f1)
         w = (area / 3.0)[:, None] * vals        # (M, 3) midpoint weights
         contrib = w @ _MID_BASIS                # (M, 3) per-vertex
         np.add.at(L, tris, contrib)
     if f2 is not None:
-        fx = _finite_load(
-            "f2x", np.atleast_2d(f2[0].eval_points(space.tri_midpoints)))
-        fy = _finite_load(
-            "f2y", np.atleast_2d(f2[1].eval_points(space.tri_midpoints)))
+        fx = at_midpoints("f2x", f2[0])
+        fy = at_midpoints("f2y", f2[1])
         mean_x = fx.mean(axis=1) * area
         mean_y = fy.mean(axis=1) * area
         contrib = -(space.tri_grads[..., 0] * mean_x[:, None]

@@ -2,16 +2,18 @@
 
 Plane fields expose ``value``, ``grad`` and ``hess`` as vectorized maps
 over points with trailing axis 2.  Coefficient fields are the objects
-the assembly consumes: they evaluate at interior points and/or along a
-parametrized boundary curve, and those used as a2 provide the
-tangential derivative along the curve.
+the assembly consumes: they evaluate at points on the edges of a mesh
+and/or along a parametrized boundary curve, and those used as a2
+provide the tangential derivative along the curve.  Nodal data is
+interpolated along its own mesh's edges, with no point location.
 
 The string grammar understood by ``parse_coefficient``:
 
     const:<v>                          constant
     poly:<c00>,<c10>,<c01>,<c20>,<c11>,<c02>   quadratic polynomial
     inv_curvature                      1 / oriented curvature (boundary only)
-    nodal:<csv-path>                   P1 field from per-node values
+    nodal:<csv-path>                   P1 field from per-node values,
+                                       interpolated along mesh edges
     harmonic_cubic | affine | log_radial       named exact fields
 """
 
@@ -142,20 +144,21 @@ EXACT_SOLUTIONS = {
 # ----------------------------------------------------------------------
 # coefficient fields
 
-# points per block in NodalCoefficient.eval_points; bounds its scratch memory
-_EVAL_BLOCK = 8192
-
-
 class Coefficient:
     """Scalar data attached to a problem: interior and/or boundary trace.
 
-    ``eval_points`` evaluates at plane points, ``eval_curve`` along a
-    parametrized curve, ``tangential_deriv`` differentiates the trace
-    along arc length.  Subclasses override what they support.
+    ``eval_points`` evaluates at plane points, ``eval_edges`` at points
+    on mesh edges, ``eval_curve`` along a parametrized curve,
+    ``tangential_deriv`` differentiates the trace along arc length.
+    Subclasses override what they support.
     """
 
     def eval_points(self, p):
         raise ValueError(f"{type(self).__name__} is defined only on boundary curves")
+
+    def eval_edges(self, mesh, a, b, xi, points):
+        """Values at ``points``, each at fraction xi along mesh edge (a, b)."""
+        return self.eval_points(points)
 
     def eval_curve(self, curve, t):
         return self.eval_points(curve.point(t))
@@ -218,15 +221,11 @@ class InverseCurvature(Coefficient):
 class NodalCoefficient(Coefficient):
     """P1 field given by one value per mesh node.
 
-    Interior evaluation locates the containing triangle: a KD-tree over
-    the triangle centroids proposes the ``min(12, n_triangles)`` nearest
-    candidates per point, and the first candidate whose barycentric
-    coordinates are all >= -1e-10 interpolates the point.  Points are
-    processed in blocks of ``_EVAL_BLOCK``; within a block the candidate
-    columns are scanned in the tree's order, and each column tests only
-    the points that no earlier column resolved.  Boundary evaluation
-    interpolates along the Ventcel chain of the queried curve by
-    parameter fraction.
+    It is evaluated only where the caller knows the mesh edge, so no
+    point is ever located: on an edge (a, b) of its own mesh at fraction
+    xi it is (1 - xi) values[a] + xi values[b] (an InternalError on any
+    other mesh), and along a boundary curve it interpolates the curve's
+    Ventcel chain by parameter fraction.  It has no ``eval_points``.
     """
 
     def __init__(self, mesh, values):
@@ -235,45 +234,13 @@ class NodalCoefficient(Coefficient):
             raise ValueError("nodal coefficient needs one value per mesh node")
         self.mesh = mesh
         self.values = values
-        self._tree = None
         self._chain = None
 
-    def eval_points(self, p):
-        from scipy.spatial import cKDTree
-
-        mesh = self.mesh
-        if self._tree is None:
-            cent = mesh.nodes[mesh.triangles].mean(axis=1)
-            self._tree = cKDTree(cent)
-        p = np.asarray(p, dtype=float)
-        flat = p.reshape(-1, 2)
-        k = min(12, len(mesh.triangles))
-        out = np.empty(len(flat))
-        tri_nodes = mesh.nodes[mesh.triangles]
-        for lo in range(0, len(flat), _EVAL_BLOCK):
-            block = flat[lo:lo + _EVAL_BLOCK]
-            _, cand = self._tree.query(block, k=k)
-            cand = cand.reshape(len(block), k)
-            todo = np.arange(len(block))
-            for col in range(k):
-                ti = cand[todo, col]
-                qx, qy = block[todo, 0], block[todo, 1]
-                (ax, ay), (bx, by), (cx, cy) = tri_nodes[ti].transpose(1, 2, 0)
-                det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
-                l1 = ((qx - ax) * (cy - ay) - (cx - ax) * (qy - ay)) / det
-                l2 = ((bx - ax) * (qy - ay) - (qx - ax) * (by - ay)) / det
-                l0 = 1.0 - l1 - l2
-                hit = (l0 >= -1e-10) & (l1 >= -1e-10) & (l2 >= -1e-10)
-                vi = self.values[mesh.triangles[ti[hit]]]
-                out[lo + todo[hit]] = (l0[hit] * vi[:, 0] + l1[hit] * vi[:, 1]
-                                       + l2[hit] * vi[:, 2])
-                todo = todo[~hit]
-                if not len(todo):
-                    break
-            else:
-                raise InternalError(
-                    "point outside the mesh for nodal coefficient")
-        return out.reshape(p.shape[:-1])
+    def eval_edges(self, mesh, a, b, xi, points):
+        if mesh is not self.mesh:
+            raise InternalError(
+                "nodal coefficient asked for on a mesh other than its own")
+        return (1 - xi) * self.values[a] + xi * self.values[b]
 
     def _edges_at(self, curve, t):
         """The mesh's Ventcel chain and the row of the edge holding each t."""

@@ -122,22 +122,25 @@ def estimate_trace_lipschitz(space, phi, samples=None) -> float:
     ``dirichlet_boundary_samples(space.mesh)`` result already built.
     Raises ValueError on non-finite wall data.
     """
+    mesh = space.mesh
     if samples is None:
-        samples = dirichlet_boundary_samples(space.mesh)
-    if len(samples) == 0:
+        samples = dirichlet_boundary_samples(mesh)
+    pts, a, b, xi = samples
+    if len(pts) == 0:
         return 0.0
-    svals = np.atleast_1d(phi.eval_points(samples))
-    nodes = space.mesh.nodes[space.dirichlet_mask]
-    nvals = np.atleast_1d(phi.eval_points(nodes))
+    svals = np.atleast_1d(phi.eval_edges(mesh, a, b, xi, pts))
+    idx = np.flatnonzero(space.dirichlet_mask)
+    nodes = mesh.nodes[idx]
+    nvals = np.atleast_1d(phi.eval_edges(mesh, idx, idx, 0.0, nodes))
     if not (np.all(np.isfinite(svals)) and np.all(np.isfinite(nvals))):
         raise ValueError("phi: wall data must be finite (found nan or inf)")
-    scale = space.mesh.scale()
+    scale = mesh.scale()
     best = 0.0
     for lo in range(0, len(nodes), 512):
         chunk = nodes[lo:lo + 512]
         cv = nvals[lo:lo + 512]
-        d = np.hypot(chunk[:, None, 0] - samples[None, :, 0],
-                     chunk[:, None, 1] - samples[None, :, 1])
+        d = np.hypot(chunk[:, None, 0] - pts[None, :, 0],
+                     chunk[:, None, 1] - pts[None, :, 1])
         q = np.abs(cv[:, None] - svals[None, :]) / np.maximum(d, 1e-14 * scale)
         q[d <= 1e-14 * scale] = 0.0
         best = max(best, float(q.max()))

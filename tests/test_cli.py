@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -6,6 +8,9 @@ import numpy as np
 import pytest
 
 from ventcelfem import cli, solver
+from ventcelfem.domain import make_domain
+from ventcelfem.fields import EXACT_SOLUTIONS
+from ventcelfem.mesh import triangulate
 from ventcelfem.solver import SingularSystemError
 
 
@@ -252,19 +257,18 @@ def test_nodal_load_asked_outside_its_mesh_exits_4(tmp_path, monkeypatch,
     path.write_text(NODAL_ROWS)
     build = solver.build_space
 
-    def shifted_midpoints(mesh):
-        space = build(mesh)
-        space.tri_midpoints = space.tri_midpoints + 10.0
-        return space
+    def space_on_a_fresh_mesh(mesh):
+        return build(triangulate(make_domain("square"), 2))
 
-    monkeypatch.setattr(solver, "build_space", shifted_midpoints)
+    monkeypatch.setattr(solver, "build_space", space_on_a_fresh_mesh)
     threads = threading.active_count()
     rc = cli.main(["solve", "--domain", "square", "--n", "2",
                    "--f1", f"nodal:{path}", "--output-dir", str(tmp_path)])
     assert threading.active_count() == threads
     assert rc == 4
     assert capsys.readouterr().err == (
-        "internal error: point outside the mesh for nodal coefficient\n")
+        "internal error: nodal coefficient asked for on a mesh other than "
+        "its own\n")
     assert not (tmp_path / "solution.csv").exists()
 
 
@@ -362,6 +366,56 @@ def test_solve_recovers_affine_solution(tmp_path, capsys):
     assert diag["e_trace"] < 1e-12
     data = read_solution(tmp_path / "solution.csv")
     assert np.abs(data[:, 0] + data[:, 1] - data[:, 2]).max() < 1e-12
+
+
+def write_nodal(path, mesh, func):
+    path.write_text("node,value\n" + "".join(
+        f"{i},{v:.17g}\n" for i, v in enumerate(func(mesh.nodes))))
+
+
+@pytest.mark.parametrize("domain", ["square", "cable", "annulus"])
+def test_nodal_wall_data_matches_the_analytic_solve(domain, tmp_path, capsys):
+    # phi = x + y is affine along every straight wall edge, so its P1
+    # interpolant is the same wall data up to rounding
+    mesh = triangulate(make_domain(domain), 6)
+    path = tmp_path / "phi.csv"
+    write_nodal(path, mesh, EXACT_SOLUTIONS["affine"].value)
+    base = ["solve", "--domain", domain, "--n", "6", "--g1", "poly:1,0,2"]
+    for phi in ("affine", f"nodal:{path}"):
+        out = tmp_path / phi[:5]
+        assert cli.main(base + ["--phi", phi, "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    want = read_solution(tmp_path / "affin" / "solution.csv")[:, 2]
+    got = read_solution(tmp_path / "nodal" / "solution.csv")[:, 2]
+    assert np.abs(got - want).max() <= 1e-12
+    walls = np.unique(mesh.walls)
+    assert len(walls) > 0
+    values = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1]
+    assert np.array_equal(got[walls], values[walls])
+
+
+def test_nodal_solve_does_not_import_scipy_spatial(tmp_path):
+    # nodal data is read on its own mesh's edges: nothing locates points
+    mesh = triangulate(make_domain("annulus"), 4)
+    for key, func in (("a2", lambda p: 3.0 + p[:, 0]),
+                      ("f1", lambda p: p[:, 0] * p[:, 1]),
+                      ("phi", lambda p: p[:, 0] - p[:, 1])):
+        write_nodal(tmp_path / f"{key}.csv", mesh, func)
+    argv = ["solve", "--domain", "annulus", "--n", "4",
+            "--output-dir", str(tmp_path / "out")]
+    argv += [f"--{key}=nodal:{tmp_path / key}.csv"
+             for key in ("a2", "f1", "phi")]
+    code = ("import sys; from ventcelfem import cli; "
+            "rc = cli.main(sys.argv[1:]); "
+            "print('scipy.spatial' in sys.modules); sys.exit(rc)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "out" / "solution.csv").exists()
 
 
 def test_convergence_command(tmp_path, capsys):

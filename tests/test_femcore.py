@@ -140,9 +140,15 @@ def test_ventcel_dofs_square():
 
 def test_dirichlet_samples_cover_walls():
     mesh = triangulate(square_domain(), 4)
-    pts = dirichlet_boundary_samples(mesh)
+    pts, a, b, xi = dirichlet_boundary_samples(mesh)
     assert len(pts) >= 2 * 4 * 4            # two walls, >= 4 per edge
     assert np.all((np.abs(pts[:, 0]) < 1e-14) | (np.abs(pts[:, 0] - 1) < 1e-14))
+    # each sample sits at its reported fraction of its reported wall edge
+    walls = {tuple(e) for e in mesh.walls.tolist()}
+    assert {tuple(e) for e in np.stack([a, b], axis=1).tolist()} == walls
+    pa, pb = mesh.nodes[a], mesh.nodes[b]
+    assert np.array_equal(pts, pa + xi[:, None] * (pb - pa))
+    assert np.array_equal(pts[xi == 0.0], pa[xi == 0.0])
 
 
 def test_mcshane_lift_node_exact_and_lipschitz():
@@ -171,7 +177,7 @@ def test_mcshane_lift_zero_data():
 
 def brute_force_lift(space, phi, K):
     """Reference McShane lift: every node against every wall sample."""
-    samples = dirichlet_boundary_samples(space.mesh)
+    samples = dirichlet_boundary_samples(space.mesh)[0]
     if len(samples) == 0:
         return np.zeros(space.n_nodes)
     values = np.atleast_1d(phi.eval_points(samples))
@@ -203,7 +209,7 @@ LIFT_PHIS = st.one_of(
 def test_mcshane_lift_matches_full_scan_bitwise(domain, n, phi, k_scale):
     space = build_space(triangulate(LIFT_DOMAINS[domain](), n))
     with np.errstate(divide="ignore"):       # log_radial at the origin
-        walls = phi.eval_points(dirichlet_boundary_samples(space.mesh))
+        walls = phi.eval_points(dirichlet_boundary_samples(space.mesh)[0])
         if not np.all(np.isfinite(walls)):
             with pytest.raises(ValueError, match="phi"):
                 mcshane_lift(space, phi, 1.0)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ventcelfem import fields
-from ventcelfem.domain import annulus_domain, square_domain
+from ventcelfem.domain import annulus_domain, cable_domain, square_domain
 from ventcelfem.fields import (
     EXACT_SOLUTIONS,
     Coefficient,
@@ -144,10 +145,7 @@ def test_nodal_coefficient_round_trip(tmp_path):
     path.write_text("\n".join(rows) + "\n")
 
     coef = parse_coefficient(f"nodal:{path}", mesh=mesh, role="a2")
-    assert np.abs(coef.eval_points(mesh.nodes) - mesh.nodes[:, 0]).max() < 1e-14
-    # interpolation inside a triangle reproduces the linear field x
-    q = np.array([[0.3, 1.2], [0.7, 1.9]])
-    assert np.abs(coef.eval_points(q) - q[:, 0]).max() < 1e-12
+    assert np.array_equal(coef.values, mesh.nodes[:, 0])
 
     bottom = square_domain().ventcel_curves[0]
     t = np.array([0.1, 0.6, 0.9])
@@ -163,58 +161,76 @@ def test_nodal_csv_must_cover_all_nodes(tmp_path):
         parse_coefficient(f"nodal:{path}", mesh=mesh, role="a2")
 
 
-def _scalar_eval_points(coef, p):
-    """Point-by-point triangle search, the reference for eval_points."""
-    from scipy.spatial import cKDTree
-
-    mesh = coef.mesh
-    tree = cKDTree(mesh.nodes[mesh.triangles].mean(axis=1))
-    flat = np.asarray(p, dtype=float).reshape(-1, 2)
-    _, cand = tree.query(flat, k=min(12, len(mesh.triangles)))
-    out = np.full(len(flat), np.nan)
-    tri_nodes = mesh.nodes[mesh.triangles]
-    for row, q in enumerate(flat):
-        for ti in cand[row]:
-            a, b, c = tri_nodes[ti]
-            det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-            l1 = ((q[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (q[1] - a[1])) / det
-            l2 = ((b[0] - a[0]) * (q[1] - a[1]) - (q[0] - a[0]) * (b[1] - a[1])) / det
-            l0 = 1.0 - l1 - l2
-            if min(l0, l1, l2) >= -1e-10:
-                vi = coef.values[mesh.triangles[ti]]
-                out[row] = l0 * vi[0] + l1 * vi[1] + l2 * vi[2]
-                break
-    return out
+EDGE_DOMAINS = {"cable": cable_domain, "square": square_domain,
+                "annulus": annulus_domain}
 
 
-@pytest.mark.parametrize("domain, n", [(annulus_domain(), 16),
-                                       (square_domain(), 32)])
-def test_nodal_eval_points_matches_scalar_search(domain, n):
-    mesh = triangulate(domain, n)
-    rng = np.random.default_rng(11)
-    coef = NodalCoefficient(mesh, rng.standard_normal(len(mesh.nodes)))
-    tri = mesh.nodes[mesh.triangles]
-    inside = np.einsum("tk,tkd->td", rng.dirichlet(np.ones(3), len(tri)), tri)
-    midpoints = 0.5 * (tri + np.roll(tri, -1, axis=1))
-    pts = np.concatenate([inside, midpoints.reshape(-1, 2), mesh.nodes])
-    pts = pts[rng.permutation(len(pts))]
-    assert len(pts) > fields._EVAL_BLOCK
-
-    got = coef.eval_points(pts)
-    want = _scalar_eval_points(coef, pts)
-    assert not np.any(np.isnan(want))
-    assert np.array_equal(got, want)
-    assert np.array_equal(coef.eval_points(pts[:12].reshape(3, 4, 2)),
-                          want[:12].reshape(3, 4))
+def random_edges(mesh, rng, size):
+    """End nodes and fractions of ``size`` random triangle edges."""
+    t = rng.integers(0, len(mesh.triangles), size)
+    i = rng.integers(0, 3, size)
+    tris = mesh.triangles
+    return tris[t, i], tris[t, (i + 1) % 3], rng.uniform(0.0, 1.0, size)
 
 
-def test_nodal_eval_points_rejects_outside_point():
-    mesh = triangulate(square_domain(), 4)
+def edge_points(mesh, a, b, xi):
+    return mesh.nodes[a] + xi[..., None] * (mesh.nodes[b] - mesh.nodes[a])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(domain=st.sampled_from(sorted(EDGE_DOMAINS)), n=st.integers(2, 16),
+       c=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+       seed=st.integers(0, 2**16))
+def test_nodal_eval_edges_reproduces_an_affine_field(domain, n, c, seed):
+    mesh = triangulate(EDGE_DOMAINS[domain](), n)
+    affine = QuadraticField(*c)
+    coef = NodalCoefficient(mesh, affine.value(mesh.nodes))
+    rng = np.random.default_rng(seed)
+    a, b, xi = random_edges(mesh, rng, 64)
+    pts = edge_points(mesh, a, b, xi)
+    got = coef.eval_edges(mesh, a, b, xi, pts)
+    scale = 1.0 + np.abs(coef.values).max()
+    assert np.abs(got - affine.value(pts)).max() <= 1e-13 * scale
+    # at xi = 0 the edge's first node, exactly
+    assert np.array_equal(coef.eval_edges(mesh, a, b, 0.0, mesh.nodes[a]),
+                          coef.values[a])
+    idx = np.arange(len(mesh.nodes))
+    assert np.array_equal(coef.eval_edges(mesh, idx, idx, 0.0, mesh.nodes),
+                          coef.values)
+
+
+ANALYTIC = ["const:2.5", "const:-0", "poly:1,-2,0.5,3,-1,0.25", "poly:7",
+            *sorted(EXACT_SOLUTIONS)]
+
+
+@pytest.mark.parametrize("text", ANALYTIC)
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(domain=st.sampled_from(sorted(EDGE_DOMAINS)), n=st.integers(2, 12),
+       seed=st.integers(0, 2**16))
+def test_default_eval_edges_is_eval_points_bitwise(text, domain, n, seed):
+    mesh = triangulate(EDGE_DOMAINS[domain](), n)
+    coef = parse_coefficient(text, mesh, role="f1")
+    a, b, xi = random_edges(mesh, np.random.default_rng(seed), 36)
+    pts = edge_points(mesh, a, b, xi)
+    with np.errstate(divide="ignore"):      # log_radial at the origin
+        want = coef.eval_points(pts)
+        for shape in ((36,), (12, 3)):
+            got = coef.eval_edges(mesh, a.reshape(shape), b.reshape(shape),
+                                  xi.reshape(shape), pts.reshape(shape + (2,)))
+            assert got.shape == shape
+            assert np.array_equal(got.ravel().view(np.int64),
+                                  want.view(np.int64))
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(domain=st.sampled_from(sorted(EDGE_DOMAINS)), n=st.integers(2, 12))
+def test_nodal_eval_edges_rejects_another_mesh(domain, n):
+    mesh = triangulate(EDGE_DOMAINS[domain](), n)
     coef = NodalCoefficient(mesh, np.ones(len(mesh.nodes)))
-    inside = mesh.nodes[mesh.triangles].mean(axis=1)
-    for pts in (np.array([[3.0, 5.0]]), np.vstack([inside, [[3.0, 5.0]]])):
-        with pytest.raises(InternalError, match="outside the mesh"):
-            coef.eval_points(pts)
+    other = triangulate(EDGE_DOMAINS[domain](), n)      # equal, not the same
+    a, b, xi = random_edges(other, np.random.default_rng(n), 8)
+    with pytest.raises(InternalError, match="mesh other than its own"):
+        coef.eval_edges(other, a, b, xi, edge_points(other, a, b, xi))
 
 
 def test_nodal_curve_evaluation_keeps_the_shape_of_t():
