@@ -73,7 +73,6 @@ from .solver import (
 )
 from .verify import (
     ConvergenceReport,
-    InequalityReport,
     SuiteResult,
     coercivity_eigencheck,
     compatibility_check,

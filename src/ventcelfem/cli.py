@@ -255,7 +255,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     report = verify.manufactured_convergence(problem, n0=cfg.n,
                                              levels=cfg.levels)
     path = os.path.join(cfg.output_dir, "convergence.csv")
-    report.write_csv(path)
+    _write_text(path, report.csv_text())
     o2, ov, ot = report.observed_orders
     print(f"convergence {cfg.domain}/{exact}: orders L2 {o2:.3f}, "
           f"V0 {ov:.3f}, trace {ot:.3f}")

@@ -6,12 +6,16 @@ interior, 5-point boundary), the trace constant is a certified upper
 bound and the coercivity constant a certified lower bound (each an
 ARPACK estimate checked by an inertia count), and the weak-form
 residual is evaluated without touching the assembled matrix.
-``run_suite`` drives all checks and writes deterministic CSV reports
-plus a PASS/FAIL summary.
+
+The suite is the table ``CHECKS`` of (name, check) pairs.  Each check
+maps the seed to (artifact file name, artifact text, verdict, detail);
+``run_suite`` writes every artifact and a PASS/FAIL summary line per
+check.  A gate that meets NaN fails.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -69,22 +73,7 @@ GAUSS5_W = 0.5 * _G5W
 # Poincare-type inequality oracles
 
 
-@dataclass
-class InequalityReport:
-    label: str
-    lhs: float
-    rhs: float
-    measure: float                # Lebesgue measure of the strict level set
-    passed: bool
-
-    @property
-    def ratio(self) -> float:
-        if self.rhs > 0.0:
-            return self.lhs / self.rhs
-        return 0.0 if self.lhs == 0.0 else np.inf
-
-
-def _level_set_inequality(svals, vvals, slopes, label) -> InequalityReport:
+def _level_set_inequality(svals, vvals, slopes, label):
     """Core of the interval/curve checks on an equispaced arc grid.
 
     The level band is derived from the sampled function itself: with
@@ -92,7 +81,9 @@ def _level_set_inequality(svals, vvals, slopes, label) -> InequalityReport:
     when its midpoint value lies in (v0, v1) with a 1e-12 margin.  The
     squared-deviation integral uses the trapezoid rule, the slope
     integral the per-subinterval mean slope; both are restricted to
-    the included subintervals.
+    the included subintervals.  Returns the CSV row ``(label, lhs, rhs,
+    ratio, measure, passed)``; measure is the Lebesgue measure of the
+    strict level set.
     """
     ds = svals[1] - svals[0]
     v0 = float(vvals.min())
@@ -106,31 +97,31 @@ def _level_set_inequality(svals, vvals, slopes, label) -> InequalityReport:
     slope_int = float(np.sum(ds * slopes**2 * member))
     measure = float(ds * np.count_nonzero(member))
     rhs = measure**2 * slope_int
-    passed = lhs <= rhs * (1.0 + RELATIVE_SLACK)
-    return InequalityReport(label, lhs, rhs, measure, passed)
+    if rhs > 0.0:
+        ratio = lhs / rhs
+    else:
+        ratio = 0.0 if lhs == 0.0 else np.inf
+    return label, lhs, rhs, ratio, measure, lhs <= rhs * (1.0 + RELATIVE_SLACK)
 
 
-def interval_poincare_check(v, a, b, n_samples=20001,
-                            label="interval") -> InequalityReport:
+def interval_poincare_check(v, a, b, n_samples=20001, label="interval"):
     """Deviation-from-minimum bound for a function on an interval.
 
     Checks integral of (v - min v)^2 over the strict level band
     against |band|^2 times the integral of (v')^2 there.  Slopes are
     forward differences on the sample grid, which integrate (v')^2
-    exactly for piecewise-linear v aligned with the grid.
+    exactly for piecewise-linear v aligned with the grid.  ``v`` must be
+    vectorized.  Returns ``(label, lhs, rhs, ratio, measure, passed)``.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
     s = np.linspace(a, b, n_samples)
     vv = np.asarray(v(s), dtype=float)
-    if vv.shape != s.shape:           # non-vectorized callable
-        vv = np.asarray([float(v(x)) for x in s])
     slopes = np.diff(vv) / np.diff(s)
     return _level_set_inequality(s, vv, slopes, label)
 
 
-def curve_poincare_check(w, curve, n_samples=4096,
-                         label="curve") -> InequalityReport:
+def curve_poincare_check(w, curve, n_samples=4096, label="curve"):
     """Same bound for the restriction of a plane field to a curve.
 
     Samples uniformly in arc length; the tangential derivative is the
@@ -148,22 +139,18 @@ def curve_poincare_check(w, curve, n_samples=4096,
     return _level_set_inequality(s, vv, slopes, label)
 
 
-@dataclass
-class CounterexampleReport:
-    tangential_seminorm: float
-    boundary_mass_sq: float        # squared trace norm of the interpolant
-    expected_mass_sq: float        # outer perimeter 2 pi R1
-    node_deviation: float          # max |w - 1| over outer-circle nodes
-    passed: bool
-
-
-def poincare_counterexample(r_inner=1.0, r_outer=2.0, n=16) -> CounterexampleReport:
+def poincare_counterexample(r_inner=1.0, r_outer=2.0, n=16):
     """Radial ramp on an annulus: zero tangential energy, order-one trace.
 
     The nodal interpolant of (|x| - R0)/(R1 - R0) is constant 1 on the
     outer chain, so its tangential seminorm vanishes identically while
     its squared trace norm approaches the outer perimeter.  No bound
     of the trace norm by the tangential seminorm alone can hold.
+
+    Returns ``(rows, passed)``; rows are ordered (quantity, value) pairs:
+    the seminorm, the squared trace norm of the interpolant, the
+    expected value (outer perimeter 2 pi R1) and max |w - 1| over the
+    outer-circle nodes.
     """
     dom = annulus_domain(r_inner, r_outer, ventcel_on="outer")
     mesh = triangulate(dom, n)
@@ -181,7 +168,8 @@ def poincare_counterexample(r_inner=1.0, r_outer=2.0, n=16) -> CounterexampleRep
     passed = (semi < 1e-10
               and abs(mass - expected) <= 0.01 * expected
               and node_dev < 1e-12)
-    return CounterexampleReport(semi, mass, expected, node_dev, passed)
+    return [("tangential_seminorm", semi), ("boundary_mass_sq", mass),
+            ("expected_mass_sq", expected), ("node_deviation", node_dev)], passed
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +194,16 @@ def _positive_definite(matrix) -> bool:
                 and np.all(lu.U.diagonal() > 0.0))
 
 
-@dataclass
-class TracePoincareReport:
-    L_est: float
-    sampled_max: float
-
-
-def trace_poincare_estimate(space, n_random=100, seed=0) -> TracePoincareReport:
+def trace_poincare_estimate(space, n_random=100, seed=0):
     """Bracket the best constant in |v|_chain <= L |Dv|_domain over V0.
 
-    L^2 is the top eigenvalue of the pencil (boundary mass Mb, interior
-    stiffness K) on the free dofs.  ``sampled_max`` is the best quotient
-    over random fields and every hat function, a lower value.  ``L_est``
-    is sqrt(mu) for the first mu = est + delta |est|, delta in
-    ``_CERTIFY_MARGINS``, with mu K - Mb certified positive definite,
-    an upper bound; nan when ARPACK fails or no margin certifies.
+    Returns ``(sampled_max, L_est)``.  L^2 is the top eigenvalue of the
+    pencil (boundary mass Mb, interior stiffness K) on the free dofs.
+    ``sampled_max`` is the best quotient over random fields and every
+    hat function, a lower value.  ``L_est`` is sqrt(mu) for the first
+    mu = est + delta |est|, delta in ``_CERTIFY_MARGINS``, with
+    mu K - Mb certified positive definite, an upper bound; nan when
+    ARPACK fails or no margin certifies.
     """
     if n_random < 100:
         raise ValueError("n_random must be at least 100")
@@ -255,12 +238,12 @@ def trace_poincare_estimate(space, n_random=100, seed=0) -> TracePoincareReport:
                                tol=1e-12, v0=best_x,
                                return_eigenvectors=False)[0])
     except spla.ArpackError:          # ArpackNoConvergence included
-        return TracePoincareReport(float("nan"), sampled_max)
+        return sampled_max, float("nan")
     for delta in _CERTIFY_MARGINS:
         mu = est + delta * abs(est)
         if _positive_definite(mu * K - Mb):
-            return TracePoincareReport(float(np.sqrt(mu)), sampled_max)
-    return TracePoincareReport(float("nan"), sampled_max)
+            return sampled_max, float(np.sqrt(mu))
+    return sampled_max, float("nan")
 
 
 def coercivity_eigencheck(matrix, gram, seed=0) -> float:
@@ -295,21 +278,13 @@ def coercivity_eigencheck(matrix, gram, seed=0) -> float:
     return float("nan")
 
 
-@dataclass
-class ContinuityReport:
-    max_ratio: float
-    bound: float
-    n_pairs: int
-    passed: bool
-
-
-def continuity_check(matrix, gram, bounds, L_est, n_random=100,
-                     seed=0) -> ContinuityReport:
+def continuity_check(matrix, gram, bounds, L_est, n_random=100, seed=0):
     """Operator-norm bound 1 + Lam2 + M L + Lam0 L^2 on random pairs.
 
     Each interior/tangential/coupling/zero-order piece of the form is
     bounded through the energy norm, using the trace constant to pull
-    chain values back to interior gradients.
+    chain values back to interior gradients.  Returns ``(bound,
+    max_ratio, passed)``.
     """
     bound = (1.0 + bounds.Lambda2 + bounds.grad_bound * L_est
              + bounds.Lambda0 * L_est**2)
@@ -324,9 +299,9 @@ def continuity_check(matrix, gram, bounds, L_est, n_random=100,
         if nv == 0.0 or nw == 0.0:
             continue
         val = abs(float(v @ matrix.dot(w)))
-        worst = max(worst, val / (nv * nw))
-    return ContinuityReport(worst, bound,
-                            n_random, worst <= bound * (1.0 + RELATIVE_SLACK))
+        worst = np.maximum(worst, val / (nv * nw))   # propagates NaN
+    worst = float(worst)
+    return bound, worst, worst <= bound * (1.0 + RELATIVE_SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +410,9 @@ def weak_residual_check(solution, problem, n_random=100, seed=0,
         w[fr] = rng.uniform(-1.0, 1.0, len(fr))
         lhs = float(w @ q)
         rhs = float(w @ ell)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
+        gap = abs(lhs - rhs) / (1.0 + abs(rhs))
+        worst = np.maximum(worst, gap)                 # propagates NaN
+    worst = float(worst)
     return WeakResidualReport(worst, threshold, n_random, worst < threshold)
 
 
@@ -443,18 +420,8 @@ def weak_residual_check(solution, problem, n_random=100, seed=0,
 # tangential integration-by-parts identity
 
 
-@dataclass
-class IbpReport:
-    label: str
-    lhs: float
-    rhs: float
-    residual: float
-    tol: float
-    passed: bool
-
-
 def ibp_identity_check(curve, u_field, w_field, a2, n_panels=8192,
-                       label="ibp") -> IbpReport:
+                       label="ibp"):
     """Dense-quadrature check of the tangential product-rule identity.
 
         int (a2 w' + w a2') u' ds  =  - int a2 w u'' ds
@@ -462,7 +429,8 @@ def ibp_identity_check(curve, u_field, w_field, a2, n_panels=8192,
     Valid when the curve closes or the test field vanishes at both
     endpoints; the boundary term of the integration by parts then
     drops.  Composite Simpson in the curve parameter with the arc
-    measure; all derivatives analytic.
+    measure; all derivatives analytic.  Returns the CSV row ``(label,
+    lhs, rhs, residual, tol, passed)``.
     """
     if n_panels % 2:
         raise ValueError("n_panels must be even")
@@ -490,10 +458,10 @@ def ibp_identity_check(curve, u_field, w_field, a2, n_panels=8192,
     rhs = float(-np.sum(weights * a2v * wv * d2u * sp))
     tol = 1e-6 * max(1.0, abs(lhs), abs(rhs))
     res = abs(lhs - rhs)
-    return IbpReport(label, lhs, rhs, res, tol, res <= tol)
+    return label, lhs, rhs, res, tol, res <= tol
 
 
-def ibp_identity_suite() -> list[IbpReport]:
+def ibp_identity_suite() -> list:
     """Three vanishing-endpoint pairs on the cable arc, one closed case."""
     c = CABLE_HALF_WIDTH
     cable = CableArc()
@@ -522,21 +490,16 @@ def ibp_identity_suite() -> list[IbpReport]:
 # cable compatibility
 
 
-@dataclass
-class CompatibilityReport:
-    max_tangential_hessian: float   # max |u_tt| of the exact field
-    max_equivalence_residual: float  # |u_ss - u_tt - k u_nu| by differences
-    second_difference_coarse: float
-    second_difference_fine: float
-    passed: bool
-
-
-def compatibility_check(n_samples=1000) -> CompatibilityReport:
+def compatibility_check(n_samples=1000):
     """The reference cubic has zero tangential-tangential Hessian on
     the cable arc, making the homogeneous chain condition exact; the
     finite-difference arc second derivative must match the frame
     decomposition, and the discrete trace's scaled second differences
     shrink with the mesh.
+
+    Returns ``(rows, passed)``; rows are ordered (quantity, value) pairs:
+    max |u_tt| of the exact field, max |u_ss - u_tt - k u_nu| by
+    differences, and the second differences at n = 16 and n = 32.
     """
     curve = CableArc()
     exact = EXACT_SOLUTIONS["harmonic_cubic"]
@@ -551,7 +514,10 @@ def compatibility_check(n_samples=1000) -> CompatibilityReport:
         diffs.append(_chain_second_difference(sol))
     coarse, fine = diffs
     passed = (max_tt < 1e-8 and max_equiv < 1e-6 and fine <= 0.75 * coarse)
-    return CompatibilityReport(max_tt, max_equiv, coarse, fine, passed)
+    return [("max_tangential_hessian", max_tt),
+            ("max_equivalence_residual", max_equiv),
+            ("second_difference_coarse", coarse),
+            ("second_difference_fine", fine)], passed
 
 
 def _chain_second_difference(solution) -> float:
@@ -563,8 +529,8 @@ def _chain_second_difference(solution) -> float:
         h = float(np.mean(ch.ell[rows]))
         if len(vals) >= 3:
             d2 = np.abs(vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h
-            worst = max(worst, float(d2.max()))
-    return worst
+            worst = np.maximum(worst, d2.max())       # propagates NaN
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -647,9 +613,12 @@ class ConvergenceReport:
         return tuple(slopes)
 
     def monotone(self, floor=1e-12, slack=0.05) -> bool:
-        """Errors decrease across levels; slack on the coarsest pair."""
+        """Finite errors that decrease across levels; slack on the
+        coarsest pair."""
         for col in (2, 3, 4):
             vals = [r[col] for r in self.rows]
+            if not np.isfinite(vals).all():
+                return False
             for i, (a, b) in enumerate(zip(vals, vals[1:])):
                 if a <= floor or b <= floor:
                     continue
@@ -659,17 +628,9 @@ class ConvergenceReport:
         return True
 
     def csv_text(self) -> str:
-        lines = ["n,h,e_L2,e_V0,e_trace,order_L2,order_V0"]
-        for row, (o2, ov) in zip(self.rows, self.pair_orders()):
-            n, h, e2, ev, et = row
-            cells = [str(n), _fmt(h), _fmt(e2), _fmt(ev), _fmt(et),
-                     "" if o2 is None else format(o2, ".6f"),
-                     "" if ov is None else format(ov, ".6f")]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str) -> None:
-        _write_text(path, self.csv_text())
+        rows = [(*row, *("" if o is None else format(o, ".6f") for o in pair))
+                for row, pair in zip(self.rows, self.pair_orders())]
+        return _csv("n,h,e_L2,e_V0,e_trace,order_L2,order_V0", rows)
 
 
 def manufactured_convergence(problem, n0=8, levels=4) -> ConvergenceReport:
@@ -721,7 +682,7 @@ def annulus_log_problem() -> VentcelProblem:
 
 
 # ---------------------------------------------------------------------------
-# the suite
+# the suite: one function per check, seed -> (artifact, text, ok, detail)
 
 
 @dataclass
@@ -739,24 +700,23 @@ class SuiteResult:
         return "\n".join(out) + "\n"
 
 
-def _csv(path, header, rows):
-    _write_text(path, "\n".join([header] + rows) + "\n")
+def _cell(x) -> str:
+    """One CSV cell: floats by ``_fmt``, bools 0/1, None empty."""
+    if isinstance(x, (bool, np.bool_)):
+        return str(int(x))
+    if isinstance(x, (int, np.integer)):
+        return str(x)
+    if isinstance(x, (float, np.floating)):
+        return _fmt(x)
+    return "" if x is None else x
 
 
-def run_suite(output_dir: str, seed: int = 42) -> SuiteResult:
-    """Run every verification check and write reports under output_dir.
+def _csv(header, rows) -> str:
+    return "\n".join([header] + [",".join(map(_cell, r)) for r in rows]) + "\n"
 
-    Deterministic for a fixed seed: all randomness flows from it and
-    every artifact is formatted with explicit precision.
-    """
-    os.makedirs(output_dir, exist_ok=True)
-    lines = []
 
-    def record(name, ok, detail):
-        lines.append((name, bool(ok), detail))
-
-    # interval inequality oracles
-    cases = [
+def _interval_cases():
+    return [
         interval_poincare_check(lambda s: np.asarray(s, dtype=float),
                                 0.0, 1.0, label="ramp"),
         interval_poincare_check(lambda s: np.full(np.shape(s), 0.7),
@@ -764,15 +724,10 @@ def run_suite(output_dir: str, seed: int = 42) -> SuiteResult:
         interval_poincare_check(lambda s: np.clip(2.0 * np.asarray(s), 0.0, 1.0),
                                 0.0, 1.0, label="clamped_ramp"),
     ]
-    _csv(os.path.join(output_dir, "poincare_interval.csv"),
-         "label,lhs,rhs,ratio,measure,pass",
-         [f"{c.label},{_fmt(c.lhs)},{_fmt(c.rhs)},{_fmt(c.ratio)},"
-          f"{_fmt(c.measure)},{int(c.passed)}" for c in cases])
-    record("interval_poincare", all(c.passed for c in cases),
-           f"{sum(c.passed for c in cases)}/{len(cases)} cases")
 
-    # curve inequality oracles
-    ccases = [
+
+def _curve_cases():
+    return [
         curve_poincare_check(QuadraticField(0.0, 0.0, 1.0), CableArc(),
                              label="cable_height"),
         curve_poincare_check(QuadraticField(0.7), Circle(1.0),
@@ -781,46 +736,40 @@ def run_suite(output_dir: str, seed: int = 42) -> SuiteResult:
                              Circle(1.0, t_range=(0.0, np.pi)),
                              label="semicircle_x"),
     ]
-    _csv(os.path.join(output_dir, "poincare_curve.csv"),
-         "label,lhs,rhs,ratio,measure,pass",
-         [f"{c.label},{_fmt(c.lhs)},{_fmt(c.rhs)},{_fmt(c.ratio)},"
-          f"{_fmt(c.measure)},{int(c.passed)}" for c in ccases])
-    record("curve_poincare", all(c.passed for c in ccases),
-           f"{sum(c.passed for c in ccases)}/{len(ccases)} cases")
 
-    # trace constant estimates
-    trows = []
-    tvals = []
-    for n in (8, 16, 32):
-        space = build_space(triangulate(square_domain(), n))
-        rep = trace_poincare_estimate(space, n_random=100, seed=seed)
-        trows.append(f"square,{n},{_fmt(rep.sampled_max)},{_fmt(rep.L_est)}")
-        tvals.append(rep.L_est)
-    space = build_space(triangulate(annulus_domain(), 16))
-    rep_ann = trace_poincare_estimate(space, n_random=100, seed=seed)
-    trows.append(f"annulus,16,{_fmt(rep_ann.sampled_max)},{_fmt(rep_ann.L_est)}")
-    _csv(os.path.join(output_dir, "trace_poincare.csv"),
-         "domain,n,sampled_max,L_est", trows)
-    stable = max(tvals) <= 1.2 * min(tvals) and np.isfinite(rep_ann.L_est)
-    record("trace_poincare", stable,
-           f"square L in [{min(tvals):.6g}, {max(tvals):.6g}], "
-           f"annulus L = {rep_ann.L_est:.6g}")
 
-    # the counterexample
-    cx = poincare_counterexample(1.0, 2.0, 16)
-    _csv(os.path.join(output_dir, "counterexample.csv"),
-         "quantity,value",
-         [f"tangential_seminorm,{_fmt(cx.tangential_seminorm)}",
-          f"boundary_mass_sq,{_fmt(cx.boundary_mass_sq)}",
-          f"expected_mass_sq,{_fmt(cx.expected_mass_sq)}",
-          f"node_deviation,{_fmt(cx.node_deviation)}"])
-    record("counterexample", cx.passed,
-           f"seminorm {cx.tangential_seminorm:.3g}, "
-           f"mass {cx.boundary_mass_sq:.6g} vs {cx.expected_mass_sq:.6g}")
+def _check_poincare(artifact, cases, seed):
+    rows = cases()
+    n_ok = sum(r[-1] for r in rows)
+    return (artifact, _csv("label,lhs,rhs,ratio,measure,pass", rows),
+            n_ok == len(rows), f"{n_ok}/{len(rows)} cases")
 
-    # coercivity across domains and coefficient sets
-    domains = [("square", square_domain()), ("annulus", annulus_domain()),
-               ("cable", cable_domain())]
+
+def _check_trace_poincare(seed):
+    rows = []
+    for name, domain, n in [("square", square_domain, 8),
+                            ("square", square_domain, 16),
+                            ("square", square_domain, 32),
+                            ("annulus", annulus_domain, 16)]:
+        space = build_space(triangulate(domain(), n))
+        rows.append((name, n, *trace_poincare_estimate(space, n_random=100,
+                                                       seed=seed)))
+    L = [r[3] for r in rows]
+    lo, hi = np.min(L[:3]), np.max(L[:3])
+    ok = bool(np.isfinite(L).all() and hi <= 1.2 * lo)
+    return ("trace_poincare.csv", _csv("domain,n,sampled_max,L_est", rows), ok,
+            f"square L in [{lo:.6g}, {hi:.6g}], annulus L = {L[3]:.6g}")
+
+
+def _check_counterexample(seed):
+    rows, ok = poincare_counterexample(1.0, 2.0, 16)
+    q = dict(rows)
+    return ("counterexample.csv", _csv("quantity,value", rows), ok,
+            f"seminorm {q['tangential_seminorm']:.3g}, "
+            f"mass {q['boundary_mass_sq']:.6g} vs {q['expected_mass_sq']:.6g}")
+
+
+def _check_coercivity(seed):
     coeff_sets = [
         ("a2=1,a0=0", ConstantCoefficient(1.0), ZERO),
         ("a2=0.1,a0=1", ConstantCoefficient(0.1), ConstantCoefficient(1.0)),
@@ -830,10 +779,11 @@ def run_suite(output_dir: str, seed: int = 42) -> SuiteResult:
          FieldCoefficient(QuadraticField(3.0, 1.0, 0, 0, 0, 0.25)),
          FieldCoefficient(QuadraticField(1.0, 0, 0, 0, 0, 0.25))),
     ]
-    crow, call_ok = [], True
-    for dname, dom in domains:
-        mesh = triangulate(dom, 16)
-        space = build_space(mesh)
+    rows = []
+    for dname, domain in [("square", square_domain),
+                          ("annulus", annulus_domain),
+                          ("cable", cable_domain)]:
+        space = build_space(triangulate(domain(), 16))
         sets = list(coeff_sets)
         if dname == "cable":
             sets.append(("a2=inv_curvature,a0=0", InverseCurvature(), ZERO))
@@ -842,109 +792,91 @@ def run_suite(output_dir: str, seed: int = 42) -> SuiteResult:
             bound = system.bounds.coercivity_constant()
             quotient = coercivity_eigencheck(system.matrix_shifted,
                                              system.gram_v0(), seed=seed)
-            ok = quotient >= bound - 1e-8
-            call_ok = call_ok and ok
-            crow.append(
-                f"{dname},{label},{_fmt(system.bounds.lambda2)},"
-                f"{_fmt(system.bounds.grad_bound)},{_fmt(system.sigma0)},"
-                f"{_fmt(bound)},{_fmt(quotient)},{_fmt(quotient - bound)},"
-                f"{int(ok)}")
-    _csv(os.path.join(output_dir, "coercivity.csv"),
-         "domain,set,lambda2,grad_bound,sigma0,bound,min_quotient,margin,pass",
-         crow)
-    record("coercivity", call_ok, f"{len(crow)} domain/coefficient cases")
+            rows.append((dname, label, system.bounds.lambda2,
+                         system.bounds.grad_bound, system.sigma0, bound,
+                         quotient, quotient - bound, quotient >= bound - 1e-8))
+    return ("coercivity.csv",
+            _csv("domain,set,lambda2,grad_bound,sigma0,bound,min_quotient,"
+                 "margin,pass", rows),
+            all(r[-1] for r in rows), f"{len(rows)} domain/coefficient cases")
 
-    # continuity on the cable problem
-    mesh = triangulate(cable_domain(), 16)
-    space = build_space(mesh)
+
+def _check_continuity(seed):
+    space = build_space(triangulate(cable_domain(), 16))
     system = assemble_bilinear(space, InverseCurvature(), ZERO)
-    L_here = trace_poincare_estimate(space, n_random=100, seed=seed).L_est
-    cont = continuity_check(system.matrix, system.gram_v0(), system.bounds,
-                            L_here, n_random=100, seed=seed + 1)
-    _csv(os.path.join(output_dir, "continuity.csv"),
-         "domain,n_pairs,bound,max_ratio,pass",
-         [f"cable,{cont.n_pairs},{_fmt(cont.bound)},{_fmt(cont.max_ratio)},"
-          f"{int(cont.passed)}"])
-    record("continuity", cont.passed,
-           f"max ratio {cont.max_ratio:.6g} vs bound {cont.bound:.6g}")
+    L_est = trace_poincare_estimate(space, n_random=100, seed=seed)[1]
+    n_pairs = 100
+    bound, ratio, ok = continuity_check(system.matrix, system.gram_v0(),
+                                        system.bounds, L_est, n_random=n_pairs,
+                                        seed=seed + 1)
+    return ("continuity.csv", _csv("domain,n_pairs,bound,max_ratio,pass",
+                                   [("cable", n_pairs, bound, ratio, ok)]),
+            ok, f"max ratio {ratio:.6g} vs bound {bound:.6g}")
 
-    # weak residual, independent quadrature
-    wrows, w_ok = [], True
+
+def _check_weak_residual(seed):
     sq_problem = square_affine_problem()
     sq_sol = solve_ventcel(sq_problem, n=8)
     r1 = weak_residual_check(sq_sol, sq_problem, n_random=100, seed=seed + 2)
-    wrows.append(f"square_affine,{_fmt(r1.max_residual)},{_fmt(r1.threshold)},"
-                 f"{int(r1.passed)}")
-    w_ok = w_ok and r1.passed
-
     cb_problem = cable_problem()
     cb_sol = solve_ventcel(cb_problem, n=32)
     r2 = weak_residual_check(cb_sol, cb_problem, n_random=100, seed=seed + 3)
-    wrows.append(f"cable,{_fmt(r2.max_residual)},{_fmt(r2.threshold)},"
-                 f"{int(r2.passed)}")
-    w_ok = w_ok and r2.passed
-
     bad = sq_sol.values.copy()
     bad[sq_sol.space.free[len(sq_sol.space.free) // 2]] += 1e-3
     r3 = weak_residual_check(sq_sol, sq_problem, n_random=100, seed=seed + 2,
                              values=bad)
-    fault_seen = r3.max_residual > 1e-6
-    wrows.append(f"square_affine_fault,{_fmt(r3.max_residual)},1e-06,"
-                 f"{int(fault_seen)}")
-    w_ok = w_ok and fault_seen
-    _csv(os.path.join(output_dir, "weak_residual.csv"),
-         "case,max_residual,threshold,pass", wrows)
-    record("weak_residual", w_ok,
-           f"max {max(r1.max_residual, r2.max_residual):.3g}, "
-           f"fault residual {r3.max_residual:.3g}")
+    rows = [("square_affine", r1.max_residual, r1.threshold, r1.passed),
+            ("cable", r2.max_residual, r2.threshold, r2.passed),
+            ("square_affine_fault", r3.max_residual, "1e-06",
+             r3.max_residual > 1e-6)]
+    return ("weak_residual.csv", _csv("case,max_residual,threshold,pass", rows),
+            all(r[-1] for r in rows),
+            f"max {np.max([r1.max_residual, r2.max_residual]):.3g}, "
+            f"fault residual {r3.max_residual:.3g}")
 
-    # integration by parts
-    ibps = ibp_identity_suite()
-    _csv(os.path.join(output_dir, "ibp.csv"),
-         "label,lhs,rhs,residual,tol,pass",
-         [f"{r.label},{_fmt(r.lhs)},{_fmt(r.rhs)},{_fmt(r.residual)},"
-          f"{_fmt(r.tol)},{int(r.passed)}" for r in ibps])
-    record("ibp_identity", all(r.passed for r in ibps),
-           f"{sum(r.passed for r in ibps)}/{len(ibps)} cases, "
-           f"worst residual {max(r.residual for r in ibps):.3g}")
 
-    # cable compatibility
-    comp = compatibility_check()
-    _csv(os.path.join(output_dir, "compatibility.csv"),
-         "quantity,value",
-         [f"max_tangential_hessian,{_fmt(comp.max_tangential_hessian)}",
-          f"max_equivalence_residual,{_fmt(comp.max_equivalence_residual)}",
-          f"second_difference_coarse,{_fmt(comp.second_difference_coarse)}",
-          f"second_difference_fine,{_fmt(comp.second_difference_fine)}"])
-    record("compatibility", comp.passed,
-           f"|u_tt| {comp.max_tangential_hessian:.3g}, "
-           f"equivalence {comp.max_equivalence_residual:.3g}")
+def _check_ibp(seed):
+    rows = ibp_identity_suite()
+    n_ok = sum(r[-1] for r in rows)
+    return ("ibp.csv", _csv("label,lhs,rhs,residual,tol,pass", rows),
+            n_ok == len(rows), f"{n_ok}/{len(rows)} cases, "
+            f"worst residual {np.max([r[3] for r in rows]):.3g}")
 
-    # convergence studies
-    conv_cable = manufactured_convergence(cable_problem(), n0=8, levels=4)
-    conv_cable.write_csv(os.path.join(output_dir, "convergence_cable.csv"))
-    o2, ov, _ = conv_cable.observed_orders
-    finest = conv_cable.rows[-1][2]
-    ok = (o2 >= 1.8 and ov >= 0.9 and finest < 1e-3 and conv_cable.monotone())
-    record("convergence_cable", ok,
-           f"orders L2 {o2:.3f}, V0 {ov:.3f}, finest L2 {finest:.3g}")
 
-    conv_sq = manufactured_convergence(square_affine_problem(), n0=8, levels=3)
-    conv_sq.write_csv(os.path.join(output_dir, "convergence_square.csv"))
-    worst_sq = max(max(r[2], r[3], r[4]) for r in conv_sq.rows)
-    record("convergence_square", worst_sq < 1e-10,
-           f"worst error {worst_sq:.3g} (exact reproduction)")
+def _check_compatibility(seed):
+    rows, ok = compatibility_check()
+    q = dict(rows)
+    return ("compatibility.csv", _csv("quantity,value", rows), ok,
+            f"|u_tt| {q['max_tangential_hessian']:.3g}, "
+            f"equivalence {q['max_equivalence_residual']:.3g}")
 
-    conv_ann = manufactured_convergence(annulus_log_problem(), n0=8, levels=3)
-    conv_ann.write_csv(os.path.join(output_dir, "convergence_annulus.csv"))
-    o2a, _, _ = conv_ann.observed_orders
-    record("convergence_annulus", o2a >= 1.8 and conv_ann.monotone(),
-           f"order L2 {o2a:.3f}")
 
-    # uniqueness sweep on the unshifted systems
-    urows, u_ok = [], True
-    mesh = triangulate(square_domain(), 8)
-    space = build_space(mesh)
+def _check_convergence_cable(seed):
+    conv = manufactured_convergence(cable_problem(), n0=8, levels=4)
+    o2, ov, _ = conv.observed_orders
+    finest = conv.rows[-1][2]
+    ok = o2 >= 1.8 and ov >= 0.9 and finest < 1e-3 and conv.monotone()
+    return ("convergence_cable.csv", conv.csv_text(), ok,
+            f"orders L2 {o2:.3f}, V0 {ov:.3f}, finest L2 {finest:.3g}")
+
+
+def _check_convergence_square(seed):
+    conv = manufactured_convergence(square_affine_problem(), n0=8, levels=3)
+    worst = float(np.max([r[2:] for r in conv.rows]))
+    return ("convergence_square.csv", conv.csv_text(), worst < 1e-10,
+            f"worst error {worst:.3g} (exact reproduction)")
+
+
+def _check_convergence_annulus(seed):
+    conv = manufactured_convergence(annulus_log_problem(), n0=8, levels=3)
+    o2 = conv.observed_orders[0]
+    return ("convergence_annulus.csv", conv.csv_text(),
+            o2 >= 1.8 and conv.monotone(), f"order L2 {o2:.3f}")
+
+
+def _check_uniqueness(seed):
+    space = build_space(triangulate(square_domain(), 8))
+    rows = []
     for base in (0.1, 1.0, 10.0):
         for variable in (False, True):
             for a0c in (0.0, 1.0):
@@ -954,26 +886,54 @@ def run_suite(output_dir: str, seed: int = 42) -> SuiteResult:
                 else:
                     a2 = ConstantCoefficient(base)
                     label = f"a2={base:g}"
-                a0 = ConstantCoefficient(a0c)
-                system = assemble_bilinear(space, a2, a0)
+                system = assemble_bilinear(space, a2, ConstantCoefficient(a0c))
                 diag = uniqueness_diagnostic(system, seed=seed)
-                ok = (not diag.singular) and diag.rcond > 1e-12
-                u_ok = u_ok and ok
-                urows.append(f"{label} a0={a0c:g},{diag.n_free},"
-                             f"{_fmt(diag.rcond)},{_fmt(diag.sigma_min)},"
-                             f"{int(ok)}")
+                rows.append((f"{label} a0={a0c:g}", diag.n_free, diag.rcond,
+                             diag.sigma_min,
+                             (not diag.singular) and diag.rcond > 1e-12))
     zero_sol = solve_ventcel(VentcelProblem(
         domain=square_domain(), a2=ConstantCoefficient(1.0),
         a0=ConstantCoefficient(1.0), phi=ZERO), n=8)
     zmax = float(np.abs(zero_sol.values).max())
-    u_ok = u_ok and zmax < 1e-12
-    urows.append(f"zero_data,{zero_sol.space.n_free},,{_fmt(zmax)},"
-                 f"{int(zmax < 1e-12)}")
-    _csv(os.path.join(output_dir, "uniqueness.csv"),
-         "label,n_free,rcond,sigma_min,pass", urows)
-    record("uniqueness", u_ok, f"{len(urows)} systems, zero-data max {zmax:.3g}")
+    rows.append(("zero_data", zero_sol.space.n_free, "", zmax, zmax < 1e-12))
+    return ("uniqueness.csv", _csv("label,n_free,rcond,sigma_min,pass", rows),
+            all(r[-1] for r in rows),
+            f"{len(rows)} systems, zero-data max {zmax:.3g}")
 
+
+CHECKS = (
+    ("interval_poincare",
+     functools.partial(_check_poincare, "poincare_interval.csv",
+                       _interval_cases)),
+    ("curve_poincare",
+     functools.partial(_check_poincare, "poincare_curve.csv", _curve_cases)),
+    ("trace_poincare", _check_trace_poincare),
+    ("counterexample", _check_counterexample),
+    ("coercivity", _check_coercivity),
+    ("continuity", _check_continuity),
+    ("weak_residual", _check_weak_residual),
+    ("ibp_identity", _check_ibp),
+    ("compatibility", _check_compatibility),
+    ("convergence_cable", _check_convergence_cable),
+    ("convergence_square", _check_convergence_square),
+    ("convergence_annulus", _check_convergence_annulus),
+    ("uniqueness", _check_uniqueness),
+)
+
+
+def run_suite(output_dir: str, seed: int = 42) -> SuiteResult:
+    """Run every check in ``CHECKS`` and write its artifact under output_dir.
+
+    Deterministic for a fixed seed: all randomness flows from it and
+    every artifact is formatted with explicit precision.  summary.txt
+    holds one PASS/FAIL line per check.
+    """
+    os.makedirs(output_dir, exist_ok=True)
+    lines = []
+    for name, check in CHECKS:
+        artifact, text, ok, detail = check(seed)
+        _write_text(os.path.join(output_dir, artifact), text)
+        lines.append((name, bool(ok), detail))
     result = SuiteResult(all(ok for _, ok, _ in lines), lines, output_dir)
-    _write_text(os.path.join(output_dir, "summary.txt"),
-                  result.summary_text())
+    _write_text(os.path.join(output_dir, "summary.txt"), result.summary_text())
     return result

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ventcelfem import cli, verify
 from ventcelfem.domain import annulus_domain, cable_domain, square_domain
 from ventcelfem.fields import (
     ConstantCoefficient,
@@ -61,35 +62,37 @@ SUITE_FILES = [
 
 def test_interval_ramp_oracle():
     # v = s on (0,1): lhs = 1/3, slope integral = 1, band = (0,1)
-    rep = interval_poincare_check(lambda s: np.asarray(s, float), 0.0, 1.0)
-    assert rep.passed
-    assert abs(rep.lhs - 1.0 / 3.0) < 1e-6
-    assert abs(rep.rhs - 1.0) < 1e-9
-    assert abs(rep.measure - 1.0) < 1e-9
-    assert abs(rep.ratio - 1.0 / 3.0) < 1e-6
+    label, lhs, rhs, ratio, measure, passed = interval_poincare_check(
+        lambda s: np.asarray(s, float), 0.0, 1.0)
+    assert passed and label == "interval"
+    assert abs(lhs - 1.0 / 3.0) < 1e-6
+    assert abs(rhs - 1.0) < 1e-9
+    assert abs(measure - 1.0) < 1e-9
+    assert abs(ratio - 1.0 / 3.0) < 1e-6
 
 
 def test_interval_clamped_ramp_oracle():
     # v = min(2s, 1): the band is (0, 1/2); lhs = 1/6, rhs = (1/2)^2 * 2
-    rep = interval_poincare_check(
+    _, lhs, rhs, _, measure, passed = interval_poincare_check(
         lambda s: np.clip(2.0 * np.asarray(s), 0.0, 1.0), 0.0, 1.0)
-    assert rep.passed
-    assert abs(rep.measure - 0.5) < 1e-9
-    assert abs(rep.lhs - 1.0 / 6.0) < 1e-6
-    assert abs(rep.rhs - 0.5) < 1e-9
+    assert passed
+    assert abs(measure - 0.5) < 1e-9
+    assert abs(lhs - 1.0 / 6.0) < 1e-6
+    assert abs(rhs - 0.5) < 1e-9
 
 
 def test_interval_constant_degenerates():
-    rep = interval_poincare_check(lambda s: np.full(np.shape(s), 0.7), 0.0, 1.0)
-    assert rep.passed
-    assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.measure == 0.0
-    assert rep.ratio == 0.0
+    _, lhs, rhs, ratio, measure, passed = interval_poincare_check(
+        lambda s: np.full(np.shape(s), 0.7), 0.0, 1.0)
+    assert passed
+    assert lhs == 0.0 and rhs == 0.0 and measure == 0.0
+    assert ratio == 0.0
 
 
 def test_interval_quadratic_and_validation():
     rep = interval_poincare_check(lambda s: np.asarray(s) ** 2, 0.0, 1.0,
                                   n_samples=401)
-    assert rep.passed
+    assert rep[-1]
     with pytest.raises(ValueError):
         interval_poincare_check(lambda s: s, 0.0, 1.0, n_samples=50)
 
@@ -97,29 +100,32 @@ def test_interval_quadratic_and_validation():
 def test_curve_semicircle_oracle():
     # x on the unit semicircle: v(s) = cos s on (0, pi);
     # lhs = int (cos s + 1)^2 = 3 pi / 2, rhs = pi^2 * int sin^2 = pi^3 / 2
-    rep = curve_poincare_check(QuadraticField(0.0, 1.0),
-                               Circle(1.0, t_range=(0.0, np.pi)))
-    assert rep.passed
-    assert abs(rep.lhs - 1.5 * np.pi) < 1e-4
-    assert abs(rep.rhs - 0.5 * np.pi**3) < 1e-3
-    assert abs(rep.ratio - 3.0 / np.pi**2) < 1e-5
+    label, lhs, rhs, ratio, _, passed = curve_poincare_check(
+        QuadraticField(0.0, 1.0), Circle(1.0, t_range=(0.0, np.pi)))
+    assert passed and label == "curve"
+    assert abs(lhs - 1.5 * np.pi) < 1e-4
+    assert abs(rhs - 0.5 * np.pi**3) < 1e-3
+    assert abs(ratio - 3.0 / np.pi**2) < 1e-5
 
 
 def test_curve_cases_pass():
-    assert curve_poincare_check(QuadraticField(0, 0, 1.0), CableArc()).passed
-    rep = curve_poincare_check(QuadraticField(0.7), Circle(1.0))
-    assert rep.passed and rep.measure == 0.0
+    assert curve_poincare_check(QuadraticField(0, 0, 1.0), CableArc())[-1]
+    *_, measure, passed = curve_poincare_check(QuadraticField(0.7), Circle(1.0))
+    assert passed and measure == 0.0
     with pytest.raises(ValueError):
         curve_poincare_check(QuadraticField(0.7), Circle(1.0), n_samples=10)
 
 
 def test_counterexample_annulus():
-    rep = poincare_counterexample()
-    assert rep.passed
-    assert rep.tangential_seminorm == 0.0
-    assert rep.expected_mass_sq == 4.0 * np.pi
-    assert abs(rep.boundary_mass_sq - 4.0 * np.pi) < 0.01 * 4.0 * np.pi
-    assert rep.node_deviation < 1e-14
+    rows, passed = poincare_counterexample()
+    assert passed
+    q = dict(rows)
+    assert list(q) == ["tangential_seminorm", "boundary_mass_sq",
+                       "expected_mass_sq", "node_deviation"]
+    assert q["tangential_seminorm"] == 0.0
+    assert q["expected_mass_sq"] == 4.0 * np.pi
+    assert abs(q["boundary_mass_sq"] - 4.0 * np.pi) < 0.01 * 4.0 * np.pi
+    assert q["node_deviation"] < 1e-14
 
 
 # ----------------------------------------------------------------------
@@ -128,11 +134,11 @@ def test_counterexample_annulus():
 
 def test_trace_estimate_square():
     space = build_space(triangulate(square_domain(), 8))
-    rep = trace_poincare_estimate(space, n_random=100, seed=0)
-    assert rep.L_est >= rep.sampled_max * (1.0 - 1e-12)
-    assert 0.5 < rep.L_est < 0.7
-    rep2 = trace_poincare_estimate(space, n_random=100, seed=0)
-    assert rep2.L_est == rep.L_est          # deterministic
+    sampled_max, L_est = trace_poincare_estimate(space, n_random=100, seed=0)
+    assert L_est >= sampled_max * (1.0 - 1e-12)
+    assert 0.5 < L_est < 0.7
+    assert trace_poincare_estimate(space, n_random=100,
+                                   seed=0)[1] == L_est  # deterministic
     with pytest.raises(ValueError):
         trace_poincare_estimate(space, n_random=10)
 
@@ -161,9 +167,9 @@ def _dense_trace_constant(space):
        seed=st.integers(0, 2**16))
 def test_trace_estimate_brackets_the_dense_constant(domain, n, seed):
     space = build_space(triangulate(TRACE_DOMAINS[domain], n))
-    rep = trace_poincare_estimate(space, n_random=100, seed=seed)
+    sampled_max, L_est = trace_poincare_estimate(space, n_random=100, seed=seed)
     L = _dense_trace_constant(space)
-    assert rep.sampled_max <= L <= rep.L_est <= L * (1.0 + 1e-8)
+    assert sampled_max <= L <= L_est <= L * (1.0 + 1e-8)
 
 
 def test_trace_estimate_is_nan_when_arpack_fails(monkeypatch):
@@ -173,9 +179,9 @@ def test_trace_estimate_is_nan_when_arpack_fails(monkeypatch):
         raise spla.ArpackNoConvergence("no convergence", np.array([]),
                                        np.array([]))
     monkeypatch.setattr(spla, "eigsh", no_convergence)
-    rep = trace_poincare_estimate(space, n_random=100, seed=0)
-    assert np.isnan(rep.L_est)
-    assert rep.sampled_max > 0.0
+    sampled_max, L_est = trace_poincare_estimate(space, n_random=100, seed=0)
+    assert np.isnan(L_est)
+    assert sampled_max > 0.0
 
 
 def test_trace_estimate_rejects_an_estimate_below_the_maximum(monkeypatch):
@@ -183,7 +189,7 @@ def test_trace_estimate_rejects_an_estimate_below_the_maximum(monkeypatch):
     too_low = _dense_trace_constant(space) ** 2 * (1.0 - 1e-6)
     monkeypatch.setattr(spla, "eigsh",
                         lambda *args, **kwargs: np.array([too_low]))
-    assert np.isnan(trace_poincare_estimate(space, n_random=100).L_est)
+    assert np.isnan(trace_poincare_estimate(space, n_random=100)[1])
 
 
 def test_coercivity_eigencheck_against_dense():
@@ -288,16 +294,27 @@ def test_coercivity_eigencheck_stays_below_dense_annulus():
 def test_continuity_bound_holds():
     space = build_space(triangulate(square_domain(), 6))
     system = assemble_bilinear(space, ConstantCoefficient(1.0), ZERO)
-    L = trace_poincare_estimate(space, n_random=100, seed=0).L_est
-    rep = continuity_check(system.matrix, system.gram_v0(), system.bounds,
-                           L, n_random=100, seed=0)
-    assert rep.passed
-    assert abs(rep.bound - 2.0) < 1e-12     # 1 + Lambda2, M = Lambda0 = 0
-    assert 0.0 < rep.max_ratio <= rep.bound
+    L = trace_poincare_estimate(space, n_random=100, seed=0)[1]
+    bound, max_ratio, passed = continuity_check(
+        system.matrix, system.gram_v0(), system.bounds, L, n_random=100, seed=0)
+    assert passed
+    assert abs(bound - 2.0) < 1e-12         # 1 + Lambda2, M = Lambda0 = 0
+    assert 0.0 < max_ratio <= bound
     # single-hat diagonal ratio: A == G here, so every quotient is 1
     A = system.matrix.diagonal()
     Gd = system.gram_v0().diagonal()
     assert np.abs(A / Gd - 1.0).max() < 1e-13
+
+
+def test_continuity_fails_on_a_nan_matrix():
+    space = build_space(triangulate(square_domain(), 6))
+    system = assemble_bilinear(space, ConstantCoefficient(1.0), ZERO)
+    matrix = system.matrix.copy()
+    matrix.data[:] = np.nan
+    bound, max_ratio, passed = continuity_check(
+        matrix, system.gram_v0(), system.bounds, 0.6, n_random=100, seed=0)
+    assert np.isnan(max_ratio)
+    assert not passed
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +346,15 @@ def test_weak_residual_zero_problem():
     sol = solve_ventcel(prob, n=4)
     rep = weak_residual_check(sol, prob, n_random=100, seed=0)
     assert rep.max_residual == 0.0
+
+
+def test_weak_residual_fails_on_nan_values():
+    prob = square_affine_problem()
+    sol = solve_ventcel(prob, n=8)
+    rep = weak_residual_check(sol, prob, n_random=100, seed=0,
+                              values=np.full_like(sol.values, np.nan))
+    assert np.isnan(rep.max_residual)
+    assert not rep.passed
 
 
 # the square's chains lie on y = 1 and y = 2 with 0 <= x <= 1, where the
@@ -369,13 +395,13 @@ def test_weak_residual_vanishes_on_exactly_integrated_data(n, c):
 def test_ibp_closed_circle_oracle():
     # u = x^2 - y^2, w = y^2, a2 = 1 + x^2/8 on |p| = 2:
     # both sides equal -16 pi by direct computation
-    rep = ibp_identity_check(
+    label, lhs, rhs, _, _, passed = ibp_identity_check(
         Circle(2.0), QuadraticField(0, 0, 0, 1.0, 0, -1.0),
         QuadraticField(0, 0, 0, 0, 0, 1.0),
         FieldCoefficient(QuadraticField(1.0, 0, 0, 0.125)))
-    assert rep.passed
-    assert abs(rep.lhs + 16.0 * np.pi) < 1e-6
-    assert abs(rep.rhs + 16.0 * np.pi) < 1e-6
+    assert passed and label == "ibp"
+    assert abs(lhs + 16.0 * np.pi) < 1e-6
+    assert abs(rhs + 16.0 * np.pi) < 1e-6
 
 
 def test_ibp_cable_pinned_value():
@@ -385,21 +411,22 @@ def test_ibp_cable_pinned_value():
     # the shared value as a regression guard
     c = CableArc()
     pinned = QuadraticField(-(1.0647522420095383 ** 2), 0, 0, 1.0)
-    rep = ibp_identity_check(c, EXACT_SOLUTIONS["harmonic_cubic"], pinned,
-                             FieldCoefficient(QuadraticField(2.0, 0.5)))
-    assert rep.passed
-    assert rep.residual < 1e-9
-    assert abs(rep.lhs + 0.23899339177919) < 1e-9
+    _, lhs, _, residual, _, passed = ibp_identity_check(
+        c, EXACT_SOLUTIONS["harmonic_cubic"], pinned,
+        FieldCoefficient(QuadraticField(2.0, 0.5)))
+    assert passed
+    assert residual < 1e-9
+    assert abs(lhs + 0.23899339177919) < 1e-9
 
 
 def test_ibp_suite_all_pass():
     reports = ibp_identity_suite()
     assert len(reports) == 4
-    labels = [r.label for r in reports]
+    labels = [r[0] for r in reports]
     assert labels.count("circle_closed") == 1
-    for rep in reports:
-        assert rep.passed, rep.label
-        assert rep.residual <= rep.tol
+    for label, _, _, residual, tol, passed in reports:
+        assert passed, label
+        assert residual <= tol
 
 
 def test_ibp_rejects_nonvanishing_open_endpoints():
@@ -417,11 +444,14 @@ def test_ibp_rejects_nonvanishing_open_endpoints():
 
 
 def test_compatibility_check():
-    rep = compatibility_check()
-    assert rep.passed
-    assert rep.max_tangential_hessian < 1e-8
-    assert rep.max_equivalence_residual < 1e-6
-    assert rep.second_difference_fine <= 0.75 * rep.second_difference_coarse
+    rows, passed = compatibility_check()
+    assert passed
+    q = dict(rows)
+    assert list(q) == ["max_tangential_hessian", "max_equivalence_residual",
+                       "second_difference_coarse", "second_difference_fine"]
+    assert q["max_tangential_hessian"] < 1e-8
+    assert q["max_equivalence_residual"] < 1e-6
+    assert q["second_difference_fine"] <= 0.75 * q["second_difference_coarse"]
 
 
 def test_solution_errors_machine_exact_case():
@@ -473,6 +503,13 @@ def test_convergence_monotone_slack_only_on_coarsest():
     assert noise.monotone()                 # below the noise floor
 
 
+def test_convergence_monotone_rejects_nan():
+    rep = ConvergenceReport([(4, 0.5, 1.0, 1.0, 1.0),
+                             (8, 0.25, 0.5, np.nan, 0.5),
+                             (16, 0.125, 0.25, 0.25, 0.25)])
+    assert not rep.monotone()
+
+
 def test_convergence_report_needs_three_rows():
     rep = ConvergenceReport([(4, 0.5, 1, 1, 1), (8, 0.25, 0.5, 0.5, 0.5)])
     with pytest.raises(ValueError):
@@ -500,15 +537,79 @@ def test_cable_problem_setup():
 # the full suite
 
 
+def test_csv_cells_by_type():
+    text = verify._csv("a,b,c,d,e,f,g,h", [
+        (np.bool_(True), False, np.int64(16), 3, np.float64(0.1), 0.25, None,
+         "1e-06")])
+    assert text == "a,b,c,d,e,f,g,h\n1,0,16,3,0.10000000000000001,0.25,,1e-06\n"
+
+
 def test_run_suite_green(tmp_path):
     out = str(tmp_path / "reports")
     result = run_suite(out, seed=42)
     assert result.passed
+    assert [name for name, _ in verify.CHECKS] == SUITE_CHECKS
     assert [name for name, _, _ in result.lines] == SUITE_CHECKS
     assert all(ok for _, ok, _ in result.lines)
-    for fname in SUITE_FILES:
-        assert os.path.exists(os.path.join(out, fname)), fname
+    assert set(os.listdir(out)) == set(SUITE_FILES)
     with open(os.path.join(out, "summary.txt")) as fh:
         summary = fh.read()
     assert summary.splitlines()[-1] == "ALL PASS"
     assert summary.count("PASS") == len(SUITE_CHECKS) + 1
+
+
+def _nan_on_chain(solution):
+    ch = solution.space.ventcel_edges
+    solution.values[ch.a[len(ch.a) // 2]] = np.nan
+    return solution
+
+
+def _nan_e_v0(errors):
+    return errors[0], np.nan, errors[2]
+
+
+def _exact_is(name):
+    return lambda solution, exact: exact is EXACT_SOLUTIONS[name]
+
+
+# (check, verify function, nth call matching ``when``, spoiled result,
+# start of the FAIL line): each puts NaN into one input of one gate and
+# nowhere else
+NAN_GATES = [
+    ("trace_poincare", "trace_poincare_estimate", 2, None,
+     lambda rep: (rep[0], np.nan), "square L in [nan, nan]"),
+    ("compatibility", "solve_ventcel", 2,
+     lambda problem, n: problem.domain.kind == "cable" and n == 32,
+     _nan_on_chain, "|u_tt|"),
+    ("convergence_square", "solution_errors", 2, _exact_is("affine"),
+     _nan_e_v0, "worst error nan"),
+    ("convergence_annulus", "solution_errors", 2, _exact_is("log_radial"),
+     _nan_e_v0, "order L2"),
+]
+
+
+@pytest.mark.parametrize("check, target, nth, when, spoil, detail",
+                         NAN_GATES, ids=[g[0] for g in NAN_GATES])
+def test_verify_fails_a_gate_fed_nan(check, target, nth, when, spoil, detail,
+                                     tmp_path, monkeypatch, capsys):
+    real = getattr(verify, target)
+    matched = []
+
+    def spoiled(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if when is None or when(*args, **kwargs):
+            matched.append(args)
+            if len(matched) == nth:
+                return spoil(out)
+        return out
+    monkeypatch.setattr(verify, target, spoiled)
+
+    out = tmp_path / "reports"
+    assert cli.main(["verify", "--seed", "42", "--output-dir", str(out)]) == 1
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert capsys.readouterr().out.splitlines() == summary
+    failed = [line for line in summary if line.startswith("FAIL ")]
+    assert len(failed) == 1
+    assert failed[0].startswith(f"FAIL {check} {detail}")
+    assert summary[-1] == "FAILURES: 1"
+    assert set(os.listdir(out)) == set(SUITE_FILES)
