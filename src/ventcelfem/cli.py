@@ -41,7 +41,9 @@ ENV_OUTPUT_DIR = "VENTCELFEM_OUTPUT_DIR"
 # the annulus; a cable solve at n = 256 (66,049 nodes) peaks near 270 MiB
 MAX_NODES = 1_000_000
 
-COMMANDS = ("solve", "convergence", "verify", "mesh", "info")
+# CoefficientBounds fields that solve's diagnostics.txt and info print
+BOUND_KEYS = ("lambda2", "Lambda2", "grad_bound", "lambda0", "Lambda0",
+              "sigma0")
 
 DEFAULT_EXACT = {
     "cable": "harmonic_cubic",
@@ -214,7 +216,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     write_solution_csv(solution, sol_path)
     write_trace_csv(solution, os.path.join(cfg.output_dir, "trace.csv"))
 
-    b = system.bounds
     lines = [
         f"nodes = {solution.space.n_nodes}",
         f"free_dofs = {solution.space.n_free}",
@@ -222,13 +223,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         f"algebraic_residual = {residual:.17g}",
         f"rcond = {diag.rcond:.17g}",
         f"sigma_min = {diag.sigma_min:.17g}",
-        f"lambda2 = {b.lambda2:.17g}",
-        f"Lambda2 = {b.Lambda2:.17g}",
-        f"grad_bound = {b.grad_bound:.17g}",
-        f"lambda0 = {b.lambda0:.17g}",
-        f"Lambda0 = {b.Lambda0:.17g}",
-        f"sigma0 = {b.sigma0:.17g}",
-    ]
+    ] + [f"{key} = {getattr(system.bounds, key):.17g}" for key in BOUND_KEYS]
     if problem.exact is not None:
         e2, ev, et = verify.solution_errors(solution, problem.exact)
         lines += [f"e_L2 = {e2:.17g}", f"e_V0 = {ev:.17g}",
@@ -291,13 +286,18 @@ def cmd_info(cfg: RunConfig) -> int:
     bounds = coefficient_bounds(space, a2, a0, check=False)
     print(config_echo(cfg))
     print(f"# nodes = {space.n_nodes}, free = {space.n_free}, h = {mesh.h:.6g}")
-    print(f"# lambda2 = {bounds.lambda2:.17g}")
-    print(f"# Lambda2 = {bounds.Lambda2:.17g}")
-    print(f"# grad_bound = {bounds.grad_bound:.17g}")
-    print(f"# lambda0 = {bounds.lambda0:.17g}")
-    print(f"# Lambda0 = {bounds.Lambda0:.17g}")
-    print(f"# sigma0 = {bounds.sigma0:.17g}")
+    for key in BOUND_KEYS:
+        print(f"# {key} = {getattr(bounds, key):.17g}")
     return 0
+
+
+COMMANDS = {
+    "solve": cmd_solve,
+    "convergence": cmd_convergence,
+    "verify": cmd_verify,
+    "mesh": cmd_mesh,
+    "info": cmd_info,
+}
 
 
 def main(argv=None) -> int:
@@ -325,14 +325,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = build_config(args)
-        handler = {
-            "solve": cmd_solve,
-            "convergence": cmd_convergence,
-            "verify": cmd_verify,
-            "mesh": cmd_mesh,
-            "info": cmd_info,
-        }[cfg.command]
-        return handler(cfg)
+        return COMMANDS[cfg.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -188,27 +188,24 @@ class CableArc(Curve):
 
 
 class Circle(Curve):
-    """Circular arc r(t) = center + R (cos t, sin t) on [t_lo, t_hi]."""
+    """Circular arc r(t) = R (cos t, sin t) about the origin on [t_lo, t_hi].
+
+    Closed when the range spans 2 pi (to 1e-12).
+    """
 
     name = "circle"
 
-    def __init__(self, radius, center=(0.0, 0.0), normal_sign=-1,
-                 t_range=(0.0, 2.0 * math.pi), closed=None):
+    def __init__(self, radius, normal_sign=-1, t_range=(0.0, 2.0 * math.pi)):
         if radius <= 0:
             raise ValueError("circle radius must be positive")
         self.radius = float(radius)
-        self.center = (float(center[0]), float(center[1]))
         self.normal_sign = int(normal_sign)
         self.t0, self.t1 = float(t_range[0]), float(t_range[1])
-        if closed is None:
-            closed = abs((self.t1 - self.t0) - 2.0 * math.pi) < 1e-12
-        self.closed = bool(closed)
+        self.closed = abs((self.t1 - self.t0) - 2.0 * math.pi) < 1e-12
 
     def point(self, t):
         t = np.asarray(t, dtype=float)
-        return np.stack(
-            [self.center[0] + self.radius * np.cos(t),
-             self.center[1] + self.radius * np.sin(t)], axis=-1)
+        return self.radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
 
     def velocity(self, t):
         t = np.asarray(t, dtype=float)
@@ -224,12 +221,9 @@ class Circle(Curve):
     def token(self):
         if not self.closed:
             raise NotImplementedError("only full circles serialize")
-        return "circle;%s;%s;%s;%+d" % (
-            format(self.radius, ".17g"),
-            format(self.center[0], ".17g"),
-            format(self.center[1], ".17g"),
-            self.normal_sign,
-        )
+        # the centre is always the origin; "0;0" keeps the token format
+        return "circle;%s;0;0;%+d" % (format(self.radius, ".17g"),
+                                      self.normal_sign)
 
 
 class Segment(Curve):
@@ -271,8 +265,9 @@ class Segment(Curve):
 class ArcLengthTable:
     """Cumulative arc length on a uniform parameter grid.
 
-    4096 uniform panels; each panel integral is a composite Simpson rule
-    refined by doubling until successive values agree to 1e-13 relative.
+    ``N_PANELS`` uniform panels; each panel integral is a composite
+    Simpson rule with 8 subpanels, doubled until successive values agree
+    to 1e-13 relative or 256 subpanels are reached.
     Partial panels reuse the same rule, so s(t) is smooth enough for the
     Newton inverse, which is polished to machine precision (well inside
     the 1e-10 * length contract).
@@ -280,10 +275,9 @@ class ArcLengthTable:
 
     N_PANELS = 4096
 
-    def __init__(self, curve: Curve, n_panels: int | None = None):
+    def __init__(self, curve: Curve):
         self.curve = curve
-        n = int(n_panels or self.N_PANELS)
-        tg = np.linspace(curve.t0, curve.t1, n + 1)
+        tg = np.linspace(curve.t0, curve.t1, self.N_PANELS + 1)
         incr = self._panel_integrals(tg[:-1], tg[1:])
         if np.any(incr <= 0):
             raise ValueError("curve velocity vanishes inside a panel")
@@ -291,10 +285,10 @@ class ArcLengthTable:
         self.s_grid = np.concatenate([[0.0], np.cumsum(incr)])
         self.total_length = float(self.s_grid[-1])
 
-    def _panel_integrals(self, a, b, m0=8, cap=256):
-        prev = self._simpson(a, b, m0)
-        m = m0 * 2
-        while m <= cap:
+    def _panel_integrals(self, a, b):
+        prev = self._simpson(a, b, 8)
+        m = 16
+        while m <= 256:
             cur = self._simpson(a, b, m)
             bad = np.abs(cur - prev) > 1e-13 * (np.abs(cur) + 1e-300)
             if not np.any(bad):

@@ -148,20 +148,24 @@ def estimate_trace_lipschitz(space, phi, samples=None) -> float:
 
 
 def factorize(matrix):
-    """SuperLU factor of the reduced matrix (scipy's default ordering)."""
+    """SuperLU factor of ``matrix`` with scipy's default options.
+
+    Every default-option LU in the package goes through here, so the
+    ordering is decided in this one place.  A failed factorization
+    raises ``SingularSystemError``.
+    """
     try:
         return spla.splu(matrix.tocsc())
     except (RuntimeError, ValueError, MemoryError) as exc:
         raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
 
 
-def solve_linear(matrix, rhs, lu=None) -> np.ndarray:
-    """Direct sparse solve of the reduced system.
+def solve_linear(lu, rhs) -> np.ndarray:
+    """Solve with ``lu``, a ``factorize`` result, for ``rhs``.
 
-    ``lu`` reuses a ``factorize(matrix)`` result instead of factoring.
+    Raises ``SingularSystemError`` when the solve fails or gives
+    non-finite values.
     """
-    if lu is None:
-        lu = factorize(matrix)
     try:
         x = lu.solve(rhs)
     except (RuntimeError, ValueError, MemoryError) as exc:
@@ -215,7 +219,7 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
         finally:
             # a ValueError from the worker replaces a SingularSystemError
             load = pending.result()
-    v_free = solve_linear(system.matrix, load.rhs_free, lu=lu)
+    v_free = solve_linear(lu, load.rhs_free)
 
     u = load.lift.copy()
     u[space.free] += v_free
@@ -252,19 +256,21 @@ def uniqueness_diagnostic(system: FeSystem, seed: int = 0,
     Ritz value grows towards lambda_max(B) = 1/sigma_min^2, so the
     estimate approaches sigma_min from above (up to rounding).  Lanczos
     stops once theta changes by at most 1e-13 relative, on breakdown (the
-    Krylov space is invariant and theta exact), or after 20 steps;
-    ``iterations`` and ``last_rel_change`` (of theta over the last step)
-    report how far it converged.  ``singular`` flags rcond below 1e-14 or
-    a failed factorization.  ``lu`` reuses a ``factorize(system.matrix)``
-    result instead of factoring again.
+    Krylov space is invariant and theta exact), or after
+    ``_LANCZOS_STEPS`` (20) steps; ``iterations`` and ``last_rel_change``
+    (of theta over the last step) report how far it converged.
+    ``singular`` flags rcond below 1e-14 or a failed factorization.
+    ``lu`` reuses a ``factorize(system.matrix)`` result; without it the
+    matrix is factored by ``factorize``, and a ``SingularSystemError``
+    from it gives the singular report (rcond = sigma_min = 0).
     """
     A = system.matrix.tocsc()
     m = A.shape[0]
     norm1 = float(np.max(np.abs(A).sum(axis=0))) if m else 0.0
     if lu is None:
         try:
-            lu = spla.splu(A)
-        except (RuntimeError, ValueError):
+            lu = factorize(A)
+        except SingularSystemError:
             return UniquenessReport(m, 0.0, 0.0, True)
 
     op = spla.LinearOperator(

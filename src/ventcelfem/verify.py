@@ -38,12 +38,16 @@ from .femcore import assemble_bilinear, build_space
 from .mesh import _fmt, _write_text, triangulate
 from .solver import (
     VentcelProblem,
+    factorize,
     manufactured_problem,
     solve_ventcel,
     uniqueness_diagnostic,
 )
 
 RELATIVE_SLACK = 1e-8            # inequality checks pass iff lhs <= rhs*(1+slack)
+# seeded random fields (or field pairs) drawn by trace_poincare_estimate,
+# continuity_check and weak_residual_check
+N_RANDOM = 100
 # relative distances from an ARPACK eigenvalue estimate at which a bound
 # is certified, tried in order: below it for coercivity_eigencheck's
 # lower bound, above it for trace_poincare_estimate's upper bound
@@ -104,33 +108,30 @@ def _level_set_inequality(svals, vvals, slopes, label):
     return label, lhs, rhs, ratio, measure, lhs <= rhs * (1.0 + RELATIVE_SLACK)
 
 
-def interval_poincare_check(v, a, b, n_samples=20001, label="interval"):
-    """Deviation-from-minimum bound for a function on an interval.
+def interval_poincare_check(v, label="interval"):
+    """Deviation-from-minimum bound for a function on [0, 1].
 
     Checks integral of (v - min v)^2 over the strict level band
     against |band|^2 times the integral of (v')^2 there.  Slopes are
-    forward differences on the sample grid, which integrate (v')^2
-    exactly for piecewise-linear v aligned with the grid.  ``v`` must be
-    vectorized.  Returns ``(label, lhs, rhs, ratio, measure, passed)``.
+    forward differences on a grid of 20001 equispaced samples, which
+    integrate (v')^2 exactly for piecewise-linear v aligned with the
+    grid.  ``v`` must be vectorized.  Returns ``(label, lhs, rhs, ratio,
+    measure, passed)``.
     """
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
-    s = np.linspace(a, b, n_samples)
+    s = np.linspace(0.0, 1.0, 20001)
     vv = np.asarray(v(s), dtype=float)
     slopes = np.diff(vv) / np.diff(s)
     return _level_set_inequality(s, vv, slopes, label)
 
 
-def curve_poincare_check(w, curve, n_samples=4096, label="curve"):
+def curve_poincare_check(w, curve, label="curve"):
     """Same bound for the restriction of a plane field to a curve.
 
-    Samples uniformly in arc length; the tangential derivative is the
-    analytic tau . grad w, evaluated at subinterval midpoints.
+    Takes 4096 samples uniform in arc length; the tangential derivative
+    is the analytic tau . grad w, evaluated at subinterval midpoints.
     """
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
     L = curve.total_length
-    s = np.linspace(0.0, L, n_samples)
+    s = np.linspace(0.0, L, 4096)
     t = curve.param_at_arc_length(s)
     vv = np.atleast_1d(np.asarray(w.value(curve.point(t)), dtype=float))
     smid = 0.5 * (s[:-1] + s[1:])
@@ -139,21 +140,23 @@ def curve_poincare_check(w, curve, n_samples=4096, label="curve"):
     return _level_set_inequality(s, vv, slopes, label)
 
 
-def poincare_counterexample(r_inner=1.0, r_outer=2.0, n=16):
+def poincare_counterexample():
     """Radial ramp on an annulus: zero tangential energy, order-one trace.
 
-    The nodal interpolant of (|x| - R0)/(R1 - R0) is constant 1 on the
-    outer chain, so its tangential seminorm vanishes identically while
-    its squared trace norm approaches the outer perimeter.  No bound
-    of the trace norm by the tangential seminorm alone can hold.
+    On the default annulus (R0 = 1, R1 = 2, Ventcel outer circle) at
+    n = 16, the nodal interpolant of (|x| - R0)/(R1 - R0) is constant 1
+    on the outer chain, so its tangential seminorm vanishes identically
+    while its squared trace norm approaches the outer perimeter.  No
+    bound of the trace norm by the tangential seminorm alone can hold.
 
     Returns ``(rows, passed)``; rows are ordered (quantity, value) pairs:
     the seminorm, the squared trace norm of the interpolant, the
     expected value (outer perimeter 2 pi R1) and max |w - 1| over the
     outer-circle nodes.
     """
-    dom = annulus_domain(r_inner, r_outer, ventcel_on="outer")
-    mesh = triangulate(dom, n)
+    dom = annulus_domain()
+    r_inner, r_outer = dom.params["r_inner"], dom.params["r_outer"]
+    mesh = triangulate(dom, 16)
     space = build_space(mesh)
     system = assemble_bilinear(space, ConstantCoefficient(1.0), ZERO)
     r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
@@ -194,19 +197,18 @@ def _positive_definite(matrix) -> bool:
                 and np.all(lu.U.diagonal() > 0.0))
 
 
-def trace_poincare_estimate(space, n_random=100, seed=0):
+def trace_poincare_estimate(space, seed=0):
     """Bracket the best constant in |v|_chain <= L |Dv|_domain over V0.
 
     Returns ``(sampled_max, L_est)``.  L^2 is the top eigenvalue of the
     pencil (boundary mass Mb, interior stiffness K) on the free dofs.
-    ``sampled_max`` is the best quotient over random fields and every
-    hat function, a lower value.  ``L_est`` is sqrt(mu) for the first
+    ``sampled_max`` is the best quotient over ``N_RANDOM`` seeded random
+    fields and every hat function, a lower value.  ARPACK inverts K
+    through one ``factorize`` LU.  ``L_est`` is sqrt(mu) for the first
     mu = est + delta |est|, delta in ``_CERTIFY_MARGINS``, with
     mu K - Mb certified positive definite, an upper bound; nan when
     ARPACK fails or no margin certifies.
     """
-    if n_random < 100:
-        raise ValueError("n_random must be at least 100")
     system = assemble_bilinear(space, ConstantCoefficient(1.0), ZERO)
     fr = space.free
     K = system.K_int[fr][:, fr].tocsc()
@@ -215,7 +217,7 @@ def trace_poincare_estimate(space, n_random=100, seed=0):
 
     rng = np.random.default_rng(seed)
     best_q, best_x = 0.0, None
-    for _ in range(n_random):
+    for _ in range(N_RANDOM):
         x = rng.uniform(-1.0, 1.0, nf)
         den = float(x @ (K.dot(x)))
         if den <= 0.0:
@@ -231,7 +233,7 @@ def trace_poincare_estimate(space, n_random=100, seed=0):
         best_x[ih] = 1.0
     sampled_max = float(np.sqrt(best_q))
 
-    lu = spla.splu(K)
+    lu = factorize(K)
     inv = spla.LinearOperator((nf, nf), matvec=lu.solve, dtype=np.float64)
     try:
         est = float(spla.eigsh(Mb, k=1, M=K, Minv=inv, which="LA",
@@ -250,8 +252,8 @@ def coercivity_eigencheck(matrix, gram, seed=0) -> float:
     """Certified lower bound on the min eigenvalue of sym(matrix) vs gram.
 
     Only the symmetric part enters, since the quadratic form discards
-    the skew part.  ARPACK in shift-invert mode about 0 (one LU of
-    sym(matrix)) estimates the smallest eigenvalue ``est``.  For each
+    the skew part.  ARPACK in shift-invert mode about 0 (one ``factorize``
+    LU of sym(matrix)) estimates the smallest eigenvalue ``est``.  For each
     margin delta in ``_CERTIFY_MARGINS`` in turn, c = est - delta |est|
     is returned once sym(matrix) - c gram is certified positive
     definite, which puts c below every eigenvalue.  nan when ARPACK
@@ -263,7 +265,7 @@ def coercivity_eigencheck(matrix, gram, seed=0) -> float:
     x = rng.uniform(-1.0, 1.0, n)
     if float(x @ gram.dot(x)) <= 0.0:
         raise ValueError("gram matrix is not positive definite")
-    lu = spla.splu(symB)
+    lu = factorize(symB)
     inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
     try:
         est = float(spla.eigsh(symB, k=1, M=gram, sigma=0.0, OPinv=inv,
@@ -278,8 +280,8 @@ def coercivity_eigencheck(matrix, gram, seed=0) -> float:
     return float("nan")
 
 
-def continuity_check(matrix, gram, bounds, L_est, n_random=100, seed=0):
-    """Operator-norm bound 1 + Lam2 + M L + Lam0 L^2 on random pairs.
+def continuity_check(matrix, gram, bounds, L_est, seed=0):
+    """Operator-norm bound 1 + Lam2 + M L + Lam0 L^2 on ``N_RANDOM`` pairs.
 
     Each interior/tangential/coupling/zero-order piece of the form is
     bounded through the energy norm, using the trace constant to pull
@@ -291,7 +293,7 @@ def continuity_check(matrix, gram, bounds, L_est, n_random=100, seed=0):
     rng = np.random.default_rng(seed)
     nf = matrix.shape[0]
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(N_RANDOM):
         v = rng.uniform(-1.0, 1.0, nf)
         w = rng.uniform(-1.0, 1.0, nf)
         nv = float(np.sqrt(max(v @ gram.dot(v), 0.0)))
@@ -388,14 +390,15 @@ class WeakResidualReport:
     passed: bool
 
 
-def weak_residual_check(solution, problem, n_random=100, seed=0,
-                        values=None, threshold=1e-8) -> WeakResidualReport:
+def weak_residual_check(solution, problem, seed=0,
+                        values=None) -> WeakResidualReport:
     """Test the solved values in the weak equation, fresh quadrature.
 
-    For seeded random test fields supported on the free dofs the two
-    sides of the variational identity are recomputed independently of
-    the assembled system; the scaled gap must stay below threshold.
-    ``values`` overrides the nodal solution (fault injection).
+    For ``N_RANDOM`` seeded random test fields supported on the free
+    dofs the two sides of the variational identity are recomputed
+    independently of the assembled system; the scaled gap must stay
+    below the threshold 1e-8.  ``values`` overrides the nodal solution
+    (fault injection).
     """
     space = solution.space
     u = solution.values if values is None else values
@@ -405,7 +408,7 @@ def weak_residual_check(solution, problem, n_random=100, seed=0,
     rng = np.random.default_rng(seed)
     fr = space.free
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(N_RANDOM):
         w = np.zeros(space.n_nodes)
         w[fr] = rng.uniform(-1.0, 1.0, len(fr))
         lhs = float(w @ q)
@@ -413,28 +416,25 @@ def weak_residual_check(solution, problem, n_random=100, seed=0,
         gap = abs(lhs - rhs) / (1.0 + abs(rhs))
         worst = np.maximum(worst, gap)                 # propagates NaN
     worst = float(worst)
-    return WeakResidualReport(worst, threshold, n_random, worst < threshold)
+    return WeakResidualReport(worst, 1e-8, N_RANDOM, worst < 1e-8)
 
 
 # ---------------------------------------------------------------------------
 # tangential integration-by-parts identity
 
 
-def ibp_identity_check(curve, u_field, w_field, a2, n_panels=8192,
-                       label="ibp"):
+def ibp_identity_check(curve, u_field, w_field, a2, label="ibp"):
     """Dense-quadrature check of the tangential product-rule identity.
 
         int (a2 w' + w a2') u' ds  =  - int a2 w u'' ds
 
     Valid when the curve closes or the test field vanishes at both
     endpoints; the boundary term of the integration by parts then
-    drops.  Composite Simpson in the curve parameter with the arc
-    measure; all derivatives analytic.  Returns the CSV row ``(label,
-    lhs, rhs, residual, tol, passed)``.
+    drops.  Composite Simpson on 8192 panels in the curve parameter
+    with the arc measure; all derivatives analytic.  Returns the CSV row
+    ``(label, lhs, rhs, residual, tol, passed)``.
     """
-    if n_panels % 2:
-        raise ValueError("n_panels must be even")
-    t = np.linspace(curve.t0, curve.t1, n_panels + 1)
+    t = np.linspace(curve.t0, curve.t1, 8192 + 1)
     if not curve.closed:
         ends = w_field.value(curve.point(np.array([curve.t0, curve.t1])))
         if np.abs(ends).max() > 1e-12:
@@ -449,7 +449,7 @@ def ibp_identity_check(curve, u_field, w_field, a2, n_panels=8192,
     a2v = np.atleast_1d(a2.eval_curve(curve, t))
     da2 = np.atleast_1d(a2.tangential_deriv(curve, t))
 
-    weights = np.ones(n_panels + 1)
+    weights = np.ones(len(t))
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     weights *= (t[1] - t[0]) / 3.0
@@ -490,12 +490,12 @@ def ibp_identity_suite() -> list:
 # cable compatibility
 
 
-def compatibility_check(n_samples=1000):
+def compatibility_check():
     """The reference cubic has zero tangential-tangential Hessian on
     the cable arc, making the homogeneous chain condition exact; the
     finite-difference arc second derivative must match the frame
-    decomposition, and the discrete trace's scaled second differences
-    shrink with the mesh.
+    decomposition (both at 1000 parameter samples), and the discrete
+    trace's scaled second differences shrink with the mesh.
 
     Returns ``(rows, passed)``; rows are ordered (quantity, value) pairs:
     max |u_tt| of the exact field, max |u_ss - u_tt - k u_nu| by
@@ -503,7 +503,7 @@ def compatibility_check(n_samples=1000):
     """
     curve = CableArc()
     exact = EXACT_SOLUTIONS["harmonic_cubic"]
-    t = np.linspace(curve.t0, curve.t1, n_samples)
+    t = np.linspace(curve.t0, curve.t1, 1000)
     max_tt = float(np.abs(frame_derivatives(exact, curve, t)[1]).max())
 
     max_equiv = float(equivalence_residual(exact, curve, t).max())
@@ -612,17 +612,18 @@ class ConvergenceReport:
             slopes.append(float(xc @ (y - y.mean()) / den))
         return tuple(slopes)
 
-    def monotone(self, floor=1e-12, slack=0.05) -> bool:
-        """Finite errors that decrease across levels; slack on the
-        coarsest pair."""
+    def monotone(self) -> bool:
+        """Finite errors that decrease across levels.  Pairs with an
+        error at or below 1e-12 (the rounding floor) are skipped, and
+        the coarsest pair may grow by up to 5 %."""
         for col in (2, 3, 4):
             vals = [r[col] for r in self.rows]
             if not np.isfinite(vals).all():
                 return False
             for i, (a, b) in enumerate(zip(vals, vals[1:])):
-                if a <= floor or b <= floor:
+                if a <= 1e-12 or b <= 1e-12:
                     continue
-                limit = a * (1.0 + slack) if i == 0 else a
+                limit = a * 1.05 if i == 0 else a
                 if b >= limit:
                     return False
         return True
@@ -689,7 +690,6 @@ def annulus_log_problem() -> VentcelProblem:
 class SuiteResult:
     passed: bool
     lines: list                    # (name, ok, detail)
-    output_dir: str
 
     def summary_text(self) -> str:
         out = []
@@ -718,11 +718,11 @@ def _csv(header, rows) -> str:
 def _interval_cases():
     return [
         interval_poincare_check(lambda s: np.asarray(s, dtype=float),
-                                0.0, 1.0, label="ramp"),
+                                label="ramp"),
         interval_poincare_check(lambda s: np.full(np.shape(s), 0.7),
-                                0.0, 1.0, label="constant"),
+                                label="constant"),
         interval_poincare_check(lambda s: np.clip(2.0 * np.asarray(s), 0.0, 1.0),
-                                0.0, 1.0, label="clamped_ramp"),
+                                label="clamped_ramp"),
     ]
 
 
@@ -752,8 +752,7 @@ def _check_trace_poincare(seed):
                             ("square", square_domain, 32),
                             ("annulus", annulus_domain, 16)]:
         space = build_space(triangulate(domain(), n))
-        rows.append((name, n, *trace_poincare_estimate(space, n_random=100,
-                                                       seed=seed)))
+        rows.append((name, n, *trace_poincare_estimate(space, seed=seed)))
     L = [r[3] for r in rows]
     lo, hi = np.min(L[:3]), np.max(L[:3])
     ok = bool(np.isfinite(L).all() and hi <= 1.2 * lo)
@@ -762,7 +761,7 @@ def _check_trace_poincare(seed):
 
 
 def _check_counterexample(seed):
-    rows, ok = poincare_counterexample(1.0, 2.0, 16)
+    rows, ok = poincare_counterexample()
     q = dict(rows)
     return ("counterexample.csv", _csv("quantity,value", rows), ok,
             f"seminorm {q['tangential_seminorm']:.3g}, "
@@ -804,27 +803,24 @@ def _check_coercivity(seed):
 def _check_continuity(seed):
     space = build_space(triangulate(cable_domain(), 16))
     system = assemble_bilinear(space, InverseCurvature(), ZERO)
-    L_est = trace_poincare_estimate(space, n_random=100, seed=seed)[1]
-    n_pairs = 100
+    L_est = trace_poincare_estimate(space, seed=seed)[1]
     bound, ratio, ok = continuity_check(system.matrix, system.gram_v0(),
-                                        system.bounds, L_est, n_random=n_pairs,
-                                        seed=seed + 1)
+                                        system.bounds, L_est, seed=seed + 1)
     return ("continuity.csv", _csv("domain,n_pairs,bound,max_ratio,pass",
-                                   [("cable", n_pairs, bound, ratio, ok)]),
+                                   [("cable", N_RANDOM, bound, ratio, ok)]),
             ok, f"max ratio {ratio:.6g} vs bound {bound:.6g}")
 
 
 def _check_weak_residual(seed):
     sq_problem = square_affine_problem()
     sq_sol = solve_ventcel(sq_problem, n=8)
-    r1 = weak_residual_check(sq_sol, sq_problem, n_random=100, seed=seed + 2)
+    r1 = weak_residual_check(sq_sol, sq_problem, seed=seed + 2)
     cb_problem = cable_problem()
     cb_sol = solve_ventcel(cb_problem, n=32)
-    r2 = weak_residual_check(cb_sol, cb_problem, n_random=100, seed=seed + 3)
+    r2 = weak_residual_check(cb_sol, cb_problem, seed=seed + 3)
     bad = sq_sol.values.copy()
     bad[sq_sol.space.free[len(sq_sol.space.free) // 2]] += 1e-3
-    r3 = weak_residual_check(sq_sol, sq_problem, n_random=100, seed=seed + 2,
-                             values=bad)
+    r3 = weak_residual_check(sq_sol, sq_problem, seed=seed + 2, values=bad)
     rows = [("square_affine", r1.max_residual, r1.threshold, r1.passed),
             ("cable", r2.max_residual, r2.threshold, r2.passed),
             ("square_affine_fault", r3.max_residual, "1e-06",
@@ -934,6 +930,6 @@ def run_suite(output_dir: str, seed: int = 42) -> SuiteResult:
         artifact, text, ok, detail = check(seed)
         _write_text(os.path.join(output_dir, artifact), text)
         lines.append((name, bool(ok), detail))
-    result = SuiteResult(all(ok for _, ok, _ in lines), lines, output_dir)
+    result = SuiteResult(all(ok for _, ok, _ in lines), lines)
     _write_text(os.path.join(output_dir, "summary.txt"), result.summary_text())
     return result

@@ -191,6 +191,20 @@ def test_info_prints_non_finite_bounds(capsys):
     assert "# lambda2 = " in capsys.readouterr().out
 
 
+def test_info_and_solve_print_the_same_bounds(tmp_path, capsys):
+    config = ["--domain", "cable", "--n", "8", "--a2", "inv_curvature",
+              "--a0", "poly:1,0,0,0,0,0.25"]
+    assert cli.main(["info", *config]) == 0
+    info = [line[2:] for line in capsys.readouterr().out.splitlines()
+            if line.startswith("# ") and not line.startswith("# nodes")]
+    keys = [line.split(" = ")[0] for line in info]
+    assert keys == ["lambda2", "Lambda2", "grad_bound", "lambda0", "Lambda0",
+                    "sigma0"]
+    assert cli.main(["solve", *config, "--output-dir", str(tmp_path)]) == 0
+    diag = (tmp_path / "diagnostics.txt").read_text().splitlines()
+    assert [line for line in diag if line.split(" = ")[0] in keys] == info
+
+
 def test_bad_config_file_exits_2(tmp_path, capsys):
     bad_key = tmp_path / "a.cfg"
     bad_key.write_text("banana = 3\n")

@@ -114,8 +114,7 @@ def _serial_solve(problem, mesh):
     lift = femcore.mcshane_lift(space, problem.phi, k, samples)
     load = femcore.assemble_load(system, f1=problem.f1, f2=problem.f2,
                                  g1=problem.g1, g2=problem.g2, lift=lift)
-    v = solve_linear(system.matrix, load.rhs_free,
-                     lu=factorize(system.matrix))
+    v = solve_linear(factorize(system.matrix), load.rhs_free)
     values = lift.copy()
     values[space.free] += v
     hom = np.zeros(space.n_nodes)
@@ -163,7 +162,7 @@ def test_solve_ventcel_needs_mesh_or_n():
 def test_solve_linear_raises_on_singular():
     singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularSystemError):
-        solve_linear(singular, np.array([1.0, 0.0]))
+        factorize(singular)
 
 
 def test_uniqueness_diagnostic_healthy_system():
@@ -277,8 +276,7 @@ def test_uniqueness_diagnostic_reuses_factor():
     fresh = uniqueness_diagnostic(sol.system, seed=3)
     reused = uniqueness_diagnostic(sol.system, seed=3, lu=sol.factor)
     assert reused == fresh
-    v = solve_linear(sol.system.matrix, sol.load.rhs_free,
-                     lu=factorize(sol.system.matrix))
+    v = solve_linear(factorize(sol.system.matrix), sol.load.rhs_free)
     assert np.array_equal(v, sol.homogeneous[sol.space.free])
 
 
