@@ -44,10 +44,16 @@ _MID_BASIS = np.array([[0.5, 0.5, 0.0],
                        [0.0, 0.5, 0.5],
                        [0.5, 0.0, 0.5]])
 
-# mcshane_lift: side of the sample cells in units of the mesh size h,
-# and nodes bounded per block (the block arrays are block x cells)
+# mcshane_lift: side of the sample cells in units of the mesh size h
 _LIFT_CELL = 2.0
-_LIFT_BLOCK = 2048
+
+# Entries (256 KiB of float64) in each rows x width temporary of Mesh.h,
+# the lift and the Lipschitz estimate; a block holds max(1, BLOCK_FLOATS
+# // width) rows.  All three run on the solve's worker thread, whose
+# glibc arena keeps freed pages resident, so their temporaries must not
+# grow with the mesh.  Their max and per-node min do not depend on the
+# blocking.
+BLOCK_FLOATS = 1 << 15
 
 
 class InternalError(RuntimeError):
@@ -290,22 +296,32 @@ def mcshane_lift(space: FeSpace, phi, lipschitz_k: float,
 
     nodes = mesh.nodes
     out = np.empty(len(nodes))
-    for lo in range(0, len(nodes), _LIFT_BLOCK):
-        p = nodes[lo:lo + _LIFT_BLOCK]
+    # a block's (rows, cells) and (rows, members) arrays, and the
+    # (pairs, members) arrays of its kept (node, cell) pairs, each hold
+    # at most BLOCK_FLOATS entries
+    step = max(1, BLOCK_FLOATS // max(mx.shape))
+    pair_step = max(1, BLOCK_FLOATS // mx.shape[1])
+    for lo in range(0, len(nodes), step):
+        p = nodes[lo:lo + step]
         rows = np.arange(len(p))
         # lb only needs to be accurate to well within tol
         d = np.sqrt((p[:, :1] - centre[:, 0])**2 + (p[:, 1:] - centre[:, 1])**2)
         lb = vmin + K * np.maximum(d - radius, 0.0)
+        del d
         best = lb.argmin(axis=1)
         ub = (mv[best] + K * np.hypot(p[:, :1] - mx[best],
                                       p[:, 1:] - my[best])).min(axis=1)
         keep = lb <= (ub + tol)[:, None]
         keep[rows, best] = True
         node, cell = np.nonzero(keep)
-        g = mv[cell] + K * np.hypot(p[node, :1] - mx[cell],
-                                    p[node, 1:] - my[cell])
+        del lb, keep              # free this block before building the next
+        g = np.empty(len(node))
+        for a in range(0, len(node), pair_step):
+            pn, pc = node[a:a + pair_step], cell[a:a + pair_step]
+            g[a:a + pair_step] = (mv[pc] + K * np.hypot(
+                p[pn, :1] - mx[pc], p[pn, 1:] - my[pc])).min(axis=1)
         out[lo:lo + len(p)] = np.minimum.reduceat(
-            g.min(axis=1), np.searchsorted(node, rows))
+            g, np.searchsorted(node, rows))
     return out
 
 

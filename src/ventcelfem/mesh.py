@@ -32,6 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .femcore import BLOCK_FLOATS
+
 
 @dataclass(eq=False)
 class Mesh:
@@ -42,10 +44,16 @@ class Mesh:
 
     @cached_property
     def h(self) -> float:
-        """Longest triangle side; computed once (meshes are never mutated)."""
-        p = self.nodes[self.triangles]
-        e = p - p[:, [1, 2, 0], :]
-        return float(np.hypot(e[..., 0], e[..., 1]).max())
+        """Longest triangle side; computed once (meshes are never mutated).
+
+        One side of a block of triangles at a time, with BLOCK_FLOATS
+        entries per temporary.
+        """
+        t, x = self.triangles, self.nodes
+        step = BLOCK_FLOATS // 2
+        return max(float(np.hypot(*(x[t[lo:lo + step, i]]
+                                    - x[t[lo:lo + step, i - 1]]).T).max())
+                   for lo in range(0, len(t), step) for i in range(3))
 
     def signed_areas(self):
         p = self.nodes[self.triangles]

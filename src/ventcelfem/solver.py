@@ -28,9 +28,9 @@ from scipy.linalg import eigvalsh_tridiagonal
 from .domain import DomainSpec
 from .fields import (EXACT_SOLUTIONS, BoundaryFunction, Coefficient,
                      FieldCoefficient)
-from .femcore import (GAUSS3_XI, FeSystem, LoadData, assemble_bilinear,
-                      assemble_load, build_space, dirichlet_boundary_samples,
-                      mcshane_lift)
+from .femcore import (BLOCK_FLOATS, GAUSS3_XI, FeSystem, LoadData,
+                      assemble_bilinear, assemble_load, build_space,
+                      dirichlet_boundary_samples, mcshane_lift)
 from .geometry import frame_derivatives
 from .mesh import Mesh, _write_text, triangulate
 
@@ -136,14 +136,17 @@ def estimate_trace_lipschitz(space, phi, samples=None) -> float:
         raise ValueError("phi: wall data must be finite (found nan or inf)")
     scale = mesh.scale()
     best = 0.0
-    for lo in range(0, len(nodes), 512):
-        chunk = nodes[lo:lo + 512]
-        cv = nvals[lo:lo + 512]
+    step = max(1, BLOCK_FLOATS // len(pts))
+    for lo in range(0, len(nodes), step):
+        chunk = nodes[lo:lo + step]
+        cv = nvals[lo:lo + step]
         d = np.hypot(chunk[:, None, 0] - pts[None, :, 0],
                      chunk[:, None, 1] - pts[None, :, 1])
-        q = np.abs(cv[:, None] - svals[None, :]) / np.maximum(d, 1e-14 * scale)
+        q = np.abs(cv[:, None] - svals[None, :])
+        q /= np.maximum(d, 1e-14 * scale)
         q[d <= 1e-14 * scale] = 0.0
         best = max(best, float(q.max()))
+        del d, q                  # free this block before building the next
     return best * (1.0 + 1e-9)
 
 
@@ -169,7 +172,7 @@ def solve_linear(lu, rhs) -> np.ndarray:
     try:
         x = lu.solve(rhs)
     except (RuntimeError, ValueError, MemoryError) as exc:
-        raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
+        raise SingularSystemError(f"sparse solve failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("solver produced non-finite values")
     return x
@@ -211,7 +214,10 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
 
     # SuperLU releases the GIL while it factors, so the lift and the load
     # run meanwhile; the factor stays on this thread, where its fill
-    # reuses the main heap.  Leaving the block joins the worker.
+    # reuses the main heap.  The worker allocates from its own glibc
+    # arena, which keeps freed pages resident and which this thread does
+    # not reuse, so every worker temporary is kept small (BLOCK_FLOATS
+    # blocks).  Leaving the block joins the worker.
     with ThreadPoolExecutor(1) as pool:
         pending = pool.submit(lift_and_load)
         try:

@@ -849,11 +849,13 @@ def _check_compatibility(seed):
 
 def _check_convergence_cable(seed):
     conv = manufactured_convergence(cable_problem(), n0=8, levels=4)
-    o2, ov, _ = conv.observed_orders
+    o2, ov, ot = conv.observed_orders
     finest = conv.rows[-1][2]
-    ok = o2 >= 1.8 and ov >= 0.9 and finest < 1e-3 and conv.monotone()
+    ok = (o2 >= 1.8 and ov >= 0.9 and ot >= 1.8 and finest < 1e-3
+          and conv.monotone())
     return ("convergence_cable.csv", conv.csv_text(), ok,
-            f"orders L2 {o2:.3f}, V0 {ov:.3f}, finest L2 {finest:.3g}")
+            f"orders L2 {o2:.3f}, V0 {ov:.3f}, trace {ot:.3f}, "
+            f"finest L2 {finest:.3g}")
 
 
 def _check_convergence_square(seed):

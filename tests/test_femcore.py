@@ -1,9 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ventcelfem import femcore, solver
 from ventcelfem.domain import annulus_domain, cable_domain, square_domain
 from ventcelfem.fields import (
     EXACT_SOLUTIONS,
@@ -202,11 +206,16 @@ LIFT_PHIS = st.one_of(
         lambda c: FieldCoefficient(QuadraticField(*c))))
 
 
+# BLOCK_FLOATS values: one row per block, a few rows, and the real one
+BUDGETS = st.sampled_from([1, 1000, femcore.BLOCK_FLOATS])
+
+
 @pytest.mark.parametrize("domain", sorted(LIFT_DOMAINS))
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(n=st.integers(2, 24), phi=LIFT_PHIS,
-       k_scale=st.sampled_from([1.0, 10.0, 0.0]))
-def test_mcshane_lift_matches_full_scan_bitwise(domain, n, phi, k_scale):
+       k_scale=st.sampled_from([1.0, 10.0, 0.0]), budget=BUDGETS)
+def test_mcshane_lift_matches_full_scan_bitwise(domain, n, phi, k_scale,
+                                                budget):
     space = build_space(triangulate(LIFT_DOMAINS[domain](), n))
     with np.errstate(divide="ignore"):       # log_radial at the origin
         walls = phi.eval_points(dirichlet_boundary_samples(space.mesh)[0])
@@ -215,9 +224,55 @@ def test_mcshane_lift_matches_full_scan_bitwise(domain, n, phi, k_scale):
                 mcshane_lift(space, phi, 1.0)
             return
     K = k_scale * estimate_trace_lipschitz(space, phi)
-    got = mcshane_lift(space, phi, K)
+    with mock.patch.object(femcore, "BLOCK_FLOATS", budget):
+        got = mcshane_lift(space, phi, K)
     want = brute_force_lift(space, phi, K)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def one_block_lipschitz(space, phi):
+    """Reference K: every Dirichlet node against every wall sample at once."""
+    mesh = space.mesh
+    samples = dirichlet_boundary_samples(mesh)[0]
+    if len(samples) == 0:
+        return 0.0
+    nodes = mesh.nodes[space.dirichlet_mask]
+    d = np.hypot(nodes[:, None, 0] - samples[None, :, 0],
+                 nodes[:, None, 1] - samples[None, :, 1])
+    floor = 1e-14 * mesh.scale()
+    q = (np.abs(phi.eval_points(nodes)[:, None] - phi.eval_points(samples))
+         / np.maximum(d, floor))
+    q[d <= floor] = 0.0
+    return float(q.max()) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("domain", sorted(LIFT_DOMAINS))
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.integers(2, 24), phi=LIFT_PHIS, budget=BUDGETS)
+def test_trace_lipschitz_matches_one_block_bitwise(domain, n, phi, budget):
+    space = build_space(triangulate(LIFT_DOMAINS[domain](), n))
+    with np.errstate(divide="ignore"):       # log_radial at the origin
+        walls = phi.eval_points(dirichlet_boundary_samples(space.mesh)[0])
+    assume(np.all(np.isfinite(walls)))
+    with mock.patch.object(solver, "BLOCK_FLOATS", budget):
+        got = estimate_trace_lipschitz(space, phi)
+    assert got == one_block_lipschitz(space, phi)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_lift_temporaries_do_not_grow_with_the_mesh(n):
+    # Mesh.h (first read here), the Lipschitz constant and the lift run
+    # on the solve's worker thread, whose allocator arena keeps freed
+    # pages resident; numpy reports its buffers to tracemalloc
+    space = build_space(triangulate(cable_domain(), n))
+    phi = FieldCoefficient(EXACT_SOLUTIONS["harmonic_cubic"])
+    tracemalloc.start()
+    try:
+        mcshane_lift(space, phi, estimate_trace_lipschitz(space, phi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_mcshane_lift_rejects_bad_inputs():

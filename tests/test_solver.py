@@ -161,8 +161,12 @@ def test_solve_ventcel_needs_mesh_or_n():
 
 def test_solve_linear_raises_on_singular():
     singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(SingularSystemError,
+                       match="^sparse factorization failed: "):
         factorize(singular)
+    # a solve that fails on a good factor is reported as a solve failure
+    with pytest.raises(SingularSystemError, match="^sparse solve failed: "):
+        solve_linear(factorize(sp.identity(3)), np.ones(4))
 
 
 def test_uniqueness_diagnostic_healthy_system():

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -498,6 +499,18 @@ def test_convergence_report_invariants():
     assert len(lines) == 4
     assert lines[1].endswith(",,")          # no orders on the first row
     assert "2.000000" in lines[2]
+
+
+def test_convergence_cable_gates_the_trace_order(monkeypatch):
+    real = verify.solution_errors
+
+    def halved_trace_order(solution, exact):
+        e2, ev, et = real(solution, exact)
+        return e2, ev, np.sqrt(et)       # still finite and decreasing
+    monkeypatch.setattr(verify, "solution_errors", halved_trace_order)
+    _, _, ok, detail = verify._check_convergence_cable(42)
+    assert not ok
+    assert re.search(r", trace 1\.0\d\d, ", detail), detail
 
 
 def test_convergence_report_rejects_bad_h():
