@@ -211,6 +211,10 @@ def cmd_solve(cfg: RunConfig) -> int:
                      / (1.0 + np.linalg.norm(rhs)))
     diag = uniqueness_diagnostic(system, seed=cfg.seed, lu=solution.factor)
     solution.factor = None    # free the LU fill before output and errors
+    if diag.singular:
+        raise SingularSystemError(
+            "reduced system is singular to working precision "
+            f"(rcond = {diag.rcond:.3g})")
 
     sol_path = os.path.join(cfg.output_dir, "solution.csv")
     write_solution_csv(solution, sol_path)

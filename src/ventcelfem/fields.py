@@ -177,9 +177,6 @@ class FieldCoefficient(Coefficient):
     def eval_points(self, p):
         return self.field.value(np.asarray(p, dtype=float))
 
-    def eval_curve(self, curve, t):
-        return self.field.value(curve.point(t))
-
     def tangential_deriv(self, curve, t):
         d1 = curve.velocity(t)
         sp = np.hypot(d1[..., 0], d1[..., 1])
@@ -187,9 +184,8 @@ class FieldCoefficient(Coefficient):
         return (d1[..., 0] * g[..., 0] + d1[..., 1] * g[..., 1]) / sp
 
 
-class ConstantCoefficient(FieldCoefficient):
+class ConstantCoefficient(Coefficient):
     def __init__(self, value):
-        super().__init__(QuadraticField(value))
         self.constant = float(value)
 
     def eval_points(self, p):

@@ -98,24 +98,6 @@ class Curve:
     def token(self) -> str:
         raise NotImplementedError(f"curve {self.name!r} has no serial form")
 
-    def __eq__(self, other):
-        try:
-            return isinstance(other, Curve) and self.token() == other.token()
-        except NotImplementedError:
-            return self is other
-
-    def __hash__(self):
-        try:
-            return hash(self.token())
-        except NotImplementedError:
-            return id(self)
-
-    def __repr__(self):
-        try:
-            return f"<Curve {self.token()}>"
-        except NotImplementedError:
-            return f"<Curve {self.name}>"
-
 
 class CableArc(Curve):
     """Strictly convex graph arc forming the curved edge of the cable domain.

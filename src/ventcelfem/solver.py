@@ -1,9 +1,9 @@
 """Problem bundles, the linear solve, diagnostics, and CSV export.
 
 A problem couples a domain with boundary coefficients (a2, a0), loads
-(f1, f2 interior; g1, g2 on the Ventcel chain), Dirichlet data phi with
-its Lipschitz constant, and optionally the exact solution it was
-manufactured from.  The solve pipeline is
+(f1, f2 interior; g1, g2 on the Ventcel chain), Dirichlet data phi,
+and optionally the exact solution it was manufactured from.  The solve
+pipeline is
 
     triangulate -> build space -> assemble ->
         (lift Dirichlet data -> load) || factor -> reduced solve ->
@@ -49,7 +49,6 @@ class VentcelProblem:
     g1: Coefficient | None = None
     g2: Coefficient | None = None
     phi: Coefficient | None = None
-    lipschitz_k: float | None = None
     exact: object | None = None
 
 
@@ -203,9 +202,7 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     def lift_and_load():
         if problem.phi is not None:
             samples = dirichlet_boundary_samples(mesh)
-            k = problem.lipschitz_k
-            if k is None:
-                k = estimate_trace_lipschitz(space, problem.phi, samples)
+            k = estimate_trace_lipschitz(space, problem.phi, samples)
             lift = mcshane_lift(space, problem.phi, k, samples)
         else:
             lift = np.zeros(space.n_nodes)

@@ -296,6 +296,22 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a2, rc", [("const:1e12", 3), ("const:1e6", 0)])
+def test_singular_system_exits_3_before_any_output(a2, rc, tmp_path, capsys):
+    # annulus at n = 32: rcond 9.6e-17 at a2 = 1e12, 9.5e-11 at a2 = 1e6
+    assert cli.main(["solve", "--domain", "annulus", "--n", "32",
+                     "--a2", a2, "--phi", "log_radial", "--g1", "const:0.5",
+                     "--output-dir", str(tmp_path)]) == rc
+    err = capsys.readouterr().err
+    if rc == 3:
+        assert err.startswith("solver failure: reduced system is singular")
+        assert float(err.split("rcond = ")[1].rstrip(")\n")) < 1e-14
+        assert os.listdir(tmp_path) == []
+    else:
+        assert err == ""
+        assert (tmp_path / "solution.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--domain", "cable", "--n", "128"],
     ["verify"],

@@ -147,10 +147,15 @@ def test_nodal_coefficient_round_trip(tmp_path):
     coef = parse_coefficient(f"nodal:{path}", mesh=mesh, role="a2")
     assert np.array_equal(coef.values, mesh.nodes[:, 0])
 
-    bottom = square_domain().ventcel_curves[0]
+    bottom = mesh.chains[0][0]
     t = np.array([0.1, 0.6, 0.9])
     assert np.abs(coef.eval_curve(bottom, t) - t).max() < 1e-13
     assert np.abs(coef.tangential_deriv(bottom, t) - 1.0).max() < 1e-12
+    # curves compare by identity: an equal curve of another domain is foreign
+    foreign = square_domain().ventcel_curves[0]
+    for method in (coef.eval_curve, coef.tangential_deriv):
+        with pytest.raises(ValueError, match="no boundary edges"):
+            method(foreign, t)
 
 
 def test_nodal_csv_must_cover_all_nodes(tmp_path):
@@ -237,7 +242,7 @@ def test_nodal_curve_evaluation_keeps_the_shape_of_t():
     mesh = triangulate(annulus_domain(), 4)
     rng = np.random.default_rng(5)
     coef = NodalCoefficient(mesh, rng.uniform(1.0, 2.0, len(mesh.nodes)))
-    curve = annulus_domain().ventcel_curves[0]
+    (curve, _, _), = mesh.chains
     t = rng.uniform(curve.t0, curve.t1, 12)
     for method in (coef.eval_curve, coef.tangential_deriv):
         flat = method(curve, t)
