@@ -4,10 +4,12 @@ Configuration comes from flags and/or a "key = value" text file, with
 flags winning; the output directory can also come from the
 VENTCELFEM_OUTPUT_DIR environment variable (flag > env > file >
 default).  Exit codes: 0 success, 1 verification-suite failure,
-2 configuration error, 3 solver failure, 4 internal error (a broken
-invariant of the program, such as a mesh triangle of nonpositive
-area, not a fault of the input).  A mesh above ``MAX_NODES``
-nodes is a configuration error, caught before anything is allocated.
+2 configuration error (an InputError, raised where the input is read
+or checked), 3 solver failure, 4 internal error (a broken invariant of
+the program, such as a mesh triangle of nonpositive area, not a fault
+of the input).  Any other exception is a bug and keeps its traceback.
+A mesh above ``MAX_NODES`` nodes is a configuration error, caught
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import verify
 from .domain import make_domain
 from .fields import EXACT_SOLUTIONS, parse_coefficient
-from .femcore import InternalError, build_space, coefficient_bounds
+from .femcore import InputError, InternalError, build_space, coefficient_bounds
 from .mesh import (_write_text, mesh_quality, node_count, triangulate,
                    write_mesh)
 from .solver import (
@@ -52,10 +54,6 @@ DEFAULT_EXACT = {
 }
 
 
-class ConfigError(Exception):
-    """Configuration problem; message names the offending key."""
-
-
 @dataclass
 class RunConfig:
     command: str = "info"
@@ -82,24 +80,23 @@ INT_KEYS = frozenset(("n", "levels", "seed"))
 
 def read_config_file(path: str) -> dict:
     """Parse a key = value file; '#' starts a comment."""
-    out = {}
     try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path!r}: {exc}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(
-                    f"config: {path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"config: unknown key {key!r} in {path}")
-            out[key] = value.strip()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"config: cannot read {path!r}: {exc}") from None
+    out = {}
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"config: {path}:{lineno}: expected key = value")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise InputError(f"config: unknown key {key!r} in {path}")
+        out[key] = value.strip()
     return out
 
 
@@ -108,7 +105,7 @@ def _coerce(key: str, value):
         try:
             return int(value)
         except (TypeError, ValueError):
-            raise ConfigError(f"{key}: expected an integer, got {value!r}") \
+            raise InputError(f"{key}: expected an integer, got {value!r}") \
                 from None
     return str(value)
 
@@ -128,16 +125,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, _coerce(key, value))
 
     if cfg.n < 2:
-        raise ConfigError(f"n: subdivision must be at least 2, got {cfg.n}")
+        raise InputError(f"n: subdivision must be at least 2, got {cfg.n}")
     if cfg.seed < 0:
-        raise ConfigError(
+        raise InputError(
             f"seed: must be a nonnegative integer, got {cfg.seed}")
     if cfg.command == "convergence" and cfg.levels < 3:
-        raise ConfigError(
+        raise InputError(
             f"levels: need at least 3 for a convergence study, got {cfg.levels}")
     if cfg.exact and cfg.exact not in EXACT_SOLUTIONS:
         known = ", ".join(sorted(EXACT_SOLUTIONS))
-        raise ConfigError(f"exact: unknown solution {cfg.exact!r} (known: {known})")
+        raise InputError(f"exact: unknown solution {cfg.exact!r} (known: {known})")
     return cfg
 
 
@@ -152,14 +149,11 @@ def _domain_or_error(cfg: RunConfig, finest_n: int | None = None):
     ``finest_n`` is the largest subdivision the command meshes
     (default ``cfg.n``).
     """
-    try:
-        dom = make_domain(cfg.domain)
-    except ValueError as exc:
-        raise ConfigError(f"domain: {exc}") from None
+    dom = make_domain(cfg.domain)
     n = cfg.n if finest_n is None else finest_n
     nodes = node_count(dom, n)
     if nodes > MAX_NODES:
-        raise ConfigError(
+        raise InputError(
             f"n: a {dom.kind} mesh at n = {n} has {nodes} nodes, above the "
             f"cap of {MAX_NODES}")
     return dom
@@ -167,28 +161,23 @@ def _domain_or_error(cfg: RunConfig, finest_n: int | None = None):
 
 def _output_dir(cfg: RunConfig) -> None:
     """Create the artifact directory before any work is done."""
+    if "\0" in cfg.output_dir:     # os.makedirs would raise a bare ValueError
+        raise InputError(f"output_dir: {cfg.output_dir!r} has a NUL byte")
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"output_dir: cannot use {cfg.output_dir!r}: "
-                          f"{exc.strerror or exc}") from None
-
-
-def _coefficient(text: str, mesh, role: str):
-    try:
-        return parse_coefficient(text, mesh, role=role)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise InputError(f"output_dir: cannot use {cfg.output_dir!r}: "
+                         f"{exc.strerror or exc}") from None
 
 
 def build_problem(cfg: RunConfig, dom, mesh) -> VentcelProblem:
-    a2 = _coefficient(cfg.a2, mesh, "a2")
-    a0 = _coefficient(cfg.a0, mesh, "a0")
-    opt = lambda text, role: _coefficient(text, mesh, role) if text else None
+    coef = lambda text, role: parse_coefficient(text, mesh, role)
+    a2, a0 = coef(cfg.a2, "a2"), coef(cfg.a0, "a0")
+    opt = lambda text, role: coef(text, role) if text else None
     f2 = None
     if cfg.f2x or cfg.f2y:
-        f2 = (_coefficient(cfg.f2x or "const:0", mesh, "f2x"),
-              _coefficient(cfg.f2y or "const:0", mesh, "f2y"))
+        f2 = (coef(cfg.f2x or "const:0", "f2x"),
+              coef(cfg.f2y or "const:0", "f2y"))
     exact = EXACT_SOLUTIONS[cfg.exact] if cfg.exact else None
     return VentcelProblem(
         domain=dom, a2=a2, a0=a0,
@@ -244,11 +233,9 @@ def cmd_convergence(cfg: RunConfig) -> int:
     # the finest level is n * 2^(levels - 1); past 2^64 it is over the cap
     # whatever n is, so the shift stays small for any levels
     dom = _domain_or_error(cfg, cfg.n << min(cfg.levels - 1, 64))
-    exact = cfg.exact or DEFAULT_EXACT.get(dom.kind, "")
-    if not exact:
-        raise ConfigError(f"exact: no default for domain {cfg.domain!r}")
-    a2 = _coefficient(cfg.a2, None, "a2")
-    a0 = _coefficient(cfg.a0, None, "a0")
+    exact = cfg.exact or DEFAULT_EXACT[dom.kind]
+    a2 = parse_coefficient(cfg.a2, None, "a2")
+    a0 = parse_coefficient(cfg.a0, None, "a0")
     problem = manufactured_problem(dom, exact, a2, a0)
     _output_dir(cfg)
     report = verify.manufactured_convergence(problem, n0=cfg.n,
@@ -285,8 +272,8 @@ def cmd_info(cfg: RunConfig) -> int:
     dom = _domain_or_error(cfg)
     mesh = triangulate(dom, cfg.n)
     space = build_space(mesh)
-    a2 = _coefficient(cfg.a2, mesh, "a2")
-    a0 = _coefficient(cfg.a0, mesh, "a0")
+    a2 = parse_coefficient(cfg.a2, mesh, "a2")
+    a0 = parse_coefficient(cfg.a0, mesh, "a0")
     bounds = coefficient_bounds(space, a2, a0, check=False)
     print(config_echo(cfg))
     print(f"# nodes = {space.n_nodes}, free = {space.n_free}, h = {mesh.h:.6g}")
@@ -330,7 +317,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return COMMANDS[cfg.command](cfg)
-    except ConfigError as exc:
+    except InputError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SingularSystemError as exc:
@@ -339,9 +326,6 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -12,15 +12,19 @@ Built-ins:
              sides are Dirichlet
     square   unit square (0,1) x (1,2); bottom and top edges Ventcel,
              left and right edges Dirichlet
-    annulus  ring r_inner < |p| < r_outer; one circle Ventcel, the
-             other Dirichlet
+    annulus  ring r_inner < |p| < r_outer, 1e-50 <= r_inner and
+             r_outer <= 1e50; one circle Ventcel, the other Dirichlet
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .femcore import InputError
 from .geometry import CableArc, Circle, Segment
+
+# radii an annulus mesh can hold (its areas and quality stay finite, > 0)
+R_MIN, R_MAX = 1e-50, 1e50
 
 
 @dataclass
@@ -41,10 +45,11 @@ def square_domain() -> DomainSpec:
 
 
 def annulus_domain(r_inner=1.0, r_outer=2.0, ventcel_on="outer") -> DomainSpec:
-    if not 0 < r_inner < r_outer:
-        raise ValueError("annulus needs 0 < r_inner < r_outer")
+    if not R_MIN <= r_inner < r_outer <= R_MAX:
+        raise InputError(f"domain: annulus needs {R_MIN:g} <= r_inner < "
+                         f"r_outer <= {R_MAX:g}, got {r_inner!r}, {r_outer!r}")
     if ventcel_on not in ("inner", "outer"):
-        raise ValueError("ventcel_on must be 'inner' or 'outer'")
+        raise InputError("domain: ventcel_on must be 'inner' or 'outer'")
     if ventcel_on == "outer":
         curve = Circle(r_outer, normal_sign=-1)
     else:
@@ -66,11 +71,11 @@ def make_domain(text: str) -> DomainSpec:
     if text.startswith("annulus:"):
         parts = text[len("annulus:"):].split(",")
         if len(parts) != 3:
-            raise ValueError(
-                f"annulus takes r_inner,r_outer,side, got {text!r}")
+            raise InputError(
+                f"domain: annulus takes r_inner,r_outer,side, got {text!r}")
         try:
             r0, r1 = float(parts[0]), float(parts[1])
         except ValueError:
-            raise ValueError(f"bad radius in {text!r}") from None
+            raise InputError(f"domain: bad radius in {text!r}") from None
         return annulus_domain(r0, r1, parts[2].strip())
-    raise ValueError(f"unknown domain {text!r}")
+    raise InputError(f"domain: unknown domain {text!r}")

@@ -60,6 +60,10 @@ class InternalError(RuntimeError):
     """An invariant of the program failed; no input can cause it."""
 
 
+class InputError(ValueError):
+    """The input breaks the problem's assumptions; the message names the key."""
+
+
 class VentcelChain:
     """The Ventcel edges of a mesh as arrays, one row per edge.
 
@@ -123,7 +127,7 @@ class FeSpace:
         # triangle geometry: areas, constant basis gradients, midpoints
         p = mesh.nodes[mesh.triangles]
         self.tri_area = mesh.signed_areas()
-        if np.any(self.tri_area <= 0):
+        if not np.all(self.tri_area > 0):
             raise InternalError("mesh has nonpositive triangle areas")
         g = np.empty_like(p)
         for i in range(3):
@@ -183,18 +187,18 @@ def _bounds(a2q, da2q, a0q, check) -> CoefficientBounds:
                              ("a2", "tangential derivatives", da2q),
                              ("a0", "values", a0q)):
             if not np.all(np.isfinite(v)):
-                raise ValueError(
+                raise InputError(
                     f"{key}: {what} must be finite on the Ventcel "
                     f"boundary (found nan or inf)")
     bounds = CoefficientBounds(float(a2q.min()), float(a2q.max()),
                                float(np.abs(da2q).max()),
                                float(a0q.min()), float(a0q.max()))
     if check and bounds.lambda2 <= 0:
-        raise ValueError(
+        raise InputError(
             f"a2 must be strictly positive on the Ventcel boundary "
             f"(min {bounds.lambda2:g})")
     if check and bounds.lambda0 < -1e-12:
-        raise ValueError(
+        raise InputError(
             f"a0 must be nonnegative on the Ventcel boundary "
             f"(min {bounds.lambda0:g})")
     return bounds
@@ -410,7 +414,7 @@ class LoadData:
 
 def _finite_load(key, vals):
     if not np.all(np.isfinite(vals)):
-        raise ValueError(f"{key}: load data must be finite (found nan or inf)")
+        raise InputError(f"{key}: load data must be finite (found nan or inf)")
     return vals
 
 

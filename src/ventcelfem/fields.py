@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .femcore import InternalError, VentcelChain
+from .femcore import InputError, InternalError, VentcelChain
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +154,7 @@ class Coefficient:
     """
 
     def eval_points(self, p):
-        raise ValueError(f"{type(self).__name__} is defined only on boundary curves")
+        raise InputError(f"{type(self).__name__} is defined only on boundary curves")
 
     def eval_edges(self, mesh, a, b, xi, points):
         """Values at ``points``, each at fraction xi along mesh edge (a, b)."""
@@ -278,34 +278,37 @@ ZERO = ConstantCoefficient(0.0)
 
 
 def parse_coefficient(text, mesh=None, role="coefficient"):
-    """Parse the coefficient grammar; raises ValueError naming the role."""
+    """Parse the coefficient grammar; raises InputError naming the role."""
     text = text.strip()
     if text.startswith("const:"):
         try:
             return ConstantCoefficient(float(text[6:]))
         except ValueError:
-            raise ValueError(f"{role}: bad constant in {text!r}") from None
+            raise InputError(f"{role}: bad constant in {text!r}") from None
     if text.startswith("poly:"):
         parts = [p for p in text[5:].split(",") if p.strip() != ""]
         if not 1 <= len(parts) <= 6:
-            raise ValueError(f"{role}: poly takes 1..6 coefficients, got {text!r}")
+            raise InputError(f"{role}: poly takes 1..6 coefficients, got {text!r}")
         try:
             coeffs = [float(p) for p in parts]
         except ValueError:
-            raise ValueError(f"{role}: bad number in {text!r}") from None
+            raise InputError(f"{role}: bad number in {text!r}") from None
         coeffs += [0.0] * (6 - len(coeffs))
         return FieldCoefficient(QuadraticField(*coeffs))
     if text == "inv_curvature":
+        if role in ("f1", "f2x", "f2y", "phi"):     # evaluated off the chain
+            raise InputError(
+                f"{role}: inv_curvature is defined only on boundary curves")
         return InverseCurvature()
     if text.startswith("nodal:"):
         if mesh is None:
-            raise ValueError(f"{role}: nodal coefficient needs a mesh")
+            raise InputError(f"{role}: nodal coefficient needs a mesh")
         path = text[6:]
         vals = _read_nodal_csv(path, len(mesh.nodes), role)
         return NodalCoefficient(mesh, vals)
     if text in EXACT_SOLUTIONS:
         return FieldCoefficient(EXACT_SOLUTIONS[text])
-    raise ValueError(f"{role}: unknown coefficient {text!r}")
+    raise InputError(f"{role}: unknown coefficient {text!r}")
 
 
 def _read_nodal_csv(path, n_nodes, role):
@@ -314,9 +317,11 @@ def _read_nodal_csv(path, n_nodes, role):
     Blank rows and rows whose first cell is ``node`` or ``#`` are
     skipped.  Every fault (unreadable file, short row, bad or non-finite
     number, index outside 0..n_nodes-1 or given twice, missing nodes)
-    raises ValueError naming the role, the file and the line.
+    raises InputError naming the role, the file and the line.
     """
     where = f"{role}: nodal csv {path}"
+    if "\0" in path:             # open() would raise a bare ValueError
+        raise InputError(f"{where}: cannot read (embedded null byte)")
     vals = [None] * n_nodes
     try:
         with open(path, newline="") as fh:
@@ -338,11 +343,11 @@ def _read_nodal_csv(path, n_nodes, role):
                     else:
                         vals[i] = v
                         continue
-                raise ValueError(f"{where}:{reader.line_num}: {fault}")
+                raise InputError(f"{where}:{reader.line_num}: {fault}")
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ValueError(f"{where}: cannot read ({exc})") from None
+        raise InputError(f"{where}: cannot read ({exc})") from None
     missing = vals.count(None)
     if missing:
-        raise ValueError(f"{where} does not cover all {n_nodes} nodes "
+        raise InputError(f"{where} does not cover all {n_nodes} nodes "
                          f"({missing} missing)")
     return np.array(vals, dtype=float)

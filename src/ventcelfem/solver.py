@@ -28,8 +28,8 @@ from scipy.linalg import eigvalsh_tridiagonal
 from .domain import DomainSpec
 from .fields import (EXACT_SOLUTIONS, BoundaryFunction, Coefficient,
                      FieldCoefficient)
-from .femcore import (BLOCK_FLOATS, GAUSS3_XI, FeSystem, LoadData,
-                      assemble_bilinear, assemble_load, build_space,
+from .femcore import (BLOCK_FLOATS, GAUSS3_XI, FeSystem, InputError,
+                      LoadData, assemble_bilinear, assemble_load, build_space,
                       dirichlet_boundary_samples, mcshane_lift)
 from .geometry import frame_derivatives
 from .mesh import Mesh, _write_text, triangulate
@@ -119,7 +119,7 @@ def estimate_trace_lipschitz(space, phi, samples=None) -> float:
     and a dense sample of the Dirichlet boundary (the same density the
     lifting uses), with a small safety factor.  ``samples`` passes in a
     ``dirichlet_boundary_samples(space.mesh)`` result already built.
-    Raises ValueError on non-finite wall data.
+    Raises InputError on non-finite wall data.
     """
     mesh = space.mesh
     if samples is None:
@@ -132,7 +132,7 @@ def estimate_trace_lipschitz(space, phi, samples=None) -> float:
     nodes = mesh.nodes[idx]
     nvals = np.atleast_1d(phi.eval_edges(mesh, idx, idx, 0.0, nodes))
     if not (np.all(np.isfinite(svals)) and np.all(np.isfinite(nvals))):
-        raise ValueError("phi: wall data must be finite (found nan or inf)")
+        raise InputError("phi: wall data must be finite (found nan or inf)")
     scale = mesh.scale()
     best = 0.0
     step = max(1, BLOCK_FLOATS // len(pts))
@@ -183,8 +183,8 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
 
     lift || factor: the calling thread factors the reduced matrix while
     one worker thread builds the Dirichlet lift and the load; the worker
-    is joined before the solve and never outlives the call.  A
-    ValueError from the lift or the load (bad data) is raised in
+    is joined before the solve and never outlives the call.  An
+    InputError from the lift or the load (bad data) is raised in
     preference to a SingularSystemError from the factor, as a serial
     run would report them.
 
@@ -220,7 +220,7 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
         try:
             lu = factorize(system.matrix)
         finally:
-            # a ValueError from the worker replaces a SingularSystemError
+            # an InputError from the worker replaces a SingularSystemError
             load = pending.result()
     v_free = solve_linear(lu, load.rhs_free)
 

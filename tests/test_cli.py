@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -6,10 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ventcelfem import cli, solver
 from ventcelfem.domain import make_domain
-from ventcelfem.fields import EXACT_SOLUTIONS
+from ventcelfem.femcore import InputError
+from ventcelfem.fields import EXACT_SOLUTIONS, parse_coefficient
 from ventcelfem.mesh import triangulate
 from ventcelfem.solver import SingularSystemError
 
@@ -86,6 +90,12 @@ def test_output_dir_precedence(tmp_path, monkeypatch, capsys):
     ["solve", "--domain", "square", "--n", "2", "--a2", "mystery"],
     ["solve", "--domain", "square", "--n", "2", "--a2", "const:-1"],
     ["convergence", "--domain", "square", "--n", "4", "--levels", "2"],
+    ["info", "--domain", "annulus:1,inf,outer", "--n", "4"],
+    ["solve", "--domain", "annulus:1,inf,outer", "--n", "4"],
+    ["mesh", "--domain", "annulus:1,inf,outer", "--n", "4"],
+    ["convergence", "--domain", "annulus:1,inf,outer", "--n", "4",
+     "--levels", "3"],
+    ["solve", "--domain", "annulus:1e-200,2e-200,inner", "--n", "4"],
 ])
 def test_bad_configuration_exits_2(argv, capsys, tmp_path):
     assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 2
@@ -217,6 +227,38 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["info", "--config", str(no_eq)]) == 2
     assert cli.main(["info", "--config", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
+    not_utf8 = tmp_path / "d.cfg"
+    not_utf8.write_bytes(b"domain = square\nn = 2\xff\n")
+    assert cli.main(["info", "--config", str(not_utf8)]) == 2
+    assert f"config: cannot read {str(not_utf8)!r}: 'utf-8' codec" in (
+        capsys.readouterr().err)
+    nul_path = tmp_path / "e.cfg"
+    nul_path.write_bytes(b"domain = square\nn = 2\na2 = nodal:ab\0c\n")
+    assert cli.main(["info", "--config", str(nul_path)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: a2: nodal csv ab\0c: cannot read "
+        "(embedded null byte)\n")
+
+
+@pytest.mark.parametrize("key", ["f1", "f2x", "f2y", "phi"])
+def test_inv_curvature_off_the_chain_names_its_key(key, capsys, tmp_path):
+    assert cli.main(["solve", "--domain", "cable", "--n", "4",
+                     f"--{key}", "inv_curvature",
+                     "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {key}: inv_curvature is defined only on "
+        "boundary curves\n")
+
+
+def test_internal_value_error_is_not_a_configuration_error(tmp_path,
+                                                           monkeypatch):
+    # a ValueError that no input check raised is a bug: no exit code
+    def boom(*args, **kwargs):
+        raise ValueError("synthetic")
+    monkeypatch.setattr(cli, "solve_ventcel", boom)
+    with pytest.raises(ValueError, match="synthetic"):
+        cli.main(["solve", "--domain", "square", "--n", "2",
+                  "--output-dir", str(tmp_path)])
 
 
 def _singular(matrix):
@@ -348,6 +390,74 @@ def test_unusable_output_dir_exits_2_before_any_work(argv, below, monkeypatch,
     assert cli.main(argv + ["--output-dir", target]) == 2
     err = capsys.readouterr().err
     assert f"configuration error: output_dir: cannot use {target!r}" in err
+
+
+# ----------------------------------------------------------------------
+# the parse layer: any input text is read or rejected as an InputError
+
+
+def read_or_reject(parse, *args):
+    """``parse(*args)``, or None if it raised InputError; other errors
+    propagate and fail the property."""
+    try:
+        return parse(*args)
+    except InputError:
+        return None
+
+
+def prefixed(prefixes, rest):
+    return st.builds(str.__add__, st.sampled_from(prefixes), rest)
+
+
+# nodal paths stay inside the test's working directory
+NODAL_PATHS = st.sampled_from(["body.csv", "ok.csv", ".", "", "ab\0c"]) | (
+    st.text(st.characters(blacklist_characters="/")))
+COEFFICIENT_TEXT = (st.text()
+                    | prefixed(["const:", "poly:", "poly:1,"], st.text())
+                    | prefixed(["nodal:"], NODAL_PATHS))
+RADIUS_TEXT = st.sampled_from(["1", "2", "inf", "nan", "0", "1e-200", "2e-200",
+                               "1e-50", "1e50", "1e160"]) | st.floats().map(repr)
+DOMAIN_TEXT = (st.text() | prefixed(["annulus:"], st.text())
+               | st.builds("annulus:{},{},{}".format, RADIUS_TEXT, RADIUS_TEXT,
+                           st.sampled_from(["inner", "outer", " outer", ""])))
+CONFIG_LINES = st.lists(st.tuples(st.sampled_from(cli.CONFIG_KEYS + ("x",)),
+                                  st.text()), max_size=4)
+CONFIG_BODY = st.binary() | CONFIG_LINES.map(
+    lambda kv: "".join(f"{k} = {v}\n" for k, v in kv).encode())
+
+
+# every example shares tmp_path and rewrites the files it reads there
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=COEFFICIENT_TEXT, body=st.binary(),
+       role=st.sampled_from(["a2", "a0", "f1", "f2x", "g1", "phi"]))
+@example(text="nodal:ab\0c", body=b"", role="a2")
+def test_any_coefficient_text_is_read_or_rejected(text, body, role, tmp_path,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    mesh = triangulate(make_domain("square"), 2)
+    (tmp_path / "ok.csv").write_text(NODAL_ROWS)
+    (tmp_path / "body.csv").write_bytes(body)
+    read_or_reject(parse_coefficient, text, mesh, role)
+
+
+@given(text=DOMAIN_TEXT)
+@example(text="annulus:1,inf,outer")
+@example(text="annulus:1e-200,2e-200,inner")
+def test_any_domain_text_is_read_or_rejected(text):
+    dom = read_or_reject(make_domain, text)
+    if dom is not None and dom.kind == "annulus":
+        r0, r1 = dom.params["r_inner"], dom.params["r_outer"]
+        assert 1e-50 <= r0 < r1 <= 1e50
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=CONFIG_BODY, command=st.sampled_from(sorted(cli.COMMANDS)))
+def test_any_config_file_is_read_or_rejected(body, command, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(body)
+    args = argparse.Namespace(command=command, config=str(path))
+    cfg = read_or_reject(cli.build_config, args)
+    assert cfg is None or isinstance(cfg, cli.RunConfig)
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from ventcelfem.femcore import (
     GAUSS3_W,
     GAUSS3_XI,
     CoefficientBounds,
+    InternalError,
     assemble_bilinear,
     assemble_load,
     build_space,
@@ -140,6 +141,13 @@ def test_ventcel_dofs_square():
     assert np.array_equal(nodes[~space.dirichlet_mask[nodes]], [1, 7])
     assert space.n_free == 3                  # chain interiors + one center
     assert space.n_nodes == 9
+
+
+def test_space_rejects_a_nan_triangle_area():
+    mesh = triangulate(square_domain(), 2)
+    mesh.nodes[4] = np.nan          # the centre node: its triangles have nan area
+    with pytest.raises(InternalError, match="nonpositive triangle areas"):
+        build_space(mesh)
 
 
 def test_dirichlet_samples_cover_walls():

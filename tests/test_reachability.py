@@ -28,6 +28,7 @@ ALLOWED = frozenset([
     ("geometry.py", "Curve.velocity"),
     ("geometry.py", "Curve.acceleration"),
     ("geometry.py", "Curve.token"),
+    ("fields.py", "Coefficient.eval_points"),
     ("fields.py", "Coefficient.tangential_deriv"),
 ])
 
