@@ -22,9 +22,9 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from . import verify
-from .domain import make_domain
+from .domain import InputError, make_domain
 from .fields import EXACT_SOLUTIONS, parse_coefficient
-from .femcore import InputError, InternalError, build_space, coefficient_bounds
+from .femcore import InternalError, build_space, coefficient_bounds
 from .mesh import (_write_text, mesh_quality, node_count, triangulate,
                    write_mesh)
 from .solver import (
@@ -196,8 +196,13 @@ def cmd_solve(cfg: RunConfig) -> int:
     system = solution.system
     rhs = solution.load.rhs_free
     v = solution.homogeneous[solution.space.free]
-    residual = float(np.linalg.norm(system.matrix.dot(v) - rhs)
-                     / (1.0 + np.linalg.norm(rhs)))
+    r = system.matrix.dot(v) - rhs
+    # ||r|| / (1 + ||rhs||) with r and rhs scaled down by a power of two,
+    # which rounds the same but keeps the squares in the norms finite
+    _, e = np.frexp(max(np.abs(r).max(initial=0.0),
+                        np.abs(rhs).max(initial=0.0)))
+    s = np.ldexp(1.0, -max(int(e), 0))
+    residual = float(np.linalg.norm(r * s) / (s + np.linalg.norm(rhs * s)))
     diag = uniqueness_diagnostic(system, seed=cfg.seed, lu=solution.factor)
     solution.factor = None    # free the LU fill before output and errors
     if diag.singular:
@@ -212,7 +217,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     lines = [
         f"nodes = {solution.space.n_nodes}",
         f"free_dofs = {solution.space.n_free}",
-        f"h = {mesh.h:.17g}",
+        f"h = {solution.space.h:.17g}",
         f"algebraic_residual = {residual:.17g}",
         f"rcond = {diag.rcond:.17g}",
         f"sigma_min = {diag.sigma_min:.17g}",
@@ -274,9 +279,9 @@ def cmd_info(cfg: RunConfig) -> int:
     space = build_space(mesh)
     a2 = parse_coefficient(cfg.a2, mesh, "a2")
     a0 = parse_coefficient(cfg.a0, mesh, "a0")
-    bounds = coefficient_bounds(space, a2, a0, check=False)
+    bounds = coefficient_bounds(space, a2, a0)
     print(config_echo(cfg))
-    print(f"# nodes = {space.n_nodes}, free = {space.n_free}, h = {mesh.h:.6g}")
+    print(f"# nodes = {space.n_nodes}, free = {space.n_free}, h = {space.h:.6g}")
     for key in BOUND_KEYS:
         print(f"# {key} = {getattr(bounds, key):.17g}")
     return 0

@@ -20,8 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .femcore import InputError
 from .geometry import CableArc, Circle, Segment
+
+
+class InputError(ValueError):
+    """The input breaks the problem's assumptions; the message names the key."""
+
 
 # radii an annulus mesh can hold (its areas and quality stay finite, > 0)
 R_MIN, R_MAX = 1e-50, 1e50

@@ -26,11 +26,14 @@ well-defined trace along the chain (smooth fields or nodal P1 data).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+
+from .domain import InputError
 
 # 3-point Gauss-Legendre on [0, 1]
 GAUSS3_XI = np.array([0.5 * (1.0 - np.sqrt(0.6)), 0.5, 0.5 * (1.0 + np.sqrt(0.6))])
@@ -47,21 +50,16 @@ _MID_BASIS = np.array([[0.5, 0.5, 0.0],
 # mcshane_lift: side of the sample cells in units of the mesh size h
 _LIFT_CELL = 2.0
 
-# Entries (256 KiB of float64) in each rows x width temporary of Mesh.h,
-# the lift and the Lipschitz estimate; a block holds max(1, BLOCK_FLOATS
-# // width) rows.  All three run on the solve's worker thread, whose
-# glibc arena keeps freed pages resident, so their temporaries must not
-# grow with the mesh.  Their max and per-node min do not depend on the
-# blocking.
+# Entries (256 KiB of float64) in each rows x width temporary of
+# mcshane_lift; a block holds max(1, BLOCK_FLOATS // width) rows.  The
+# lift runs on the solve's worker thread, whose glibc arena keeps freed
+# pages resident, so its temporaries must not grow with the mesh.  Its
+# max and per-node min do not depend on the blocking.
 BLOCK_FLOATS = 1 << 15
 
 
 class InternalError(RuntimeError):
     """An invariant of the program failed; no input can cause it."""
-
-
-class InputError(ValueError):
-    """The input breaks the problem's assumptions; the message names the key."""
 
 
 class VentcelChain:
@@ -135,7 +133,10 @@ class FeSpace:
             g[:, i, 0] = p[:, j, 1] - p[:, k, 1]
             g[:, i, 1] = p[:, k, 0] - p[:, j, 0]
         self.tri_grads = g / (2.0 * self.tri_area)[:, None, None]
-        self.tri_midpoints = 0.5 * (p + p[:, [1, 2, 0], :])
+        q = p[:, [1, 2, 0], :]
+        self.tri_midpoints = 0.5 * (p + q)
+        side = q - p                  # h, the mesh size: the longest side
+        self.h = float(np.hypot(side[..., 0], side[..., 1]).max())
 
     @property
     def n_nodes(self):
@@ -162,7 +163,13 @@ class CoefficientBounds:
 
     @property
     def sigma0(self) -> float:
-        return self.grad_bound**2 / (2.0 * self.lambda2) - self.lambda0
+        """M^2 / (2 lambda2) - lambda0; inf or nan where IEEE gives them."""
+        try:
+            square = self.grad_bound**2   # x**2 and x*x can round apart
+        except OverflowError:             # a float power raises past 1e308
+            square = math.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.divide(square, 2.0 * self.lambda2)) - self.lambda0
 
     def coercivity_constant(self) -> float:
         """Certified lower bound for the (shifted) form on the energy norm."""
@@ -180,46 +187,51 @@ def _chain_coefficients(space: FeSpace, a2, a0):
             ch.on_curves(a0.eval_curve))
 
 
-def _bounds(a2q, da2q, a0q, check) -> CoefficientBounds:
-    if check:
-        # min/max propagate NaN, so test finiteness first to name the key
-        for key, what, v in (("a2", "values", a2q),
-                             ("a2", "tangential derivatives", da2q),
-                             ("a0", "values", a0q)):
-            if not np.all(np.isfinite(v)):
-                raise InputError(
-                    f"{key}: {what} must be finite on the Ventcel "
-                    f"boundary (found nan or inf)")
-    bounds = CoefficientBounds(float(a2q.min()), float(a2q.max()),
-                               float(np.abs(da2q).max()),
-                               float(a0q.min()), float(a0q.max()))
-    if check and bounds.lambda2 <= 0:
+def _bounds(a2q, da2q, a0q) -> CoefficientBounds:
+    return CoefficientBounds(float(a2q.min()), float(a2q.max()),
+                             float(np.abs(da2q).max()),
+                             float(a0q.min()), float(a0q.max()))
+
+
+def _admissible_bounds(a2q, da2q, a0q) -> CoefficientBounds:
+    """The bounds; InputError unless a2, a0 are finite, a2 > 0, a0 >= 0."""
+    # min/max propagate NaN, so test finiteness first to name the key
+    for key, what, v in (("a2", "values", a2q),
+                         ("a2", "tangential derivatives", da2q),
+                         ("a0", "values", a0q)):
+        if not np.all(np.isfinite(v)):
+            raise InputError(
+                f"{key}: {what} must be finite on the Ventcel "
+                f"boundary (found nan or inf)")
+    bounds = _bounds(a2q, da2q, a0q)
+    if bounds.lambda2 <= 0:
         raise InputError(
             f"a2 must be strictly positive on the Ventcel boundary "
             f"(min {bounds.lambda2:g})")
-    if check and bounds.lambda0 < -1e-12:
+    if bounds.lambda0 < -1e-12:
         raise InputError(
             f"a0 must be nonnegative on the Ventcel boundary "
             f"(min {bounds.lambda0:g})")
     return bounds
 
 
-def coefficient_bounds(space: FeSpace, a2, a0, check=True) -> CoefficientBounds:
-    return _bounds(*_chain_coefficients(space, a2, a0), check)
+def coefficient_bounds(space: FeSpace, a2, a0) -> CoefficientBounds:
+    """Bounds of a2 and a0 as given, admissible or not."""
+    return _bounds(*_chain_coefficients(space, a2, a0))
 
 
-def dirichlet_boundary_samples(mesh):
+def _dirichlet_boundary_samples(space: FeSpace):
     """Points covering the Dirichlet boundary at spacing at most h/4.
 
     Returns (points, a, b, xi): point i lies at fraction xi[i] along the
     wall edge (a[i], b[i]).  Every Dirichlet node appears among the
     samples (edge endpoints are always included, at xi 0 and 1 exactly).
     """
-    h = mesh.h
+    mesh = space.mesh
     pts, fracs, counts = [np.zeros((0, 2))], [np.zeros(0)], []
     for pa, pb in mesh.nodes[mesh.walls]:
         ell = np.hypot(*(pb - pa))
-        m = max(1, int(np.ceil(ell / (0.25 * h))))
+        m = max(1, int(np.ceil(ell / (0.25 * space.h))))
         xi = np.linspace(0.0, 1.0, m + 1)
         pts.append(pa + xi[:, None] * (pb - pa))
         fracs.append(xi)
@@ -252,16 +264,15 @@ def _sample_cells(samples, values, side):
     return mx, my, mv, centre, radius, mv.min(axis=1)
 
 
-def mcshane_lift(space: FeSpace, phi, lipschitz_k: float,
-                 samples=None) -> np.ndarray:
-    """Lipschitz extension of the Dirichlet data to all nodes.
+def mcshane_lift(space: FeSpace, phi) -> np.ndarray:
+    """Lipschitz extension of the Dirichlet data phi to all nodes.
 
-    phi~(p) = min over boundary samples q of [phi(q) + K |p - q|];
-    with K at least the Lipschitz constant of the trace this matches
-    phi at every Dirichlet node (the nodes are among the samples) and
-    extends with the same constant.  Samples are spaced at most h/4
-    along each Dirichlet edge; ``samples`` passes in a
-    ``dirichlet_boundary_samples(space.mesh)`` result already built.
+    phi~(p) = min over boundary samples q of [phi(q) + K |p - q|].
+    Samples are spaced at most h/4 along each Dirichlet edge.  K is the
+    largest difference quotient of phi between a Dirichlet node and a
+    sample, times 1 + 1e-9, so phi~ matches phi at every Dirichlet node
+    (the nodes are among the samples) and extends with the same
+    constant.  Non-finite wall data raises InputError.
 
     The minimum is found by branch and bound over square cells of side
     ``_LIFT_CELL * h`` grouping the samples.  A cell with centre c,
@@ -275,38 +286,44 @@ def mcshane_lift(space: FeSpace, phi, lipschitz_k: float,
     minimum does not depend on the order it is taken in, so the result
     equals the full scan bit for bit (no candidate is -0.0, since
     K |p - q| >= +0).
-
-    Raises ValueError on non-finite wall data or a negative or
-    non-finite K.
     """
-    K = float(lipschitz_k)
-    if not (np.isfinite(K) and K >= 0.0):
-        raise ValueError(
-            f"lipschitz_k: must be finite and nonnegative, got {K!r}")
-    K += 0.0                      # a -0.0 would make K * d a -0.0
     mesh = space.mesh
-    if samples is None:
-        samples = dirichlet_boundary_samples(mesh)
-    pts, a, b, xi = samples
+    pts, a, b, xi = _dirichlet_boundary_samples(space)
     if len(pts) == 0:
         return np.zeros(space.n_nodes)
     values = np.atleast_1d(phi.eval_edges(mesh, a, b, xi, pts))
-    if not np.all(np.isfinite(values)):
-        raise ValueError("phi: wall data must be finite (found nan or inf)")
+    idx = np.flatnonzero(space.dirichlet_mask)
+    wall = mesh.nodes[idx]
+    wall_values = np.atleast_1d(phi.eval_edges(mesh, idx, idx, 0.0, wall))
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(wall_values))):
+        raise InputError("phi: wall data must be finite (found nan or inf)")
+
+    scale = mesh.scale()
+    K = 0.0
+    step = max(1, BLOCK_FLOATS // len(pts))
+    for lo in range(0, len(wall), step):
+        chunk = wall[lo:lo + step]
+        d = np.hypot(chunk[:, None, 0] - pts[None, :, 0],
+                     chunk[:, None, 1] - pts[None, :, 1])
+        q = np.abs(wall_values[lo:lo + step, None] - values[None, :])
+        q /= np.maximum(d, 1e-14 * scale)
+        q[d <= 1e-14 * scale] = 0.0
+        K = max(K, float(q.max()))
+        del d, q                  # free this block before building the next
+    K *= 1.0 + 1e-9
 
     mx, my, mv, centre, radius, vmin = _sample_cells(
-        pts, values, _LIFT_CELL * mesh.h)
-    tol = 1e-9 * (np.abs(values).max() + K * mesh.scale())
+        pts, values, _LIFT_CELL * space.h)
+    tol = 1e-9 * (np.abs(values).max() + K * scale)
 
-    nodes = mesh.nodes
-    out = np.empty(len(nodes))
+    out = np.empty(space.n_nodes)
     # a block's (rows, cells) and (rows, members) arrays, and the
     # (pairs, members) arrays of its kept (node, cell) pairs, each hold
     # at most BLOCK_FLOATS entries
     step = max(1, BLOCK_FLOATS // max(mx.shape))
     pair_step = max(1, BLOCK_FLOATS // mx.shape[1])
-    for lo in range(0, len(nodes), step):
-        p = nodes[lo:lo + step]
+    for lo in range(0, space.n_nodes, step):
+        p = mesh.nodes[lo:lo + step]
         rows = np.arange(len(p))
         # lb only needs to be accurate to well within tol
         d = np.sqrt((p[:, :1] - centre[:, 0])**2 + (p[:, 1:] - centre[:, 1])**2)
@@ -359,10 +376,10 @@ class FeSystem:
         return (self.K_int + self.S_b)[free][:, free].tocsr()
 
 
-def assemble_bilinear(space: FeSpace, a2, a0, check=True) -> FeSystem:
+def assemble_bilinear(space: FeSpace, a2, a0) -> FeSystem:
     """Assemble the full bilinear form; rows test, columns trial."""
     a2q, da2q, a0q = _chain_coefficients(space, a2, a0)
-    bounds = _bounds(a2q, da2q, a0q, check)
+    bounds = _admissible_bounds(a2q, da2q, a0q)
     n = space.n_nodes
     tris = space.mesh.triangles
     area = space.tri_area

@@ -24,7 +24,8 @@ import math
 
 import numpy as np
 
-from .femcore import InputError, InternalError, VentcelChain
+from .domain import InputError
+from .femcore import InternalError, VentcelChain
 
 
 # ----------------------------------------------------------------------

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .femcore import BLOCK_FLOATS
+from .domain import InputError
 
 
 @dataclass(eq=False)
@@ -41,19 +40,6 @@ class Mesh:
     triangles: np.ndarray         # (M, 3) int, counterclockwise
     walls: np.ndarray             # (D, 2) int, Dirichlet edges
     chains: list                  # (curve, node path, parameter path)
-
-    @cached_property
-    def h(self) -> float:
-        """Longest triangle side; computed once (meshes are never mutated).
-
-        One side of a block of triangles at a time, with BLOCK_FLOATS
-        entries per temporary.
-        """
-        t, x = self.triangles, self.nodes
-        step = BLOCK_FLOATS // 2
-        return max(float(np.hypot(*(x[t[lo:lo + step, i]]
-                                    - x[t[lo:lo + step, i - 1]]).T).max())
-                   for lo in range(0, len(t), step) for i in range(3))
 
     def signed_areas(self):
         p = self.nodes[self.triangles]
@@ -149,8 +135,13 @@ def _mesh_annulus(spec, n):
     chain, wall = ring, n * ntheta + ring          # Ventcel on the inner ring
     if spec.params["ventcel_on"] == "outer":
         chain, wall = wall, chain
-    return Mesh(nodes, tris, _path_edges(wall),
+    mesh = Mesh(nodes, tris, _path_edges(wall),
                 [(curve, chain, np.append(theta, curve.t1))])
+    # rounding can flatten the triangles of a ring thin against its radius
+    if not np.all(mesh.signed_areas() > 0):
+        raise InputError(f"domain: annulus {r0!r}, {r1!r} is too thin to "
+                         f"mesh at n = {n}")
+    return mesh
 
 
 def _cable_column_params(curve, n):

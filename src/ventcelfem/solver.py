@@ -28,9 +28,8 @@ from scipy.linalg import eigvalsh_tridiagonal
 from .domain import DomainSpec
 from .fields import (EXACT_SOLUTIONS, BoundaryFunction, Coefficient,
                      FieldCoefficient)
-from .femcore import (BLOCK_FLOATS, GAUSS3_XI, FeSystem, InputError,
-                      LoadData, assemble_bilinear, assemble_load, build_space,
-                      dirichlet_boundary_samples, mcshane_lift)
+from .femcore import (GAUSS3_XI, FeSystem, LoadData, assemble_bilinear,
+                      assemble_load, build_space, mcshane_lift)
 from .geometry import frame_derivatives
 from .mesh import Mesh, _write_text, triangulate
 
@@ -112,43 +111,6 @@ class Solution:
     factor: object | None = None  # SuperLU of system.matrix, if kept
 
 
-def estimate_trace_lipschitz(space, phi, samples=None) -> float:
-    """Smallest K making the node-exactness of the lifting certain.
-
-    Computes the max difference quotient of phi between Dirichlet nodes
-    and a dense sample of the Dirichlet boundary (the same density the
-    lifting uses), with a small safety factor.  ``samples`` passes in a
-    ``dirichlet_boundary_samples(space.mesh)`` result already built.
-    Raises InputError on non-finite wall data.
-    """
-    mesh = space.mesh
-    if samples is None:
-        samples = dirichlet_boundary_samples(mesh)
-    pts, a, b, xi = samples
-    if len(pts) == 0:
-        return 0.0
-    svals = np.atleast_1d(phi.eval_edges(mesh, a, b, xi, pts))
-    idx = np.flatnonzero(space.dirichlet_mask)
-    nodes = mesh.nodes[idx]
-    nvals = np.atleast_1d(phi.eval_edges(mesh, idx, idx, 0.0, nodes))
-    if not (np.all(np.isfinite(svals)) and np.all(np.isfinite(nvals))):
-        raise InputError("phi: wall data must be finite (found nan or inf)")
-    scale = mesh.scale()
-    best = 0.0
-    step = max(1, BLOCK_FLOATS // len(pts))
-    for lo in range(0, len(nodes), step):
-        chunk = nodes[lo:lo + step]
-        cv = nvals[lo:lo + step]
-        d = np.hypot(chunk[:, None, 0] - pts[None, :, 0],
-                     chunk[:, None, 1] - pts[None, :, 1])
-        q = np.abs(cv[:, None] - svals[None, :])
-        q /= np.maximum(d, 1e-14 * scale)
-        q[d <= 1e-14 * scale] = 0.0
-        best = max(best, float(q.max()))
-        del d, q                  # free this block before building the next
-    return best * (1.0 + 1e-9)
-
-
 def factorize(matrix):
     """SuperLU factor of ``matrix`` with scipy's default options.
 
@@ -200,12 +162,8 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     system = assemble_bilinear(space, problem.a2, problem.a0)
 
     def lift_and_load():
-        if problem.phi is not None:
-            samples = dirichlet_boundary_samples(mesh)
-            k = estimate_trace_lipschitz(space, problem.phi, samples)
-            lift = mcshane_lift(space, problem.phi, k, samples)
-        else:
-            lift = np.zeros(space.n_nodes)
+        phi = problem.phi
+        lift = None if phi is None else mcshane_lift(space, phi)
         return assemble_load(system, f1=problem.f1, f2=problem.f2,
                              g1=problem.g1, g2=problem.g2, lift=lift)
 
@@ -213,8 +171,8 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     # run meanwhile; the factor stays on this thread, where its fill
     # reuses the main heap.  The worker allocates from its own glibc
     # arena, which keeps freed pages resident and which this thread does
-    # not reuse, so every worker temporary is kept small (BLOCK_FLOATS
-    # blocks).  Leaving the block joins the worker.
+    # not reuse, so the lift keeps every temporary to one fixed block
+    # (femcore's block budget).  Leaving the block joins the worker.
     with ThreadPoolExecutor(1) as pool:
         pending = pool.submit(lift_and_load)
         try:

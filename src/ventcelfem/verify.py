@@ -638,7 +638,7 @@ def manufactured_convergence(problem, n0=8, levels=4) -> ConvergenceReport:
         n = n0 * 2**k
         sol = solve_ventcel(problem, n=n)
         e2, ev, et = solution_errors(sol, problem.exact)
-        rows.append((n, sol.space.mesh.h, e2, ev, et))
+        rows.append((n, sol.space.h, e2, ev, et))
     return ConvergenceReport(rows)
 
 

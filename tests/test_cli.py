@@ -96,11 +96,33 @@ def test_output_dir_precedence(tmp_path, monkeypatch, capsys):
     ["convergence", "--domain", "annulus:1,inf,outer", "--n", "4",
      "--levels", "3"],
     ["solve", "--domain", "annulus:1e-200,2e-200,inner", "--n", "4"],
+    # too thin to mesh: its node rings coincide after rounding
+    *([command, "--domain", "annulus:1,1.0000000000000002,outer", "--n", "4"]
+      for command in ("info", "solve", "mesh", "convergence")),
 ])
 def test_bad_configuration_exits_2(argv, capsys, tmp_path):
     assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
+
+
+def test_huge_a2_slope_gives_an_infinite_shift(tmp_path, capsys):
+    # grad_bound**2 is past the double range
+    config = ["--domain", "square", "--n", "4", "--a2", "poly:1e160,1e160"]
+    assert cli.main(["info", *config]) == 0
+    assert "# sigma0 = inf\n" in capsys.readouterr().out
+    assert cli.main(["solve", *config, "--output-dir", str(tmp_path)]) == 3
+    assert "singular" in capsys.readouterr().err
+
+
+def test_huge_wall_data_gives_a_finite_residual(tmp_path, capsys):
+    # the squares in the residual's norms are past the double range
+    assert cli.main(["solve", "--domain", "square", "--n", "4", "--phi",
+                     "const:1e300", "--output-dir", str(tmp_path)]) == 0
+    residual = read_diagnostics(tmp_path / "diagnostics.txt")[
+        "algebraic_residual"]
+    assert 0.0 <= residual < 1e-14
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -458,6 +480,50 @@ def test_any_config_file_is_read_or_rejected(body, command, tmp_path):
     args = argparse.Namespace(command=command, config=str(path))
     cfg = read_or_reject(cli.build_config, args)
     assert cfg is None or isinstance(cfg, cli.RunConfig)
+
+
+# any coefficient text on info and solve: a result or a documented exit
+NUMBER_TEXT = (st.floats(-1e200, 1e200).map(repr)
+               | st.sampled_from(["nan", "inf", "-inf", "1e200", "-1e200",
+                                  "x", ""]))
+KEY_TEXT = (prefixed(["const:"], NUMBER_TEXT)
+            | st.lists(NUMBER_TEXT, min_size=1, max_size=7).map(
+                lambda c: "poly:" + ",".join(c))
+            | st.sampled_from(["inv_curvature", "nodal:missing.csv", "junk",
+                               *sorted(EXACT_SOLUTIONS)]))
+DATA_KEYS = ("a2", "a0", "f1", "f2x", "f2y", "g1", "g2", "phi")
+
+
+@settings(max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["info", "solve"]),
+       domain=st.sampled_from(["cable", "square", "annulus"]),
+       n=st.integers(2, 4), data=st.dictionaries(st.sampled_from(DATA_KEYS),
+                                                 KEY_TEXT))
+@example(command="info", domain="square", n=4,
+         data={"a2": "poly:1e160,1e160"})
+@example(command="solve", domain="square", n=4, data={"phi": "const:1e200"})
+def test_any_coefficient_text_runs_or_exits_as_documented(
+        command, domain, n, data, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    (out / "diagnostics.txt").unlink(missing_ok=True)
+    argv = [command, "--domain", domain, "--n", str(n), "--output-dir",
+            str(out)]
+    for key, text in data.items():
+        argv += [f"--{key}", text]
+    # numpy warns on overflow and on inf * 0 while it evaluates huge or
+    # infinite data; a warning is not an exit, and this property checks
+    # exits only
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = cli.main(argv)
+    capsys.readouterr()
+    assert rc in ((0, 2) if command == "info" else (0, 2, 3))
+    if command == "solve" and rc == 0:
+        residual = read_diagnostics(out / "diagnostics.txt")[
+            "algebraic_residual"]
+        assert np.isfinite(residual)
 
 
 # ----------------------------------------------------------------------

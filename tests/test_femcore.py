@@ -7,8 +7,9 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ventcelfem import femcore, solver
-from ventcelfem.domain import annulus_domain, cable_domain, square_domain
+from ventcelfem import femcore
+from ventcelfem.domain import (InputError, annulus_domain, cable_domain,
+                               square_domain)
 from ventcelfem.fields import (
     EXACT_SOLUTIONS,
     ConstantCoefficient,
@@ -27,12 +28,10 @@ from ventcelfem.femcore import (
     assemble_load,
     build_space,
     coefficient_bounds,
-    dirichlet_boundary_samples,
     mcshane_lift,
 )
 from ventcelfem.geometry import CableArc, Segment
 from ventcelfem.mesh import Mesh, triangulate
-from ventcelfem.solver import estimate_trace_lipschitz
 
 AFFINE = FieldCoefficient(QuadraticField(0.0, 1.0, 1.0))
 
@@ -114,13 +113,25 @@ def test_bounds_inverse_curvature_on_cable():
 
 def test_bounds_reject_bad_signs():
     space = build_space(one_triangle_mesh())
-    with pytest.raises(ValueError):
-        coefficient_bounds(space, ConstantCoefficient(-1.0), ZERO)
-    with pytest.raises(ValueError):
-        coefficient_bounds(space, ConstantCoefficient(1.0),
-                           ConstantCoefficient(-1.0))
-    b = coefficient_bounds(space, ConstantCoefficient(-1.0), ZERO, check=False)
+    with pytest.raises(InputError, match="^a2 must be strictly positive"):
+        assemble_bilinear(space, ConstantCoefficient(-1.0), ZERO)
+    with pytest.raises(InputError, match="^a0 must be nonnegative"):
+        assemble_bilinear(space, ConstantCoefficient(1.0),
+                          ConstantCoefficient(-1.0))
+    b = coefficient_bounds(space, ConstantCoefficient(-1.0), ZERO)
     assert b.lambda2 == -1.0
+
+
+@pytest.mark.parametrize("bounds, want", [
+    ((1.0, 1.0, 1e160, 0.0, 0.0), np.inf),     # the square overflows
+    ((0.0, 1.0, 0.0, 0.0, 0.0), np.nan),       # 0 / 0
+    ((0.0, 1.0, 1.0, 0.0, 0.0), np.inf),       # 1 / 0
+    ((-0.5, 1.0, 1.0, 0.5, 0.5), -1.5),
+])
+def test_sigma0_of_any_bounds_is_a_float(bounds, want):
+    # info prints the bounds of coefficients no check has admitted
+    got = CoefficientBounds(*bounds).sigma0
+    assert got == want or (np.isnan(want) and np.isnan(got))
 
 
 def test_coercivity_constant_cases():
@@ -152,7 +163,7 @@ def test_space_rejects_a_nan_triangle_area():
 
 def test_dirichlet_samples_cover_walls():
     mesh = triangulate(square_domain(), 4)
-    pts, a, b, xi = dirichlet_boundary_samples(mesh)
+    pts, a, b, xi = femcore._dirichlet_boundary_samples(build_space(mesh))
     assert len(pts) >= 2 * 4 * 4            # two walls, >= 4 per edge
     assert np.all((np.abs(pts[:, 0]) < 1e-14) | (np.abs(pts[:, 0] - 1) < 1e-14))
     # each sample sits at its reported fraction of its reported wall edge
@@ -165,8 +176,8 @@ def test_dirichlet_samples_cover_walls():
 
 def test_mcshane_lift_node_exact_and_lipschitz():
     space = build_space(triangulate(square_domain(), 4))
-    K = estimate_trace_lipschitz(space, AFFINE)
-    lift = mcshane_lift(space, AFFINE, K)
+    K = one_block_lipschitz(space, AFFINE)
+    lift = mcshane_lift(space, AFFINE)
     nodes = space.mesh.nodes
     want = AFFINE.eval_points(nodes)
     mask = space.dirichlet_mask
@@ -181,15 +192,29 @@ def test_mcshane_lift_node_exact_and_lipschitz():
 
 def test_mcshane_lift_zero_data():
     space = build_space(triangulate(square_domain(), 4))
-    K = estimate_trace_lipschitz(space, ZERO)
-    assert K == 0.0
-    lift = mcshane_lift(space, ZERO, K)
+    lift = mcshane_lift(space, ZERO)
     assert np.abs(lift).max() == 0.0
+
+
+def one_block_lipschitz(space, phi):
+    """Reference K: every Dirichlet node against every wall sample at once."""
+    mesh = space.mesh
+    samples = femcore._dirichlet_boundary_samples(space)[0]
+    if len(samples) == 0:
+        return 0.0
+    nodes = mesh.nodes[space.dirichlet_mask]
+    d = np.hypot(nodes[:, None, 0] - samples[None, :, 0],
+                 nodes[:, None, 1] - samples[None, :, 1])
+    floor = 1e-14 * mesh.scale()
+    q = (np.abs(phi.eval_points(nodes)[:, None] - phi.eval_points(samples))
+         / np.maximum(d, floor))
+    q[d <= floor] = 0.0
+    return float(q.max()) * (1.0 + 1e-9)
 
 
 def brute_force_lift(space, phi, K):
     """Reference McShane lift: every node against every wall sample."""
-    samples = dirichlet_boundary_samples(space.mesh)[0]
+    samples = femcore._dirichlet_boundary_samples(space)[0]
     if len(samples) == 0:
         return np.zeros(space.n_nodes)
     values = np.atleast_1d(phi.eval_points(samples))
@@ -211,7 +236,8 @@ LIFT_PHIS = st.one_of(
     st.sampled_from(sorted(EXACT_SOLUTIONS)).map(
         lambda name: FieldCoefficient(EXACT_SOLUTIONS[name])),
     st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6).map(
-        lambda c: FieldCoefficient(QuadraticField(*c))))
+        lambda c: FieldCoefficient(QuadraticField(*c))),
+    st.floats(-5.0, 5.0).map(ConstantCoefficient))       # K = 0
 
 
 # BLOCK_FLOATS values: one row per block, a few rows, and the real one
@@ -220,63 +246,32 @@ BUDGETS = st.sampled_from([1, 1000, femcore.BLOCK_FLOATS])
 
 @pytest.mark.parametrize("domain", sorted(LIFT_DOMAINS))
 @settings(max_examples=30, derandomize=True, deadline=None)
-@given(n=st.integers(2, 24), phi=LIFT_PHIS,
-       k_scale=st.sampled_from([1.0, 10.0, 0.0]), budget=BUDGETS)
-def test_mcshane_lift_matches_full_scan_bitwise(domain, n, phi, k_scale,
-                                                budget):
-    space = build_space(triangulate(LIFT_DOMAINS[domain](), n))
-    with np.errstate(divide="ignore"):       # log_radial at the origin
-        walls = phi.eval_points(dirichlet_boundary_samples(space.mesh)[0])
-        if not np.all(np.isfinite(walls)):
-            with pytest.raises(ValueError, match="phi"):
-                mcshane_lift(space, phi, 1.0)
-            return
-    K = k_scale * estimate_trace_lipschitz(space, phi)
-    with mock.patch.object(femcore, "BLOCK_FLOATS", budget):
-        got = mcshane_lift(space, phi, K)
-    want = brute_force_lift(space, phi, K)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def one_block_lipschitz(space, phi):
-    """Reference K: every Dirichlet node against every wall sample at once."""
-    mesh = space.mesh
-    samples = dirichlet_boundary_samples(mesh)[0]
-    if len(samples) == 0:
-        return 0.0
-    nodes = mesh.nodes[space.dirichlet_mask]
-    d = np.hypot(nodes[:, None, 0] - samples[None, :, 0],
-                 nodes[:, None, 1] - samples[None, :, 1])
-    floor = 1e-14 * mesh.scale()
-    q = (np.abs(phi.eval_points(nodes)[:, None] - phi.eval_points(samples))
-         / np.maximum(d, floor))
-    q[d <= floor] = 0.0
-    return float(q.max()) * (1.0 + 1e-9)
-
-
-@pytest.mark.parametrize("domain", sorted(LIFT_DOMAINS))
-@settings(max_examples=30, derandomize=True, deadline=None)
 @given(n=st.integers(2, 24), phi=LIFT_PHIS, budget=BUDGETS)
-def test_trace_lipschitz_matches_one_block_bitwise(domain, n, phi, budget):
+def test_mcshane_lift_matches_full_scan_bitwise(domain, n, phi, budget):
+    # one property pins both K and the extension bit for bit
     space = build_space(triangulate(LIFT_DOMAINS[domain](), n))
     with np.errstate(divide="ignore"):       # log_radial at the origin
-        walls = phi.eval_points(dirichlet_boundary_samples(space.mesh)[0])
-    assume(np.all(np.isfinite(walls)))
-    with mock.patch.object(solver, "BLOCK_FLOATS", budget):
-        got = estimate_trace_lipschitz(space, phi)
-    assert got == one_block_lipschitz(space, phi)
+        walls = phi.eval_points(femcore._dirichlet_boundary_samples(space)[0])
+        if not np.all(np.isfinite(walls)):
+            with pytest.raises(InputError, match="^phi"):
+                mcshane_lift(space, phi)
+            return
+    with mock.patch.object(femcore, "BLOCK_FLOATS", budget):
+        got = mcshane_lift(space, phi)
+    want = brute_force_lift(space, phi, one_block_lipschitz(space, phi))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("n", [64, 128])
 def test_lift_temporaries_do_not_grow_with_the_mesh(n):
-    # Mesh.h (first read here), the Lipschitz constant and the lift run
-    # on the solve's worker thread, whose allocator arena keeps freed
-    # pages resident; numpy reports its buffers to tracemalloc
+    # the lift, its Lipschitz constant included, runs on the solve's
+    # worker thread, whose allocator arena keeps freed pages resident;
+    # numpy reports its buffers to tracemalloc
     space = build_space(triangulate(cable_domain(), n))
     phi = FieldCoefficient(EXACT_SOLUTIONS["harmonic_cubic"])
     tracemalloc.start()
     try:
-        mcshane_lift(space, phi, estimate_trace_lipschitz(space, phi))
+        mcshane_lift(space, phi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -285,14 +280,9 @@ def test_lift_temporaries_do_not_grow_with_the_mesh(n):
 
 def test_mcshane_lift_rejects_bad_inputs():
     space = build_space(triangulate(square_domain(), 4))
-    for K in (-1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="lipschitz_k"):
-            mcshane_lift(space, AFFINE, K)
-    for v in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="phi"):
-            mcshane_lift(space, ConstantCoefficient(v), 1.0)
-        with pytest.raises(ValueError, match="phi"):
-            estimate_trace_lipschitz(space, ConstantCoefficient(v))
+    for v in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="^phi: wall data must be finite"):
+            mcshane_lift(space, ConstantCoefficient(v))
 
 
 def test_bounds_reject_non_finite_coefficients():
@@ -300,18 +290,18 @@ def test_bounds_reject_non_finite_coefficients():
     one = ConstantCoefficient(1.0)
     for v in (np.nan, np.inf, -np.inf):
         bad = ConstantCoefficient(v)
-        with pytest.raises(ValueError, match="^a2: values"):
-            coefficient_bounds(space, bad, ZERO)
-        with pytest.raises(ValueError, match="^a0: values"):
-            coefficient_bounds(space, one, bad)
-        coefficient_bounds(space, bad, bad, check=False)
+        with pytest.raises(InputError, match="^a2: values"):
+            assemble_bilinear(space, bad, ZERO)
+        with pytest.raises(InputError, match="^a0: values"):
+            assemble_bilinear(space, one, bad)
+        coefficient_bounds(space, bad, bad)
 
     class NanSlope(ConstantCoefficient):
         def tangential_deriv(self, curve, t):
             return np.full(np.shape(t), np.nan)
 
-    with pytest.raises(ValueError, match="^a2: tangential derivatives"):
-        coefficient_bounds(space, NanSlope(1.0), ZERO)
+    with pytest.raises(InputError, match="^a2: tangential derivatives"):
+        assemble_bilinear(space, NanSlope(1.0), ZERO)
 
 
 def test_load_pieces_on_reference_triangle():
@@ -433,8 +423,13 @@ CHAIN_DOMAINS = {"cable": cable_domain, "square": square_domain,
                  "annulus_inner": lambda: annulus_domain(ventcel_on="inner")}
 POLY = st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6).map(
     lambda c: ("poly", c))
+# |x|, |y| <= 2 on every domain, so c0 >= 33 keeps a quadratic with the
+# other coefficients in [-2, 2] positive: admissible as a2 and as a0
+POSITIVE_POLY = st.tuples(st.floats(33.0, 40.0), st.lists(
+    st.floats(-2.0, 2.0), min_size=5, max_size=5)).map(
+    lambda c: ("poly", [c[0], *c[1]]))
 CHAIN_COEFFICIENTS = st.one_of(
-    st.floats(0.1, 5.0).map(lambda v: ("const", v)), POLY,
+    st.floats(0.1, 5.0).map(lambda v: ("const", v)), POSITIVE_POLY,
     st.integers(0, 2**16).map(lambda seed: ("nodal", seed)),
     st.just(("inv_curvature", None)))
 
@@ -460,7 +455,7 @@ def test_chain_assembly_matches_per_edge_loop_bitwise(domain, n, a2, a0,
     mesh = triangulate(CHAIN_DOMAINS[domain](), n)
     space = build_space(mesh)
     a2, a0, g1, g2 = (make_coefficient(*c, mesh) for c in (a2, a0, g1, g2))
-    system = assemble_bilinear(space, a2, a0, check=False)
+    system = assemble_bilinear(space, a2, a0)
     load = assemble_load(system, g1=g1, g2=g2)
 
     blocks, want_load = per_edge_chain(space, a2, a0, g1, g2)

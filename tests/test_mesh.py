@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ventcelfem.domain import annulus_domain, cable_domain, make_domain, square_domain
+from ventcelfem.domain import (InputError, annulus_domain, cable_domain,
+                               make_domain, square_domain)
 from ventcelfem.mesh import (_path_edges, mesh_quality, node_count,
                             triangulate, write_mesh)
 
@@ -108,6 +109,19 @@ def test_annulus_counts_and_area():
         if prev is not None:
             assert gap < 0.3 * prev
         prev = gap
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_annulus_thinner_than_rounding_is_an_input_error(n):
+    # the two radii are adjacent doubles, so the rings' triangles are flat
+    dom = annulus_domain(1.0, 1.0000000000000002, "inner")
+    with pytest.raises(InputError, match=f"too thin to mesh at n = {n}$"):
+        triangulate(dom, n)
+
+
+def test_thin_annulus_meshes_while_its_areas_stay_positive():
+    mesh = triangulate(annulus_domain(1.0, 1.0 + 1e-12), 16)
+    assert np.all(mesh.signed_areas() > 0)
 
 
 def test_cable_top_row_on_curve():

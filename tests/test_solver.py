@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ventcelfem import cli, femcore, solver
+from ventcelfem import cli, femcore
 from ventcelfem.domain import annulus_domain, cable_domain, square_domain
 from ventcelfem.femcore import assemble_bilinear, build_space
 from ventcelfem.fields import (ConstantCoefficient, FieldCoefficient,
@@ -18,7 +18,6 @@ from ventcelfem.mesh import triangulate
 from ventcelfem.solver import (
     SingularSystemError,
     VentcelProblem,
-    estimate_trace_lipschitz,
     factorize,
     manufactured_problem,
     solve_linear,
@@ -97,9 +96,7 @@ def _serial_solve(problem, mesh):
     """values, homogeneous and rhs_free from the solve's stages in turn."""
     space = build_space(mesh)
     system = assemble_bilinear(space, problem.a2, problem.a0)
-    samples = femcore.dirichlet_boundary_samples(mesh)
-    k = estimate_trace_lipschitz(space, problem.phi, samples)
-    lift = femcore.mcshane_lift(space, problem.phi, k, samples)
+    lift = femcore.mcshane_lift(space, problem.phi)
     load = femcore.assemble_load(system, f1=problem.f1, f2=problem.f2,
                                  g1=problem.g1, g2=problem.g2, lift=lift)
     v = solve_linear(factorize(system.matrix), load.rhs_free)
@@ -117,20 +114,16 @@ DOMAIN_EXACT = {"square": (square_domain, "affine"),
 
 @settings(max_examples=20)
 @given(kind=st.sampled_from(sorted(DOMAIN_EXACT)), n=st.integers(2, 10),
-       k_scale=st.floats(1.0, 10.0), amp=st.floats(0.0, 10.0),
-       seed=st.integers(0, 2**16))
-def test_solution_independent_of_lifting_constant(kind, n, k_scale, amp,
-                                                  seed):
+       amp=st.floats(0.0, 10.0), seed=st.integers(0, 2**16))
+def test_solution_independent_of_lifting_constant(kind, n, amp, seed):
     # the reduced solve absorbs the free-node part of any wall-exact lift:
-    # a larger Lipschitz constant plus random free-node values changes
-    # nothing but rounding
+    # random free-node values added to the lift change nothing but
+    # rounding
     make, exact = DOMAIN_EXACT[kind]
     prob = manufactured_problem(make(), exact, A2_ONE, ZERO)
     sol = solve_ventcel(prob, n=n)
     space, system = sol.space, sol.system
-    samples = femcore.dirichlet_boundary_samples(space.mesh)
-    k = estimate_trace_lipschitz(space, prob.phi, samples)
-    lift = femcore.mcshane_lift(space, prob.phi, k_scale * k, samples)
+    lift = femcore.mcshane_lift(space, prob.phi)
     rng = np.random.default_rng(seed)
     lift[space.free] += amp * rng.uniform(-1.0, 1.0, space.n_free)
     load = femcore.assemble_load(system, f1=prob.f1, f2=prob.f2, g1=prob.g1,
@@ -252,14 +245,13 @@ def test_uniqueness_sigma_min_converges_with_varying_a2_on_the_annulus():
 
 def test_solve_builds_wall_samples_once(monkeypatch):
     calls = []
-    build = femcore.dirichlet_boundary_samples
+    build = femcore._dirichlet_boundary_samples
 
-    def counting(mesh):
-        calls.append(mesh)
-        return build(mesh)
+    def counting(space):
+        calls.append(space)
+        return build(space)
 
-    for module in (femcore, solver):
-        monkeypatch.setattr(module, "dirichlet_boundary_samples", counting)
+    monkeypatch.setattr(femcore, "_dirichlet_boundary_samples", counting)
     sol = solve_ventcel(cable_problem(), n=8)
     assert len(calls) == 1
     monkeypatch.undo()
