@@ -264,6 +264,24 @@ def _sample_cells(samples, values, side):
     return mx, my, mv, centre, radius, mv.min(axis=1)
 
 
+def _trace_lipschitz(wall, wall_values, pts, values, scale):
+    """Largest |phi(p) - phi(q)| / |p - q| over wall nodes p and samples
+    q, times 1 + 1e-9, in blocks of at most BLOCK_FLOATS pairs.  Pairs
+    closer than 1e-14 * scale count as 0."""
+    K = 0.0
+    step = max(1, BLOCK_FLOATS // len(pts))
+    for lo in range(0, len(wall), step):
+        chunk = wall[lo:lo + step]
+        d = np.hypot(chunk[:, None, 0] - pts[None, :, 0],
+                     chunk[:, None, 1] - pts[None, :, 1])
+        q = np.abs(wall_values[lo:lo + step, None] - values[None, :])
+        q /= np.maximum(d, 1e-14 * scale)
+        q[d <= 1e-14 * scale] = 0.0
+        K = max(K, float(q.max()))
+        del d, q                  # free this block before building the next
+    return K * (1.0 + 1e-9)
+
+
 def mcshane_lift(space: FeSpace, phi) -> np.ndarray:
     """Lipschitz extension of the Dirichlet data phi to all nodes.
 
@@ -299,19 +317,7 @@ def mcshane_lift(space: FeSpace, phi) -> np.ndarray:
         raise InputError("phi: wall data must be finite (found nan or inf)")
 
     scale = mesh.scale()
-    K = 0.0
-    step = max(1, BLOCK_FLOATS // len(pts))
-    for lo in range(0, len(wall), step):
-        chunk = wall[lo:lo + step]
-        d = np.hypot(chunk[:, None, 0] - pts[None, :, 0],
-                     chunk[:, None, 1] - pts[None, :, 1])
-        q = np.abs(wall_values[lo:lo + step, None] - values[None, :])
-        q /= np.maximum(d, 1e-14 * scale)
-        q[d <= 1e-14 * scale] = 0.0
-        K = max(K, float(q.max()))
-        del d, q                  # free this block before building the next
-    K *= 1.0 + 1e-9
-
+    K = _trace_lipschitz(wall, wall_values, pts, values, scale)
     mx, my, mv, centre, radius, vmin = _sample_cells(
         pts, values, _LIFT_CELL * space.h)
     tol = 1e-9 * (np.abs(values).max() + K * scale)

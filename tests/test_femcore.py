@@ -262,6 +262,26 @@ def test_mcshane_lift_matches_full_scan_bitwise(domain, n, phi, budget):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("domain", sorted(LIFT_DOMAINS))
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.integers(2, 24), phi=LIFT_PHIS, budget=BUDGETS)
+def test_trace_lipschitz_matches_one_block_bitwise(domain, n, phi, budget):
+    # K as mcshane_lift computes it, wall data read the same way
+    space = build_space(triangulate(LIFT_DOMAINS[domain](), n))
+    mesh = space.mesh
+    pts, a, b, xi = femcore._dirichlet_boundary_samples(space)
+    idx = np.flatnonzero(space.dirichlet_mask)
+    wall = mesh.nodes[idx]
+    with np.errstate(divide="ignore"):       # log_radial at the origin
+        values = np.atleast_1d(phi.eval_edges(mesh, a, b, xi, pts))
+        wall_values = np.atleast_1d(phi.eval_edges(mesh, idx, idx, 0.0, wall))
+    assume(np.all(np.isfinite(values)) and np.all(np.isfinite(wall_values)))
+    with mock.patch.object(femcore, "BLOCK_FLOATS", budget):
+        got = femcore._trace_lipschitz(wall, wall_values, pts, values,
+                                       mesh.scale())
+    assert got == one_block_lipschitz(space, phi)
+
+
 @pytest.mark.parametrize("n", [64, 128])
 def test_lift_temporaries_do_not_grow_with_the_mesh(n):
     # the lift, its Lipschitz constant included, runs on the solve's
