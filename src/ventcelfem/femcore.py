@@ -183,8 +183,10 @@ def _chain_coefficients(space: FeSpace, a2, a0):
     ch = space.ventcel_edges
     if not len(ch):
         raise ValueError("space has no Ventcel edges")
-    return (ch.on_curves(a2.eval_curve), ch.on_curves(a2.tangential_deriv),
-            ch.on_curves(a0.eval_curve))
+    # huge data gives inf or nan here, which the callers report
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (ch.on_curves(a2.eval_curve), ch.on_curves(a2.tangential_deriv),
+                ch.on_curves(a0.eval_curve))
 
 
 def _bounds(a2q, da2q, a0q) -> CoefficientBounds:
@@ -309,10 +311,11 @@ def mcshane_lift(space: FeSpace, phi) -> np.ndarray:
     pts, a, b, xi = _dirichlet_boundary_samples(space)
     if len(pts) == 0:
         return np.zeros(space.n_nodes)
-    values = np.atleast_1d(phi.eval_edges(mesh, a, b, xi, pts))
     idx = np.flatnonzero(space.dirichlet_mask)
     wall = mesh.nodes[idx]
-    wall_values = np.atleast_1d(phi.eval_edges(mesh, idx, idx, 0.0, wall))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.atleast_1d(phi.eval_edges(mesh, a, b, xi, pts))
+        wall_values = np.atleast_1d(phi.eval_edges(mesh, idx, idx, 0.0, wall))
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(wall_values))):
         raise InputError("phi: wall data must be finite (found nan or inf)")
 
@@ -355,26 +358,21 @@ def mcshane_lift(space: FeSpace, phi) -> np.ndarray:
 class FeSystem:
     """Assembled matrices for one coefficient pair on one space."""
 
-    def __init__(self, space, a2, a0, bounds, parts):
+    def __init__(self, space, bounds, K_int, S_b, M_b, A):
         self.space = space
-        self.a2 = a2
-        self.a0 = a0
         self.bounds = bounds
-        self.K_int = parts["K_int"]
-        self.S_b = parts["S_b"]
-        self.M_b = parts["M_b"]
-        self.A = parts["A"]
-        self.sigma0 = bounds.sigma0
+        self.K_int, self.S_b, self.M_b, self.A = K_int, S_b, M_b, A
         free = space.free
-        self.matrix = self.A[free][:, free].tocsr()
+        self.matrix = A[free][:, free].tocsr()
 
     @cached_property
     def matrix_shifted(self):
         """Reduced A + sigma0 M_b; the plain matrix when sigma0 <= 0."""
-        if not self.sigma0 > 0:
+        sigma0 = self.bounds.sigma0
+        if not sigma0 > 0:
             return self.matrix
         free = self.space.free
-        return (self.A + self.sigma0 * self.M_b).tocsr()[free][:, free].tocsr()
+        return (self.A + sigma0 * self.M_b).tocsr()[free][:, free].tocsr()
 
     def gram_v0(self):
         """Free-dof Gram matrix of the energy norm |Dv|^2 + |tang v|^2."""
@@ -424,15 +422,7 @@ def assemble_bilinear(space: FeSpace, a2, a0) -> FeSystem:
     A0_b = block(np.vecdot((ch.wq * a0q)[:, None, None], phi2))
 
     A = (K_int + A2_b + C_b + A0_b).tocsr()
-    parts = {"K_int": K_int, "S_b": S_b, "M_b": M_b, "A": A}
-    return FeSystem(space, a2, a0, bounds, parts)
-
-
-@dataclass
-class LoadData:
-    full: np.ndarray              # linear functional on all nodes
-    rhs_free: np.ndarray          # reduced right-hand side after lifting
-    lift: np.ndarray              # nodal lifting of the Dirichlet data
+    return FeSystem(space, bounds, K_int, S_b, M_b, A)
 
 
 def _finite_load(key, vals):
@@ -441,51 +431,45 @@ def _finite_load(key, vals):
     return vals
 
 
-def assemble_load(system: FeSystem, f1=None, f2=None, g1=None, g2=None,
-                  lift=None) -> LoadData:
-    """Assemble L(w) = (f1, w) - (f2, Dw) + (g1, w)_chain - (g2, tang w)_chain.
+def assemble_load(space: FeSpace, f1=None, f2=None, g1=None,
+                  g2=None) -> np.ndarray:
+    """Load vector of L(w) = (f1, w) - (f2, Dw) + (g1, w)_chain
+    - (g2, tang w)_chain, one entry per node.
 
     f2 is a pair of coefficients (components of a plane vector field).
-    The returned reduced right-hand side already subtracts the action
-    of the bilinear form on the lifting.
     """
-    space = system.space
-    n = space.n_nodes
     tris = space.mesh.triangles
     area = space.tri_area
-    L = np.zeros(n)
+    L = np.zeros(space.n_nodes)
 
     def at_midpoints(key, coef):
         # tri_midpoints[:, i] halves the edge (tris[:, i], tris[:, (i+1) % 3])
         return _finite_load(key, np.atleast_2d(coef.eval_edges(
             space.mesh, tris, tris[:, [1, 2, 0]], 0.5, space.tri_midpoints)))
 
-    if f1 is not None:
-        vals = at_midpoints("f1", f1)
-        w = (area / 3.0)[:, None] * vals        # (M, 3) midpoint weights
-        contrib = w @ _MID_BASIS                # (M, 3) per-vertex
-        np.add.at(L, tris, contrib)
-    if f2 is not None:
-        fx = at_midpoints("f2x", f2[0])
-        fy = at_midpoints("f2y", f2[1])
-        mean_x = fx.mean(axis=1) * area
-        mean_y = fy.mean(axis=1) * area
-        contrib = -(space.tri_grads[..., 0] * mean_x[:, None]
-                    + space.tri_grads[..., 1] * mean_y[:, None])
-        np.add.at(L, tris, contrib)
-    ch = space.ventcel_edges
-    chain = []
-    if g1 is not None:
-        g1q = _finite_load("g1", ch.on_curves(g1.eval_curve))
-        chain.append(np.vecdot((ch.wq * g1q)[:, None], _CHORD_BASIS))
-    if g2 is not None:
-        g2q = _finite_load("g2", ch.on_curves(g2.eval_curve))
-        dphi = np.array([-1.0, 1.0]) / ch.ell[:, None]
-        chain.append(-(np.vecdot(ch.wq, g2q)[:, None] * dphi))
-    if chain:
-        ch.add_to(L, *chain)
-
-    if lift is None:
-        lift = np.zeros(n)
-    rhs_free = (L - system.A.dot(lift))[space.free]
-    return LoadData(full=L, rhs_free=rhs_free, lift=lift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if f1 is not None:
+            vals = at_midpoints("f1", f1)
+            w = (area / 3.0)[:, None] * vals        # (M, 3) midpoint weights
+            contrib = w @ _MID_BASIS                # (M, 3) per-vertex
+            np.add.at(L, tris, contrib)
+        if f2 is not None:
+            fx = at_midpoints("f2x", f2[0])
+            fy = at_midpoints("f2y", f2[1])
+            mean_x = fx.mean(axis=1) * area
+            mean_y = fy.mean(axis=1) * area
+            contrib = -(space.tri_grads[..., 0] * mean_x[:, None]
+                        + space.tri_grads[..., 1] * mean_y[:, None])
+            np.add.at(L, tris, contrib)
+        ch = space.ventcel_edges
+        chain = []
+        if g1 is not None:
+            g1q = _finite_load("g1", ch.on_curves(g1.eval_curve))
+            chain.append(np.vecdot((ch.wq * g1q)[:, None], _CHORD_BASIS))
+        if g2 is not None:
+            g2q = _finite_load("g2", ch.on_curves(g2.eval_curve))
+            dphi = np.array([-1.0, 1.0]) / ch.ell[:, None]
+            chain.append(-(np.vecdot(ch.wq, g2q)[:, None] * dphi))
+        if chain:
+            ch.add_to(L, *chain)
+    return L

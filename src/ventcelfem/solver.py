@@ -3,11 +3,12 @@
 A problem couples a domain with boundary coefficients (a2, a0), loads
 (f1, f2 interior; g1, g2 on the Ventcel chain), Dirichlet data phi,
 and optionally the exact solution it was manufactured from.  The solve
-pipeline is
+writes u = lift + v, with lift extending the Dirichlet data and v
+vanishing on the Dirichlet set, and owns the reduced system for v:
 
-    triangulate -> build space -> assemble ->
-        (lift Dirichlet data -> load) || factor -> reduced solve ->
-        add lifting back
+    triangulate -> build space -> assemble A ->
+        (lift, load L, b = (L - A lift)[free]) || factor A[free, free] ->
+        solve for v -> residual of the reduced solve -> u = lift + v
 
 so the discrete solution matches the Dirichlet data exactly at
 Dirichlet nodes and is independent (up to conditioning) of the lifting
@@ -28,8 +29,8 @@ from scipy.linalg import eigvalsh_tridiagonal
 from .domain import DomainSpec
 from .fields import (EXACT_SOLUTIONS, BoundaryFunction, Coefficient,
                      FieldCoefficient)
-from .femcore import (GAUSS3_XI, FeSystem, LoadData, assemble_bilinear,
-                      assemble_load, build_space, mcshane_lift)
+from .femcore import (GAUSS3_XI, FeSystem, assemble_bilinear, assemble_load,
+                      build_space, mcshane_lift)
 from .geometry import frame_derivatives
 from .mesh import Mesh, _write_text, triangulate
 
@@ -105,9 +106,8 @@ def manufactured_problem(domain: DomainSpec, exact, a2, a0) -> VentcelProblem:
 class Solution:
     space: object
     system: FeSystem
-    load: LoadData
     values: np.ndarray            # nodal solution including Dirichlet data
-    homogeneous: np.ndarray       # part vanishing on the Dirichlet set
+    residual: float               # ||A v - b|| / (1 + ||b||), reduced system
     factor: object | None = None  # SuperLU of system.matrix, if kept
 
 
@@ -144,11 +144,11 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     """Solve ``problem`` on ``mesh`` (or a fresh mesh with subdivision n).
 
     lift || factor: the calling thread factors the reduced matrix while
-    one worker thread builds the Dirichlet lift and the load; the worker
-    is joined before the solve and never outlives the call.  An
-    InputError from the lift or the load (bad data) is raised in
-    preference to a SingularSystemError from the factor, as a serial
-    run would report them.
+    one worker thread builds the Dirichlet lift and the reduced
+    right-hand side; the worker is joined before the solve and never
+    outlives the call.  An InputError from the lift or the load (bad
+    data) is raised in preference to a SingularSystemError from the
+    factor, as a serial run would report them.
 
     With ``keep_factor`` the Solution holds the LU factor of the reduced
     matrix, for ``uniqueness_diagnostic`` to reuse; the caller drops it
@@ -162,10 +162,11 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     system = assemble_bilinear(space, problem.a2, problem.a0)
 
     def lift_and_load():
-        phi = problem.phi
-        lift = None if phi is None else mcshane_lift(space, phi)
-        return assemble_load(system, f1=problem.f1, f2=problem.f2,
-                             g1=problem.g1, g2=problem.g2, lift=lift)
+        lift = (np.zeros(space.n_nodes) if problem.phi is None
+                else mcshane_lift(space, problem.phi))
+        L = assemble_load(space, f1=problem.f1, f2=problem.f2,
+                          g1=problem.g1, g2=problem.g2)
+        return lift, (L - system.A.dot(lift))[space.free]
 
     # SuperLU releases the GIL while it factors, so the lift and the load
     # run meanwhile; the factor stays on this thread, where its fill
@@ -179,16 +180,20 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
             lu = factorize(system.matrix)
         finally:
             # an InputError from the worker replaces a SingularSystemError
-            load = pending.result()
-    v_free = solve_linear(lu, load.rhs_free)
+            lift, rhs = pending.result()
+    v = solve_linear(lu, rhs)
 
-    u = load.lift.copy()
-    u[space.free] += v_free
-    hom = np.zeros(space.n_nodes)
-    hom[space.free] = v_free
-    return Solution(space=space, system=system, load=load,
-                    values=u, homogeneous=hom,
-                    factor=lu if keep_factor else None)
+    r = system.matrix.dot(v) - rhs
+    # ||r|| / (1 + ||rhs||) with r and rhs scaled down by a power of two,
+    # which rounds the same but keeps the squares in the norms finite
+    _, e = np.frexp(max(np.abs(r).max(initial=0.0),
+                        np.abs(rhs).max(initial=0.0)))
+    s = np.ldexp(1.0, -max(int(e), 0))
+    residual = float(np.linalg.norm(r * s) / (s + np.linalg.norm(rhs * s)))
+
+    lift[space.free] += v          # u = lift + v, v zero on the walls
+    return Solution(space=space, system=system, values=lift,
+                    residual=residual, factor=lu if keep_factor else None)
 
 
 # Lanczos steps on (A^T A)^-1: each costs two LU solves and one stored

@@ -785,7 +785,7 @@ def _check_coercivity(seed):
             quotient = coercivity_eigencheck(system.matrix_shifted,
                                              system.gram_v0(), seed=seed)
             rows.append((dname, label, system.bounds.lambda2,
-                         system.bounds.grad_bound, system.sigma0, bound,
+                         system.bounds.grad_bound, system.bounds.sigma0, bound,
                          quotient, quotient - bound, quotient >= bound - 1e-8))
     return ("coercivity.csv",
             _csv("domain,set,lambda2,grad_bound,sigma0,bound,min_quotient,"

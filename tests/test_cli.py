@@ -184,6 +184,32 @@ def test_wall_data_singular_at_a_wall_point_exits_2_without_warning(
     assert "phi: wall data must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, rc, message", [
+    (["solve", "--f1", "poly:0,inf"], 2, "configuration error: f1: "),
+    (["solve", "--g1", "poly:1e308,1e308"], 2, "configuration error: g1: "),
+    (["solve", "--f2x", "const:1e308"], 3, "solver failure: "),
+    (["solve", "--a2", "poly:1e308,1e308"], 2, "configuration error: a2: "),
+    (["info", "--a2", "poly:1e308,1e308"], 0, None),
+    (["convergence", "--a2", "poly:1e308,1e308", "--levels", "3"], 2,
+     "configuration error: a2: "),
+    (["solve", "--phi", "poly:1e308,1e308"], 2, "configuration error: phi: "),
+])
+def test_huge_or_infinite_data_exits_without_warning(argv, rc, message,
+                                                     capsys, tmp_path):
+    # inf * 0 and sums past the double range give nan or inf, which a
+    # finiteness check or the solve reports; numpy must not warn first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = cli.main(argv + ["--domain", "cable", "--n", "2",
+                               "--output-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert got == rc
+    if message is None:
+        assert err == "" and "# sigma0 = inf\n" in out
+    else:
+        assert err.startswith(message) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, rc, message", [
     ("solve", 2, "a2: values must be finite"),
     ("info", 0, "# sigma0 = nan"),
@@ -482,6 +508,23 @@ def test_any_config_file_is_read_or_rejected(body, command, tmp_path):
     assert cfg is None or isinstance(cfg, cli.RunConfig)
 
 
+# verify is left out: it ignores the file's data and runs the whole suite
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=CONFIG_BODY,
+       command=st.sampled_from(["info", "mesh", "solve", "convergence"]))
+def test_any_config_file_runs_or_exits_as_documented(body, command, tmp_path,
+                                                     monkeypatch, capsys):
+    # the flags win over the file, so no example builds a big mesh or
+    # runs a long study
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "run.cfg"
+    path.write_bytes(body)
+    rc = cli.main([command, "--config", str(path), "--n", "2", "--levels",
+                   "3", "--output-dir", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert rc in ((0, 2) if command in ("info", "mesh") else (0, 2, 3))
+
+
 # any coefficient text on info and solve: a result or a documented exit
 NUMBER_TEXT = (st.floats(-1e200, 1e200).map(repr)
                | st.sampled_from(["nan", "inf", "-inf", "1e200", "-1e200",
@@ -503,6 +546,8 @@ DATA_KEYS = ("a2", "a0", "f1", "f2x", "f2y", "g1", "g2", "phi")
 @example(command="info", domain="square", n=4,
          data={"a2": "poly:1e160,1e160"})
 @example(command="solve", domain="square", n=4, data={"phi": "const:1e200"})
+@example(command="solve", domain="cable", n=2, data={"f1": "poly:0,inf"})
+@example(command="solve", domain="cable", n=2, data={"f2x": "const:1e308"})
 def test_any_coefficient_text_runs_or_exits_as_documented(
         command, domain, n, data, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -512,12 +557,7 @@ def test_any_coefficient_text_runs_or_exits_as_documented(
             str(out)]
     for key, text in data.items():
         argv += [f"--{key}", text]
-    # numpy warns on overflow and on inf * 0 while it evaluates huge or
-    # infinite data; a warning is not an exit, and this property checks
-    # exits only
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rc = cli.main(argv)
+    rc = cli.main(argv)
     capsys.readouterr()
     assert rc in ((0, 2) if command == "info" else (0, 2, 3))
     if command == "solve" and rc == 0:

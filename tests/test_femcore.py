@@ -326,29 +326,18 @@ def test_bounds_reject_non_finite_coefficients():
 
 def test_load_pieces_on_reference_triangle():
     space = build_space(one_triangle_mesh())
-    system = assemble_bilinear(space, ConstantCoefficient(1.0), ZERO)
 
-    load = assemble_load(system, f1=ConstantCoefficient(1.0))
-    assert np.allclose(load.full, [1 / 6, 1 / 6, 1 / 6], atol=1e-14)
+    load = assemble_load(space, f1=ConstantCoefficient(1.0))
+    assert np.allclose(load, [1 / 6, 1 / 6, 1 / 6], atol=1e-14)
 
-    load = assemble_load(system, f2=(ConstantCoefficient(1.0), ZERO))
-    assert np.allclose(load.full, [0.5, -0.5, 0.0], atol=1e-14)
+    load = assemble_load(space, f2=(ConstantCoefficient(1.0), ZERO))
+    assert np.allclose(load, [0.5, -0.5, 0.0], atol=1e-14)
 
-    load = assemble_load(system, g1=ConstantCoefficient(2.0))
-    assert np.allclose(load.full, [1.0, 1.0, 0.0], atol=1e-14)
+    load = assemble_load(space, g1=ConstantCoefficient(2.0))
+    assert np.allclose(load, [1.0, 1.0, 0.0], atol=1e-14)
 
-    load = assemble_load(system, g2=ConstantCoefficient(1.0))
-    assert np.allclose(load.full, [1.0, -1.0, 0.0], atol=1e-14)
-
-
-def test_load_subtracts_lift_action():
-    mesh = triangulate(square_domain(), 3)
-    space = build_space(mesh)
-    system = assemble_bilinear(space, ConstantCoefficient(1.0), ZERO)
-    lift = np.arange(space.n_nodes, dtype=float)
-    load = assemble_load(system, f1=ConstantCoefficient(1.0), lift=lift)
-    want = (load.full - system.A.dot(lift))[space.free]
-    assert np.allclose(load.rhs_free, want, atol=1e-13)
+    load = assemble_load(space, g2=ConstantCoefficient(1.0))
+    assert np.allclose(load, [1.0, -1.0, 0.0], atol=1e-14)
 
 
 def test_energy_norm_identity():
@@ -368,14 +357,14 @@ def test_shifted_matrix_bookkeeping():
     space = build_space(triangulate(square_domain(), 3))
     a2 = FieldCoefficient(QuadraticField(1.0, 1.0))
     system = assemble_bilinear(space, a2, ZERO)
-    assert system.sigma0 > 0
+    assert system.bounds.sigma0 > 0
     free = space.free
-    want = (system.A + system.sigma0 * system.M_b)[free][:, free]
+    want = (system.A + system.bounds.sigma0 * system.M_b)[free][:, free]
     assert want.shape == (space.n_free, space.n_free) and space.n_free > 0
     assert np.abs((system.matrix_shifted - want).toarray()).max() < 1e-14
     flat = assemble_bilinear(space, ConstantCoefficient(1.0),
                              ConstantCoefficient(1.0))
-    assert not flat.sigma0 > 0
+    assert not flat.bounds.sigma0 > 0
     assert flat.matrix_shifted is flat.matrix
 
 
@@ -476,14 +465,14 @@ def test_chain_assembly_matches_per_edge_loop_bitwise(domain, n, a2, a0,
     space = build_space(mesh)
     a2, a0, g1, g2 = (make_coefficient(*c, mesh) for c in (a2, a0, g1, g2))
     system = assemble_bilinear(space, a2, a0)
-    load = assemble_load(system, g1=g1, g2=g2)
+    load = assemble_load(space, g1=g1, g2=g2)
 
     blocks, want_load = per_edge_chain(space, a2, a0, g1, g2)
     assert same_csr(system.S_b, blocks["S"])
     assert same_csr(system.M_b, blocks["M"])
     want_A = system.K_int + blocks["A2"] + blocks["C"] + blocks["A0"]
     assert same_csr(system.A, want_A)
-    assert same_bits(load.full, want_load)
+    assert same_bits(load, want_load)
 
 
 NONNEG_A0 = st.one_of(
