@@ -122,20 +122,18 @@ class FeSpace:
         self.free = np.flatnonzero(~mask)
         self.ventcel_edges = VentcelChain(mesh)
 
-        # triangle geometry: areas, constant basis gradients, midpoints
+        # triangle geometry: areas and constant basis gradients
         p = mesh.nodes[mesh.triangles]
         self.tri_area = mesh.signed_areas()
         if not np.all(self.tri_area > 0):
             raise InternalError("mesh has nonpositive triangle areas")
-        g = np.empty_like(p)
+        self.tri_grads = g = np.empty_like(p)
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
             g[:, i, 0] = p[:, j, 1] - p[:, k, 1]
             g[:, i, 1] = p[:, k, 0] - p[:, j, 0]
-        self.tri_grads = g / (2.0 * self.tri_area)[:, None, None]
-        q = p[:, [1, 2, 0], :]
-        self.tri_midpoints = 0.5 * (p + q)
-        side = q - p                  # h, the mesh size: the longest side
+        g /= (2.0 * self.tri_area)[:, None, None]
+        side = p[:, [1, 2, 0]] - p    # h, the mesh size: the longest side
         self.h = float(np.hypot(side[..., 0], side[..., 1]).max())
 
     @property
@@ -363,7 +361,8 @@ class FeSystem:
         self.bounds = bounds
         self.K_int, self.S_b, self.M_b, self.A = K_int, S_b, M_b, A
         free = space.free
-        self.matrix = A[free][:, free].tocsr()
+        # CSC, splu's format; its matvec adds each row in CSR's column order
+        self.matrix = A[free][:, free].tocsc()
 
     @cached_property
     def matrix_shifted(self):
@@ -389,16 +388,19 @@ def assemble_bilinear(space: FeSpace, a2, a0) -> FeSystem:
     area = space.tri_area
     grads = space.tri_grads
 
-    rows, cols, k_vals = [], [], []
+    # entry (i, j, t) couples test node tris[t, i] with trial tris[t, j];
+    # int32 indices are the ones coo_matrix keeps, so it copies none
+    rows, cols = np.empty((2, 3, 3, len(tris)), dtype=np.int32)
+    k_vals = np.empty(rows.shape)
     for i in range(3):
         for j in range(3):
-            rows.append(tris[:, i])
-            cols.append(tris[:, j])
-            k_vals.append(area * np.einsum("td,td->t",
-                                           grads[:, i], grads[:, j]))
-    K_int = sp.coo_matrix(
-        (np.concatenate(k_vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+            rows[i, j] = tris[:, i]
+            cols[i, j] = tris[:, j]
+            np.multiply(area, np.einsum("td,td->t", grads[:, i], grads[:, j]),
+                        out=k_vals[i, j])
+    K_int = sp.coo_matrix((k_vals.ravel(), (rows.ravel(), cols.ravel())),
+                          shape=(n, n)).tocsr()
+    del rows, cols, k_vals        # free them before the chain blocks and A
 
     # chain blocks (E, 2, 2), local (i, j) = (test, trial) over nodes (a, b);
     # np.vecdot rounds each 3-point sum as a per-edge np.dot does (einsum
@@ -441,11 +443,14 @@ def assemble_load(space: FeSpace, f1=None, f2=None, g1=None,
     tris = space.mesh.triangles
     area = space.tri_area
     L = np.zeros(space.n_nodes)
+    if f1 is not None or f2 is not None:
+        # mid[:, i] halves the edge (tris[:, i], tris[:, (i+1) % 3])
+        p = space.mesh.nodes[tris]
+        mid = 0.5 * (p + p[:, [1, 2, 0]])
 
     def at_midpoints(key, coef):
-        # tri_midpoints[:, i] halves the edge (tris[:, i], tris[:, (i+1) % 3])
         return _finite_load(key, np.atleast_2d(coef.eval_edges(
-            space.mesh, tris, tris[:, [1, 2, 0]], 0.5, space.tri_midpoints)))
+            space.mesh, tris, tris[:, [1, 2, 0]], 0.5, mid)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         if f1 is not None:

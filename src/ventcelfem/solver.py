@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .domain import DomainSpec
+from .domain import DomainSpec, InputError
 from .fields import (EXACT_SOLUTIONS, BoundaryFunction, Coefficient,
                      FieldCoefficient)
 from .femcore import (GAUSS3_XI, FeSystem, assemble_bilinear, assemble_load,
@@ -71,8 +71,9 @@ def manufactured_problem(domain: DomainSpec, exact, a2, a0) -> VentcelProblem:
 
         g1 = u_nu - a2 * (u_tautau + kappa u_nu) + a0 * u
 
-    (all quantities oriented outward).  Dirichlet data is the trace of
-    the exact field.
+    (all quantities oriented outward).  A non-finite a2 or a0 term
+    raises InputError naming the coefficient.  Dirichlet data is the
+    trace of the exact field.
     """
     if isinstance(exact, str):
         try:
@@ -88,10 +89,14 @@ def manufactured_problem(domain: DomainSpec, exact, a2, a0) -> VentcelProblem:
         t = np.asarray(t, dtype=float)
         _, u_tt, u_nu, kappa = frame_derivatives(exact, curve, t)
         u_ss = u_tt + kappa * u_nu
-        a2v = np.atleast_1d(a2.eval_curve(curve, t))
-        a0v = np.atleast_1d(a0.eval_curve(curve, t))
-        return (u_nu - a2v.reshape(np.shape(u_nu)) * u_ss
-                + a0v.reshape(np.shape(u_nu)) * exact.value(curve.point(t)))
+        a2v = np.atleast_1d(a2.eval_curve(curve, t)).reshape(np.shape(u_nu))
+        a0v = np.atleast_1d(a0.eval_curve(curve, t)).reshape(np.shape(u_nu))
+        a2_term, a0_term = a2v * u_ss, a0v * exact.value(curve.point(t))
+        for key, term in (("a2", a2_term), ("a0", a0_term)):
+            if not np.all(np.isfinite(term)):
+                raise InputError(f"{key}: the {key} term of the manufactured "
+                                 f"chain load must be finite (found nan or inf)")
+        return u_nu - a2_term + a0_term
 
     return VentcelProblem(
         domain=domain, a2=a2, a0=a0,

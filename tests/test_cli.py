@@ -193,6 +193,8 @@ def test_wall_data_singular_at_a_wall_point_exits_2_without_warning(
     (["convergence", "--a2", "poly:1e308,1e308", "--levels", "3"], 2,
      "configuration error: a2: "),
     (["solve", "--phi", "poly:1e308,1e308"], 2, "configuration error: phi: "),
+    (["convergence", "--a0", "const:1e308", "--levels", "3"], 2,
+     "configuration error: a0: "),
 ])
 def test_huge_or_infinite_data_exits_without_warning(argv, rc, message,
                                                      capsys, tmp_path):

@@ -475,6 +475,71 @@ def test_chain_assembly_matches_per_edge_loop_bitwise(domain, n, a2, a0,
     assert same_bits(load, want_load)
 
 
+def list_built_stiffness(space):
+    """Reference K_int: one int64 index list and one value list per
+    local (i, j) block, concatenated into a single COO matrix."""
+    tris, grads = space.mesh.triangles, space.tri_grads
+    rows, cols, vals = [], [], []
+    for i in range(3):
+        for j in range(3):
+            rows.append(tris[:, i])
+            cols.append(tris[:, j])
+            vals.append(space.tri_area * np.einsum("td,td->t",
+                                                   grads[:, i], grads[:, j]))
+    n = space.n_nodes
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
+
+
+def same_bytes(A, B):
+    return all(getattr(A, key).dtype == getattr(B, key).dtype
+               and getattr(A, key).tobytes() == getattr(B, key).tobytes()
+               for key in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("domain", sorted(CHAIN_DOMAINS))
+@pytest.mark.parametrize("n", [2, 5, 16, 33])
+def test_stiffness_and_matrix_match_list_built_reference_bytewise(domain, n):
+    # variable a2 brings in the first-order block; no canonicalisation
+    # on either side, so the stored arrays themselves must agree
+    space = build_space(triangulate(CHAIN_DOMAINS[domain](), n))
+    a2 = FieldCoefficient(QuadraticField(3.0, 0.5, 0.2))
+    a0 = ConstantCoefficient(0.5)
+    system = assemble_bilinear(space, a2, a0)
+    K = list_built_stiffness(space)
+    blocks = per_edge_chain(space, a2, a0, ZERO, ZERO)[0]
+    assert same_bytes(system.K_int, K)
+    assert same_bytes(system.A,
+                      (K + blocks["A2"] + blocks["C"] + blocks["A0"]).tocsr())
+    # the reduced matrix is stored as the CSC that splu factors, so
+    # factorize's tocsc() hands it over without a copy
+    assert system.matrix.format == "csc"
+    assert system.matrix.tocsc() is system.matrix
+    free = space.free
+    assert same_bytes(system.matrix, system.A[free][:, free].tocsc())
+
+
+def test_space_and_assembly_peaks_per_triangle():
+    # traced peaks on the cable at n = 128 (T = 32,768 triangles): the
+    # space peaks at 207 bytes per triangle and the assembly at 297
+    # above it; a kept midpoint array and list-built int64 COO arrays
+    # gave 325 and 369
+    mesh = triangulate(cable_domain(), 128)
+    T = len(mesh.triangles)
+    tracemalloc.start()
+    try:
+        space = build_space(mesh)
+        held, space_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assemble_bilinear(space, InverseCurvature(), ZERO)
+        assembly_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert space_peak < 260 * T
+    assert assembly_peak < 330 * T
+
+
 NONNEG_A0 = st.one_of(
     st.floats(0.0, 3.0).map(ConstantCoefficient),
     st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 1.0)).map(

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import threading
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ventcelfem import cli, femcore
-from ventcelfem.domain import annulus_domain, cable_domain, square_domain
-from ventcelfem.femcore import assemble_bilinear, build_space
+from ventcelfem.domain import (InputError, annulus_domain, cable_domain,
+                               square_domain)
+from ventcelfem.femcore import assemble_bilinear, assemble_load, build_space
 from ventcelfem.fields import (ConstantCoefficient, FieldCoefficient,
                                QuadraticField, ZERO, parse_coefficient)
 from ventcelfem.mesh import triangulate
@@ -169,6 +172,20 @@ def test_threaded_solve_matches_the_serial_stages_bit_for_bit(
 def test_manufactured_problem_rejects_unknown_name():
     with pytest.raises(ValueError, match="exact"):
         manufactured_problem(square_domain(), "mystery", A2_ONE, ZERO)
+
+
+@pytest.mark.parametrize("key", ["a2", "a0"])
+def test_manufactured_chain_load_names_the_coefficient_of_a_bad_term(key):
+    # a2 * u_ss and a0 * u are inf or nan; the error names the
+    # coefficient the user gave, not the derived load g1
+    coef = {"a2": A2_ONE, "a0": ZERO, key: ConstantCoefficient(math.inf)}
+    problem = manufactured_problem(cable_domain(), "harmonic_cubic",
+                                   coef["a2"], coef["a0"])
+    space = build_space(triangulate(problem.domain, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InputError, match=f"^{key}: the {key} term "):
+            assemble_load(space, g1=problem.g1)
 
 
 def test_solve_ventcel_needs_mesh_or_n():
