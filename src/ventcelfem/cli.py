@@ -20,9 +20,9 @@ import sys
 from dataclasses import dataclass, fields as dataclass_fields
 
 from . import verify
-from .domain import InputError, make_domain
+from .domain import InputError, InternalError, make_domain
 from .fields import EXACT_SOLUTIONS, parse_coefficient
-from .femcore import InternalError, build_space, coefficient_bounds
+from .femcore import build_space, coefficient_bounds
 from .mesh import (_write_text, mesh_quality, node_count, triangulate,
                    write_mesh)
 from .solver import (

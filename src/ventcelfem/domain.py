@@ -27,6 +27,10 @@ class InputError(ValueError):
     """The input breaks the problem's assumptions; the message names the key."""
 
 
+class InternalError(RuntimeError):
+    """An invariant of the program failed; no input can cause it."""
+
+
 # radii an annulus mesh can hold (its areas and quality stay finite, > 0)
 R_MIN, R_MAX = 1e-50, 1e50
 

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .domain import InputError
+from .domain import InputError, InternalError
 
 # 3-point Gauss-Legendre on [0, 1]
 GAUSS3_XI = np.array([0.5 * (1.0 - np.sqrt(0.6)), 0.5, 0.5 * (1.0 + np.sqrt(0.6))])
@@ -56,10 +56,6 @@ _LIFT_CELL = 2.0
 # pages resident, so its temporaries must not grow with the mesh.  Its
 # max and per-node min do not depend on the blocking.
 BLOCK_FLOATS = 1 << 15
-
-
-class InternalError(RuntimeError):
-    """An invariant of the program failed; no input can cause it."""
 
 
 class VentcelChain:
@@ -419,11 +415,12 @@ def assemble_bilinear(space: FeSpace, a2, a0) -> FeSystem:
 
     S_b = block(ch.ell[:, None, None] * di * dj)
     M_b = block(np.vecdot(ch.wq[:, None, None], phi2))
-    A2_b = block(np.vecdot(ch.wq, a2q)[:, None, None] * di * dj)
-    C_b = block(np.vecdot((ch.wq * da2q)[:, None], phi)[:, :, None] * dj)
-    A0_b = block(np.vecdot((ch.wq * a0q)[:, None, None], phi2))
-
-    A = (K_int + A2_b + C_b + A0_b).tocsr()
+    # huge but finite data gives inf or nan here, which the solve reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        A2_b = block(np.vecdot(ch.wq, a2q)[:, None, None] * di * dj)
+        C_b = block(np.vecdot((ch.wq * da2q)[:, None], phi)[:, :, None] * dj)
+        A0_b = block(np.vecdot((ch.wq * a0q)[:, None, None], phi2))
+        A = (K_int + A2_b + C_b + A0_b).tocsr()
     return FeSystem(space, bounds, K_int, S_b, M_b, A)
 
 

@@ -24,8 +24,7 @@ import math
 
 import numpy as np
 
-from .domain import InputError
-from .femcore import InternalError, VentcelChain
+from .domain import InputError, InternalError
 
 
 # ----------------------------------------------------------------------
@@ -221,8 +220,9 @@ class NodalCoefficient(Coefficient):
     It is evaluated only where the caller knows the mesh edge, so no
     point is ever located: on an edge (a, b) of its own mesh at fraction
     xi it is (1 - xi) values[a] + xi values[b] (an InternalError on any
-    other mesh), and along a boundary curve it interpolates the curve's
-    Ventcel chain by parameter fraction.  It has no ``eval_points``.
+    other mesh), and along a boundary curve it interpolates the mesh's
+    chain path for that curve by parameter fraction.  It has no
+    ``eval_points``.
     """
 
     def __init__(self, mesh, values):
@@ -231,7 +231,6 @@ class NodalCoefficient(Coefficient):
             raise ValueError("nodal coefficient needs one value per mesh node")
         self.mesh = mesh
         self.values = values
-        self._chain = None
 
     def eval_edges(self, mesh, a, b, xi, points):
         if mesh is not self.mesh:
@@ -240,28 +239,27 @@ class NodalCoefficient(Coefficient):
         return (1 - xi) * self.values[a] + xi * self.values[b]
 
     def _edges_at(self, curve, t):
-        """The mesh's Ventcel chain and the row of the edge holding each t."""
-        if self._chain is None:
-            self._chain = VentcelChain(self.mesh)
-        ch = self._chain
-        rows = next((rows for c, rows in ch.curves if c == curve), None)
-        if rows is None:
+        """Nodes a, b and parameters ta, tb of the chain edge holding each t."""
+        path, tp = next(((p, tp) for c, p, tp in self.mesh.chains if c == curve),
+                        (None, None))
+        if path is None:
             raise ValueError("curve has no boundary edges in the mesh")
-        k = np.searchsorted(ch.ta[rows], np.atleast_1d(t), side="right") - 1
-        return ch, rows.start + np.clip(k, 0, rows.stop - rows.start - 1)
+        k = np.clip(np.searchsorted(tp[:-1], np.atleast_1d(t), side="right") - 1,
+                    0, len(path) - 2)
+        return path[k], path[k + 1], tp[k], tp[k + 1]
 
     def eval_curve(self, curve, t):
         t = np.asarray(t, dtype=float)
-        ch, k = self._edges_at(curve, t)
-        xi = np.clip((np.atleast_1d(t) - ch.ta[k]) / (ch.tb[k] - ch.ta[k]),
-                     0.0, 1.0)
-        vals = (1 - xi) * self.values[ch.a[k]] + xi * self.values[ch.b[k]]
+        a, b, ta, tb = self._edges_at(curve, t)
+        xi = np.clip((np.atleast_1d(t) - ta) / (tb - ta), 0.0, 1.0)
+        vals = (1 - xi) * self.values[a] + xi * self.values[b]
         return vals.reshape(t.shape) if t.ndim else float(vals[0])
 
     def tangential_deriv(self, curve, t):
         t = np.asarray(t, dtype=float)
-        ch, k = self._edges_at(curve, t)
-        d = (self.values[ch.b[k]] - self.values[ch.a[k]]) / ch.ell[k]
+        a, b, _, _ = self._edges_at(curve, t)
+        e = self.mesh.nodes[b] - self.mesh.nodes[a]
+        d = (self.values[b] - self.values[a]) / np.hypot(e[..., 0], e[..., 1])
         return d.reshape(t.shape) if t.ndim else float(d[0])
 
 

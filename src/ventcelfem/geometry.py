@@ -16,6 +16,7 @@ outward normal frame.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -74,26 +75,71 @@ class Curve:
         return cross / sp**3
 
     # arc length ---------------------------------------------------------
+    # Cumulative arc length on ARC_PANELS uniform parameter panels, each
+    # integrated by composite Simpson with 16 subpanels (on every curve a
+    # domain builds, 8 subpanels already agree with 16 to 1e-13 relative).
+    # Partial panels use 8 subpanels, so s(t) is smooth enough for the
+    # Newton inverse, which is polished to machine precision (well inside
+    # the 1e-10 * length contract).
 
-    @property
-    def _table(self) -> "ArcLengthTable":
-        tab = getattr(self, "_arc_table", None)
-        if tab is None:
-            tab = ArcLengthTable(self)
-            self._arc_table = tab
-        return tab
+    ARC_PANELS = 4096
+
+    @cached_property
+    def _arc_grid(self):
+        """Parameters and cumulative arc lengths at the panel ends."""
+        tg = np.linspace(self.t0, self.t1, self.ARC_PANELS + 1)
+        incr = self._simpson(tg[:-1], tg[1:], 16)
+        if np.any(incr <= 0):
+            raise ValueError("curve velocity vanishes inside a panel")
+        return tg, np.concatenate([[0.0], np.cumsum(incr)])
+
+    def _simpson(self, a, b, m):
+        # composite Simpson with m subpanels on each [a_i, b_i], vectorized
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        xi = np.linspace(0.0, 1.0, 2 * m + 1)
+        t = a[..., None] + (b - a)[..., None] * xi
+        f = self.speed(t)
+        w = np.ones(2 * m + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        return (b - a) / (6.0 * m) * (f @ w)
 
     @property
     def total_length(self) -> float:
-        return self._table.total_length
+        return float(self._arc_grid[1][-1])
 
     def arc_length(self, t):
         """Arc length s(t) from t0, monotone in t, relative accuracy 1e-10."""
-        return self._table.s_of_t(t)
+        t_grid, s_grid = self._arc_grid
+        t = np.asarray(t, dtype=float)
+        scalar = t.ndim == 0
+        tt = np.atleast_1d(t).astype(float)
+        if np.any(tt < self.t0 - 1e-12) or np.any(tt > self.t1 + 1e-12):
+            raise ValueError("parameter outside curve range")
+        tt = np.clip(tt, self.t0, self.t1)
+        k = np.clip(np.searchsorted(t_grid, tt, side="right") - 1,
+                    0, len(t_grid) - 2)
+        s = s_grid[k] + self._simpson(t_grid[k], tt, 8)
+        return float(s[0]) if scalar else s.reshape(t.shape)
 
     def param_at_arc_length(self, s):
         """Inverse of ``arc_length``: |arc_length(t(s)) - s| < 1e-10 * length."""
-        return self._table.t_of_s(s)
+        t_grid, s_grid = self._arc_grid
+        s = np.asarray(s, dtype=float)
+        scalar = s.ndim == 0
+        ss = np.atleast_1d(s).astype(float)
+        L = self.total_length
+        if np.any(ss < -1e-10 * L) or np.any(ss > L * (1 + 1e-10)):
+            raise ValueError("arc length outside [0, total_length]")
+        ss = np.clip(ss, 0.0, L)
+        t = np.interp(ss, s_grid, t_grid)
+        for _ in range(60):
+            resid = self.arc_length(t.reshape(-1)).reshape(t.shape) - ss
+            if np.all(np.abs(resid) <= 64 * _EPS * max(L, 1.0)):
+                break
+            t = np.clip(t - resid / self.speed(t), self.t0, self.t1)
+        return float(t[0]) if scalar else t.reshape(s.shape)
 
     def token(self) -> str:
         raise NotImplementedError(f"curve {self.name!r} has no serial form")
@@ -242,84 +288,6 @@ class Segment(Curve):
         vals = [self.p0[0], self.p0[1], self.p1[0], self.p1[1]]
         return "segment;" + ";".join(format(v, ".17g") for v in vals) + \
             ";%+d" % self.normal_sign
-
-
-class ArcLengthTable:
-    """Cumulative arc length on a uniform parameter grid.
-
-    ``N_PANELS`` uniform panels; each panel integral is a composite
-    Simpson rule with 8 subpanels, doubled until successive values agree
-    to 1e-13 relative or 256 subpanels are reached.
-    Partial panels reuse the same rule, so s(t) is smooth enough for the
-    Newton inverse, which is polished to machine precision (well inside
-    the 1e-10 * length contract).
-    """
-
-    N_PANELS = 4096
-
-    def __init__(self, curve: Curve):
-        self.curve = curve
-        tg = np.linspace(curve.t0, curve.t1, self.N_PANELS + 1)
-        incr = self._panel_integrals(tg[:-1], tg[1:])
-        if np.any(incr <= 0):
-            raise ValueError("curve velocity vanishes inside a panel")
-        self.t_grid = tg
-        self.s_grid = np.concatenate([[0.0], np.cumsum(incr)])
-        self.total_length = float(self.s_grid[-1])
-
-    def _panel_integrals(self, a, b):
-        prev = self._simpson(a, b, 8)
-        m = 16
-        while m <= 256:
-            cur = self._simpson(a, b, m)
-            bad = np.abs(cur - prev) > 1e-13 * (np.abs(cur) + 1e-300)
-            if not np.any(bad):
-                return cur
-            prev = cur
-            m *= 2
-        return cur
-
-    def _simpson(self, a, b, m):
-        # composite Simpson with m subpanels on each [a_i, b_i], vectorized
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        xi = np.linspace(0.0, 1.0, 2 * m + 1)
-        t = a[..., None] + (b - a)[..., None] * xi
-        f = self.curve.speed(t)
-        w = np.ones(2 * m + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return (b - a) / (6.0 * m) * (f @ w)
-
-    def s_of_t(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t).astype(float)
-        lo, hi = self.curve.t0, self.curve.t1
-        if np.any(tt < lo - 1e-12) or np.any(tt > hi + 1e-12):
-            raise ValueError("parameter outside curve range")
-        tt = np.clip(tt, lo, hi)
-        k = np.clip(np.searchsorted(self.t_grid, tt, side="right") - 1,
-                    0, len(self.t_grid) - 2)
-        s = self.s_grid[k] + self._simpson(self.t_grid[k], tt, 8)
-        return float(s[0]) if scalar else s.reshape(t.shape)
-
-    def t_of_s(self, s):
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        ss = np.atleast_1d(s).astype(float)
-        L = self.total_length
-        if np.any(ss < -1e-10 * L) or np.any(ss > L * (1 + 1e-10)):
-            raise ValueError("arc length outside [0, total_length]")
-        ss = np.clip(ss, 0.0, L)
-        t = np.interp(ss, self.s_grid, self.t_grid)
-        for _ in range(60):
-            resid = self.s_of_t(t.reshape(-1)).reshape(t.shape) - ss
-            if np.all(np.abs(resid) <= 64 * _EPS * max(L, 1.0)):
-                break
-            t = np.clip(t - resid / self.curve.speed(t),
-                        self.curve.t0, self.curve.t1)
-        return float(t[0]) if scalar else t.reshape(s.shape)
 
 
 def frame_derivatives(field, curve: Curve, t):

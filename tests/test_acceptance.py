@@ -189,11 +189,10 @@ def test_criterion_8_integration_by_parts():
         assert passed
 
 
-def test_criterion_9_deterministic_verification(tmp_path):
-    dir_a = tmp_path / "run_a"
+def test_criterion_9_deterministic_verification(tmp_path, verify_seed42):
+    code, _, dir_a = verify_seed42
     dir_b = tmp_path / "run_b"
-    assert cli.main(["verify", "--seed", "42",
-                     "--output-dir", str(dir_a)]) == 0
+    assert code == 0
     assert cli.main(["verify", "--seed", "42",
                      "--output-dir", str(dir_b)]) == 0
     names = sorted(os.listdir(dir_a))

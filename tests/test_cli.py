@@ -195,15 +195,23 @@ def test_wall_data_singular_at_a_wall_point_exits_2_without_warning(
     (["solve", "--phi", "poly:1e308,1e308"], 2, "configuration error: phi: "),
     (["convergence", "--a0", "const:1e308", "--levels", "3"], 2,
      "configuration error: a0: "),
+    # finite a2 whose chain blocks overflow
+    (["solve", "--domain", "square", "--a2", "const:1e308"], 3,
+     "solver failure: solver produced non-finite values"),
+    (["solve", "--a2", "const:1.7e308"], 3,
+     "solver failure: solver produced non-finite values"),
+    (["convergence", "--a2", "const:1.7e308", "--levels", "3"], 3,
+     "solver failure: solver produced non-finite values"),
 ])
 def test_huge_or_infinite_data_exits_without_warning(argv, rc, message,
                                                      capsys, tmp_path):
     # inf * 0 and sums past the double range give nan or inf, which a
-    # finiteness check or the solve reports; numpy must not warn first
+    # finiteness check or the solve reports; numpy must not warn first.
+    # The cable at n = 2 is the default; a case's own --domain wins.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = cli.main(argv + ["--domain", "cable", "--n", "2",
-                               "--output-dir", str(tmp_path)])
+        got = cli.main(argv[:1] + ["--domain", "cable", "--n", "2",
+                                   "--output-dir", str(tmp_path)] + argv[1:])
     out, err = capsys.readouterr()
     assert got == rc
     if message is None:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ventcelfem.domain import annulus_domain, cable_domain, square_domain
+from ventcelfem.domain import (InternalError, annulus_domain, cable_domain,
+                               square_domain)
 from ventcelfem.fields import (
     EXACT_SOLUTIONS,
     Coefficient,
@@ -18,7 +19,7 @@ from ventcelfem.fields import (
     ZERO,
     parse_coefficient,
 )
-from ventcelfem.femcore import InternalError
+from ventcelfem.femcore import VentcelChain
 from ventcelfem.geometry import CableArc, Circle
 from ventcelfem.mesh import triangulate
 
@@ -236,6 +237,44 @@ def test_nodal_eval_edges_rejects_another_mesh(domain, n):
     a, b, xi = random_edges(other, np.random.default_rng(n), 8)
     with pytest.raises(InternalError, match="mesh other than its own"):
         coef.eval_edges(other, a, b, xi, edge_points(other, a, b, xi))
+
+
+def reference_nodal_curve(coef, curve, t):
+    """eval_curve and tangential_deriv of P1 nodal data, read off a
+    VentcelChain of the coefficient's mesh by the same search and clip."""
+    ch = VentcelChain(coef.mesh)
+    rows, = (rows for c, rows in ch.curves if c is curve)
+    tt = np.atleast_1d(t)
+    k = np.searchsorted(ch.ta[rows], tt, side="right") - 1
+    k = rows.start + np.clip(k, 0, rows.stop - rows.start - 1)
+    xi = np.clip((tt - ch.ta[k]) / (ch.tb[k] - ch.ta[k]), 0.0, 1.0)
+    value = (1 - xi) * coef.values[ch.a[k]] + xi * coef.values[ch.b[k]]
+    deriv = (coef.values[ch.b[k]] - coef.values[ch.a[k]]) / ch.ell[k]
+    return value.reshape(np.shape(t)), deriv.reshape(np.shape(t))
+
+
+NODAL_DOMAINS = {"cable": cable_domain, "square": square_domain,
+                 "annulus": annulus_domain,
+                 "annulus_inner": lambda: annulus_domain(0.5, 3.0, "inner")}
+
+
+@pytest.mark.parametrize("domain", sorted(NODAL_DOMAINS))
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_nodal_curve_data_equals_a_chain_reference_bitwise(domain, n):
+    mesh = triangulate(NODAL_DOMAINS[domain](), n)
+    rng = np.random.default_rng(n)
+    coef = NodalCoefficient(mesh, rng.uniform(-2.0, 3.0, len(mesh.nodes)))
+    ch = VentcelChain(mesh)
+    for curve, rows in ch.curves:
+        ends = np.array([curve.t0, curve.t1])
+        for t in (ch.tq[rows], rng.uniform(curve.t0, curve.t1, (7, 3)), ends,
+                  np.array(curve.t0), np.array(curve.t1), ch.ta[rows]):
+            value, deriv = reference_nodal_curve(coef, curve, t)
+            got_value = coef.eval_curve(curve, t)
+            got_deriv = coef.tangential_deriv(curve, t)
+            assert np.shape(got_value) == np.shape(got_deriv) == np.shape(t)
+            assert np.asarray(got_value).tobytes() == value.tobytes()
+            assert np.asarray(got_deriv).tobytes() == deriv.tobytes()
 
 
 def test_nodal_curve_evaluation_keeps_the_shape_of_t():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ventcelfem.domain import square_domain
 from ventcelfem.geometry import (
     CABLE_HALF_WIDTH,
     CableArc,
@@ -100,6 +101,57 @@ def test_arc_length_monotone_and_invertible():
     assert np.all(np.diff(t) > 0)
     back = curve.arc_length(t)
     assert np.abs(back - s).max() < 1e-10 * L
+
+
+def reference_simpson(curve, a, b, m):
+    """Composite Simpson with m subpanels on each [a_i, b_i]."""
+    xi = np.linspace(0.0, 1.0, 2 * m + 1)
+    f = curve.speed(a[..., None] + (b - a)[..., None] * xi)
+    w = np.ones(2 * m + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return (b - a) / (6.0 * m) * (f @ w)
+
+
+def reference_arc_grid(curve):
+    """The adaptive panel rule the fixed 16-subpanel grid replaced: 8
+    subpanels doubled until two rules agree to 1e-13 or 256 are reached."""
+    tg = np.linspace(curve.t0, curve.t1, 4097)
+    prev = reference_simpson(curve, tg[:-1], tg[1:], 8)
+    m = 16
+    while m <= 256:
+        cur = reference_simpson(curve, tg[:-1], tg[1:], m)
+        if not np.any(np.abs(cur - prev) > 1e-13 * (np.abs(cur) + 1e-300)):
+            break
+        prev = cur
+        m *= 2
+    return tg, np.concatenate([[0.0], np.cumsum(cur)])
+
+
+DOMAIN_CURVES = {
+    "cable": CableArc,
+    "circle_1e-50": lambda: Circle(1e-50, normal_sign=+1),
+    "circle_1": lambda: Circle(1.0, normal_sign=+1),
+    "circle_2": lambda: Circle(2.0, normal_sign=-1),
+    "circle_1e50": lambda: Circle(1e50, normal_sign=-1),
+    "semicircle": lambda: Circle(1.0, t_range=(0.0, np.pi)),
+    "square_bottom": lambda: square_domain().ventcel_curves[0],
+    "square_top": lambda: square_domain().ventcel_curves[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_CURVES))
+def test_arc_grid_equals_the_adaptive_table_bitwise(name):
+    curve = DOMAIN_CURVES[name]()
+    t_grid, s_grid = curve._arc_grid
+    t_ref, s_ref = reference_arc_grid(curve)
+    assert t_grid.tobytes() == t_ref.tobytes()
+    assert s_grid.tobytes() == s_ref.tobytes()
+    assert curve.total_length == float(s_ref[-1])
+    # what the fixed rule rests on: 8 and 16 subpanels already agree
+    s8 = reference_simpson(curve, t_ref[:-1], t_ref[1:], 8)
+    s16 = reference_simpson(curve, t_ref[:-1], t_ref[1:], 16)
+    assert np.all(np.abs(s16 - s8) <= 1e-13 * np.abs(s16))
 
 
 def test_tangent_normal_orthonormal_and_outward():
