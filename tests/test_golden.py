@@ -1,4 +1,4 @@
-"""The verify outputs equal the committed goldens in ``tests/golden``.
+"""Command outputs equal the committed goldens in ``tests/golden``.
 
 Every number must agree to ``REL_TOL`` relative (or ``ABS_TOL``
 absolute) and every other character exactly, so that a new numpy
@@ -38,17 +38,36 @@ def text_mismatches(got: str, want: str) -> list:
     return bad
 
 
-def test_verify_seed42_matches_the_golden_outputs(verify_seed42):
-    code, stdout, out = verify_seed42
+def assert_matches_golden(name, code, stdout, out):
+    """The run of case ``name`` into out equals its golden directory."""
     assert code == 0
     got = {p.name: p.read_bytes() for p in out.iterdir()}
     got["stdout.txt"] = stdout.encode("utf-8")
-    want = {p.name: p.read_bytes() for p in regen.VERIFY_DIR.iterdir()}
+    want = {p.name: p.read_bytes() for p in (regen.GOLDEN / name).iterdir()}
     assert sorted(got) == sorted(want)
     assert {n: text_mismatches(got[n].decode(), want[n].decode())
             for n in want} == {n: [] for n in want}
     if json.loads(regen.MANIFEST.read_text(encoding="utf-8")) == regen.manifest():
         assert [n for n in sorted(want) if got[n] != want[n]] == []
+
+
+def test_verify_seed42_matches_the_golden_outputs(verify_seed42):
+    assert_matches_golden("verify_seed42", *verify_seed42)
+
+
+@pytest.fixture(scope="module")
+def nodal_inputs(tmp_path_factory):
+    inputs = tmp_path_factory.mktemp("nodal_inputs")
+    regen.write_nodal_inputs(inputs)
+    return inputs
+
+
+@pytest.mark.parametrize("name", [n for n in regen.CASES
+                                  if n != "verify_seed42"])
+def test_command_matches_the_golden_outputs(name, nodal_inputs, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert_matches_golden(name, *regen.run_case(name, out, nodal_inputs), out)
 
 
 @pytest.mark.parametrize("got, equal", [
