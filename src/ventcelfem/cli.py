@@ -30,7 +30,6 @@ from .solver import (
     VentcelProblem,
     manufactured_problem,
     solve_ventcel,
-    uniqueness_diagnostic,
     write_solution_csv,
     write_trace_csv,
 )
@@ -189,15 +188,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     _output_dir(cfg)
     mesh = triangulate(dom, cfg.n)
     problem = build_problem(cfg, dom, mesh)
-    solution = solve_ventcel(problem, mesh=mesh, keep_factor=True)
-
-    system = solution.system
-    diag = uniqueness_diagnostic(system, seed=cfg.seed, lu=solution.factor)
-    solution.factor = None    # free the LU fill before output and errors
-    if diag.singular:
-        raise SingularSystemError(
-            "reduced system is singular to working precision "
-            f"(rcond = {diag.rcond:.3g})")
+    solution = solve_ventcel(problem, mesh=mesh, seed=cfg.seed)
+    system, diag = solution.system, solution.uniqueness
 
     sol_path = os.path.join(cfg.output_dir, "solution.csv")
     write_solution_csv(solution, sol_path)

@@ -8,13 +8,13 @@ vanishing on the Dirichlet set, and owns the reduced system for v:
 
     triangulate -> build space -> assemble A ->
         (lift, load L, b = (L - A lift)[free]) || factor A[free, free] ->
-        solve for v -> residual of the reduced solve -> u = lift + v
+        solve for v -> residual -> uniqueness check on the LU -> u = lift + v
 
 so the discrete solution matches the Dirichlet data exactly at
 Dirichlet nodes and is independent (up to conditioning) of the lifting
-used.  ``uniqueness_diagnostic`` checks the discrete problem's unique
-solvability on the solve's own LU factor: a 1-norm rcond estimate, and
-sigma_min from Lanczos on (A^T A)^-1, which stops once converged.
+used.  Every solve checks the discrete problem's unique solvability on
+its own LU factor (``uniqueness_diagnostic``: a 1-norm rcond estimate,
+and sigma_min from Lanczos on (A^T A)^-1) and refuses a singular system.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class Solution:
     system: FeSystem
     values: np.ndarray            # nodal solution including Dirichlet data
     residual: float               # ||A v - b|| / (1 + ||b||), reduced system
-    factor: object | None = None  # SuperLU of system.matrix, if kept
+    uniqueness: UniquenessReport  # certificate of the reduced matrix
 
 
 def factorize(matrix):
@@ -145,7 +145,7 @@ def solve_linear(lu, rhs) -> np.ndarray:
 
 
 def solve_ventcel(problem: VentcelProblem, n: int | None = None,
-                  mesh: Mesh | None = None, keep_factor: bool = False) -> Solution:
+                  mesh: Mesh | None = None, seed: int = 0) -> Solution:
     """Solve ``problem`` on ``mesh`` (or a fresh mesh with subdivision n).
 
     lift || factor: the calling thread factors the reduced matrix while
@@ -155,9 +155,9 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     data) is raised in preference to a SingularSystemError from the
     factor, as a serial run would report them.
 
-    With ``keep_factor`` the Solution holds the LU factor of the reduced
-    matrix, for ``uniqueness_diagnostic`` to reuse; the caller drops it
-    (``solution.factor = None``) once done, since it dominates memory.
+    ``uniqueness_diagnostic`` then runs on the same factor, with
+    ``seed`` for its Lanczos start; a system it finds singular raises
+    SingularSystemError.  The factor is dropped on return.
     """
     if mesh is None:
         if n is None:
@@ -196,9 +196,14 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     s = np.ldexp(1.0, -max(int(e), 0))
     residual = float(np.linalg.norm(r * s) / (s + np.linalg.norm(rhs * s)))
 
+    report = uniqueness_diagnostic(system, lu, seed)
+    if report.singular:
+        raise SingularSystemError(
+            "reduced system is singular to working precision "
+            f"(rcond = {report.rcond:.3g})")
     lift[space.free] += v          # u = lift + v, v zero on the walls
     return Solution(space=space, system=system, values=lift,
-                    residual=residual, factor=lu if keep_factor else None)
+                    residual=residual, uniqueness=report)
 
 
 # Lanczos steps on (A^T A)^-1: each costs two LU solves and one stored
@@ -216,8 +221,8 @@ class UniquenessReport:
     last_rel_change: float = float("nan")  # |theta_k - theta_(k-1)| / theta_k
 
 
-def uniqueness_diagnostic(system: FeSystem, seed: int = 0,
-                          lu=None) -> UniquenessReport:
+def uniqueness_diagnostic(system: FeSystem, lu,
+                          seed: int = 0) -> UniquenessReport:
     """Conditioning report for the reduced matrix.
 
     rcond is 1 / (norm1(A) * est norm1(inv A)).  sigma_min = 1/sqrt(theta)
@@ -230,20 +235,12 @@ def uniqueness_diagnostic(system: FeSystem, seed: int = 0,
     Krylov space is invariant and theta exact), or after
     ``_LANCZOS_STEPS`` (20) steps; ``iterations`` and ``last_rel_change``
     (of theta over the last step) report how far it converged.
-    ``singular`` flags rcond below 1e-14 or a failed factorization.
-    ``lu`` reuses a ``factorize(system.matrix)`` result; without it the
-    matrix is factored by ``factorize``, and a ``SingularSystemError``
-    from it gives the singular report (rcond = sigma_min = 0).
+    ``lu`` is a ``factorize(system.matrix)`` result.  ``singular`` flags
+    rcond below 1e-14 or a failed solve.
     """
     A = system.matrix.tocsc()
     m = A.shape[0]
     norm1 = float(np.max(np.abs(A).sum(axis=0))) if m else 0.0
-    if lu is None:
-        try:
-            lu = factorize(A)
-        except SingularSystemError:
-            return UniquenessReport(m, 0.0, 0.0, True)
-
     op = spla.LinearOperator(
         (m, m), matvec=lambda b: lu.solve(b),
         rmatvec=lambda b: lu.solve(b, trans="T"), dtype=np.float64)
@@ -290,10 +287,9 @@ def uniqueness_diagnostic(system: FeSystem, seed: int = 0,
 def write_solution_csv(solution: Solution, path: str) -> None:
     """Nodal solution as x,y,u rows."""
     nodes = solution.space.mesh.nodes
-    rows = np.column_stack([nodes[:, 0], nodes[:, 1], solution.values]).tolist()
+    cells = tuple(np.column_stack([nodes, solution.values]).ravel().tolist())
     # "%.17g" % x prints the same digits as mesh._fmt(x) for every float
-    row_fmt = "%.17g,%.17g,%.17g\n".__mod__
-    _write_text(path, "x,y,u\n" + "".join(map(row_fmt, map(tuple, rows))))
+    _write_text(path, "x,y,u\n" + "%.17g,%.17g,%.17g\n" * len(nodes) % cells)
 
 
 def write_trace_csv(solution: Solution, path: str) -> None:
@@ -313,6 +309,7 @@ def write_trace_csv(solution: Solution, path: str) -> None:
         t = ch.tq[rows]
         cols = [x.ravel() for x in (t, curve.arc_length(t), vals[rows],
                                     slope[rows])]
-        row_fmt = (curve.token() + ",%.17g,%.17g,%.17g,%.17g\n").__mod__
-        text += map(row_fmt, map(tuple, np.column_stack(cols).tolist()))
+        row_fmt = curve.token().replace("%", "%%") + ",%.17g,%.17g,%.17g,%.17g\n"
+        cells = tuple(np.column_stack(cols).ravel().tolist())
+        text.append(row_fmt * t.size % cells)
     _write_text(path, "".join(text))

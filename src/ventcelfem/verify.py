@@ -876,7 +876,8 @@ def _check_uniqueness(seed):
                     a2 = ConstantCoefficient(base)
                     label = f"a2={base:g}"
                 system = assemble_bilinear(space, a2, ConstantCoefficient(a0c))
-                diag = uniqueness_diagnostic(system, seed=seed)
+                diag = uniqueness_diagnostic(system, factorize(system.matrix),
+                                             seed)
                 rows.append((f"{label} a0={a0c:g}", diag.n_free, diag.rcond,
                              diag.sigma_min,
                              (not diag.singular) and diag.rcond > 1e-12))

@@ -387,7 +387,7 @@ def test_nodal_load_asked_outside_its_mesh_exits_4(tmp_path, monkeypatch,
 
 
 def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
-    def boom(problem, mesh=None, n=None, keep_factor=False):
+    def boom(problem, mesh=None, n=None, seed=0):
         raise SingularSystemError("synthetic failure")
     monkeypatch.setattr(cli, "solve_ventcel", boom)
     rc = cli.main(["solve", "--domain", "square", "--n", "2",
@@ -410,6 +410,26 @@ def test_singular_system_exits_3_before_any_output(a2, rc, tmp_path, capsys):
     else:
         assert err == ""
         assert (tmp_path / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("a2", ["const:1e10", "const:1e12"])
+def test_singular_convergence_level_exits_3_without_a_csv(a2, tmp_path,
+                                                          capsys):
+    # the first level, n = 8, is singular to working precision
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["convergence", "--domain", "annulus", "--n", "8",
+                       "--levels", "3", "--a2", a2,
+                       "--output-dir", str(tmp_path)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("solver failure: reduced system is singular to "
+                             "working precision (rcond = ")
+    assert float(err[0].split("rcond = ")[1].rstrip(")")) < 1e-14
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv", [
