@@ -15,9 +15,9 @@ from ventcelfem import cli, femcore
 from ventcelfem.domain import (InputError, annulus_domain, cable_domain,
                                square_domain)
 from ventcelfem.femcore import assemble_bilinear, assemble_load, build_space
-from ventcelfem.geometry import CableArc
 from ventcelfem.fields import (ConstantCoefficient, FieldCoefficient,
                                QuadraticField, ZERO, parse_coefficient)
+from ventcelfem.geometry import CableArc
 from ventcelfem.mesh import triangulate
 from ventcelfem.solver import (
     SingularSystemError,
@@ -323,7 +323,7 @@ VARIABLE_A2 = {"cable": (cable_domain, 32), "square": (square_domain, 16),
 
 def _report_bits(rep):
     return (rep.n_free, rep.rcond.hex(), rep.sigma_min.hex(), rep.singular,
-            rep.iterations, rep.last_rel_change)
+            rep.iterations, rep.last_rel_change.hex())
 
 
 @pytest.mark.parametrize("domain", sorted(VARIABLE_A2))
@@ -343,10 +343,10 @@ def test_solve_certifies_its_system_bit_for_bit(domain, seed):
 
 @settings(max_examples=20)
 @given(global_seed=st.integers(0, 2**32 - 1),
-       system=st.sampled_from(["square_variable_a2", "cable"]))
-def test_rcond_does_not_depend_on_the_global_rng(global_seed, system):
+       case=st.sampled_from(["square_variable_a2", "cable"]))
+def test_rcond_does_not_depend_on_the_global_rng(global_seed, case):
     # onenormest draws a start column from np.random, which nothing seeds
-    if system == "cable":
+    if case == "cable":
         system = solve_ventcel(cable_problem(), n=32).system
     else:       # verify's uniqueness sweep, a2 = 10 (1 + 0.3 x), a0 = 1
         system = assemble_bilinear(
