@@ -18,5 +18,5 @@ settings.load_profile("deterministic")
 def verify_seed42(tmp_path_factory):
     """One in-process ``verify --seed 42`` run: (exit code, stdout, dir)."""
     out = tmp_path_factory.mktemp("verify_seed42")
-    code, stdout = regen.run_verify(out)
+    code, stdout = regen.run_case("verify_seed42", out)
     return code, stdout, out

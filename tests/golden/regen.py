@@ -27,16 +27,15 @@ import scipy
 from ventcelfem import cli
 
 GOLDEN = pathlib.Path(__file__).resolve().parent
-VERIFY_DIR = GOLDEN / "verify_seed42"
 MANIFEST = GOLDEN / "manifest.json"
 OUT = "OUT"
 
-# nodal data of CI's nodal smoke test on the annulus at n = 8, "{inputs}"
-# standing for the directory that ``write_nodal_inputs`` fills
+# nodal data of CI's nodal smoke test on the annulus at n = 8
 NODAL_FORMULAS = (("a2", lambda x, y: 3.0 + x), ("f1", lambda x, y: x * y),
                   ("phi", lambda x, y: 1.0 + x - 2.0 * y * y))
 
-# case name -> command line, less --output-dir
+# case name -> command line, less --output-dir; "{inputs}" stands for
+# the directory that ``write_nodal_inputs`` fills
 CASES = {
     "verify_seed42": ["verify", "--seed", "42"],
     "verify_seed7": ["verify", "--seed", "7"],
@@ -101,11 +100,6 @@ def run_case(name, out_dir, inputs=None):
     argv = [a.format(inputs=inputs) for a in CASES[name]]
     code, stdout = _main(argv + ["--output-dir", str(out_dir)])
     return code, stdout.replace(str(out_dir), OUT)
-
-
-def run_verify(out_dir):
-    """``verify --seed 42`` in-process into out_dir: (exit code, stdout)."""
-    return run_case("verify_seed42", out_dir)
 
 
 def main():
