@@ -175,8 +175,6 @@ class CoefficientBounds:
 def _chain_coefficients(space: FeSpace, a2, a0):
     """a2, d a2/ds and a0 at the chain's Gauss points, each (E, 3)."""
     ch = space.ventcel_edges
-    if not len(ch):
-        raise ValueError("space has no Ventcel edges")
     # huge data gives inf or nan here, which the callers report
     with np.errstate(over="ignore", invalid="ignore"):
         return (ch.on_curves(a2.eval_curve), ch.on_curves(a2.tangential_deriv),
@@ -303,8 +301,6 @@ def mcshane_lift(space: FeSpace, phi) -> np.ndarray:
     """
     mesh = space.mesh
     pts, a, b, xi = _dirichlet_boundary_samples(space)
-    if len(pts) == 0:
-        return np.zeros(space.n_nodes)
     idx = np.flatnonzero(space.dirichlet_mask)
     wall = mesh.nodes[idx]
     with np.errstate(over="ignore", invalid="ignore"):

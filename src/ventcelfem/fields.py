@@ -226,11 +226,8 @@ class NodalCoefficient(Coefficient):
     """
 
     def __init__(self, mesh, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(mesh.nodes),):
-            raise ValueError("nodal coefficient needs one value per mesh node")
         self.mesh = mesh
-        self.values = values
+        self.values = np.asarray(values, dtype=float)
 
     def eval_edges(self, mesh, a, b, xi, points):
         if mesh is not self.mesh:
@@ -243,7 +240,8 @@ class NodalCoefficient(Coefficient):
         path, tp = next(((p, tp) for c, p, tp in self.mesh.chains if c == curve),
                         (None, None))
         if path is None:
-            raise ValueError("curve has no boundary edges in the mesh")
+            raise InternalError(
+                "nodal coefficient asked for on a curve outside its mesh")
         k = np.clip(np.searchsorted(tp[:-1], np.atleast_1d(t), side="right") - 1,
                     0, len(path) - 2)
         return path[k], path[k + 1], tp[k], tp[k + 1]
@@ -285,7 +283,7 @@ def parse_coefficient(text, mesh=None, role="coefficient"):
         except ValueError:
             raise InputError(f"{role}: bad constant in {text!r}") from None
     if text.startswith("poly:"):
-        parts = [p for p in text[5:].split(",") if p.strip() != ""]
+        parts = text[5:].split(",")
         if not 1 <= len(parts) <= 6:
             raise InputError(f"{role}: poly takes 1..6 coefficients, got {text!r}")
         try:

@@ -76,10 +76,7 @@ def manufactured_problem(domain: DomainSpec, exact, a2, a0) -> VentcelProblem:
     trace of the exact field.
     """
     if isinstance(exact, str):
-        try:
-            exact = EXACT_SOLUTIONS[exact]
-        except KeyError:
-            raise ValueError(f"exact: unknown exact solution {exact!r}") from None
+        exact = EXACT_SOLUTIONS[exact]
 
     def neg_laplacian(p):
         h = exact.hess(p)
@@ -146,7 +143,8 @@ def solve_linear(lu, rhs) -> np.ndarray:
 
 def solve_ventcel(problem: VentcelProblem, n: int | None = None,
                   mesh: Mesh | None = None, seed: int = 0) -> Solution:
-    """Solve ``problem`` on ``mesh`` (or a fresh mesh with subdivision n).
+    """Solve ``problem`` on ``mesh``, or when it is None on a fresh mesh
+    with subdivision ``n``; one of the two must be given.
 
     lift || factor: the calling thread factors the reduced matrix while
     one worker thread builds the Dirichlet lift and the reduced
@@ -160,8 +158,6 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     SingularSystemError.  The factor is dropped on return.
     """
     if mesh is None:
-        if n is None:
-            raise ValueError("pass a mesh or a subdivision count n")
         mesh = triangulate(problem.domain, n)
     space = build_space(mesh)
     system = assemble_bilinear(space, problem.a2, problem.a0)
@@ -240,13 +236,12 @@ def uniqueness_diagnostic(system: FeSystem, lu,
     """
     A = system.matrix.tocsc()
     m = A.shape[0]
-    norm1 = float(np.max(np.abs(A).sum(axis=0))) if m else 0.0
+    norm1 = float(np.max(np.abs(A).sum(axis=0)))
     op = spla.LinearOperator(
         (m, m), matvec=lambda b: lu.solve(b),
         rmatvec=lambda b: lu.solve(b, trans="T"), dtype=np.float64)
     try:
-        inv_norm1 = float(spla.onenormest(op)) if m > 1 else \
-            float(np.abs(lu.solve(np.ones(1)))[0])
+        inv_norm1 = float(spla.onenormest(op))
     except (RuntimeError, ValueError, TypeError):
         return UniquenessReport(m, 0.0, 0.0, True)
     rcond = 1.0 / (norm1 * inv_norm1) if norm1 * inv_norm1 > 0 else 0.0

@@ -221,10 +221,7 @@ def trace_poincare_estimate(space, seed=0):
     best_q, best_x = 0.0, None
     for _ in range(N_RANDOM):
         x = rng.uniform(-1.0, 1.0, nf)
-        den = float(x @ (K.dot(x)))
-        if den <= 0.0:
-            continue
-        q = float(x @ Mb.dot(x)) / den
+        q = float(x @ Mb.dot(x)) / float(x @ (K.dot(x)))
         if q > best_q:
             best_q, best_x = q, x
     hat_q = Mb.diagonal() / K.diagonal()
@@ -265,8 +262,6 @@ def coercivity_eigencheck(matrix, gram, seed=0) -> float:
     n = matrix.shape[0]
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, n)
-    if float(x @ gram.dot(x)) <= 0.0:
-        raise ValueError("gram matrix is not positive definite")
     lu = factorize(symB)
     inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
     try:
@@ -300,8 +295,6 @@ def continuity_check(matrix, gram, bounds, L_est, seed=0):
         w = rng.uniform(-1.0, 1.0, nf)
         nv = float(np.sqrt(max(v @ gram.dot(v), 0.0)))
         nw = float(np.sqrt(max(w @ gram.dot(w), 0.0)))
-        if nv == 0.0 or nw == 0.0:
-            continue
         val = abs(float(v @ matrix.dot(w)))
         worst = np.maximum(worst, val / (nv * nw))   # propagates NaN
     worst = float(worst)
@@ -428,11 +421,6 @@ def ibp_identity_check(curve, u_field, w_field, a2, label="ibp"):
     ``(label, lhs, rhs, residual, tol, passed)``.
     """
     t = np.linspace(curve.t0, curve.t1, 8192 + 1)
-    if not curve.closed:
-        ends = w_field.value(curve.point(np.array([curve.t0, curve.t1])))
-        if np.abs(ends).max() > 1e-12:
-            raise ValueError(
-                f"{label}: test field must vanish at the open endpoints")
     sp = curve.speed(t)
     p = curve.point(t)
     wv = np.asarray(w_field.value(p), dtype=float)
@@ -520,9 +508,8 @@ def _chain_second_difference(solution) -> float:
     for _, rows in ch.curves:
         vals = solution.values[np.concatenate([ch.a[rows][:1], ch.b[rows]])]
         h = float(np.mean(ch.ell[rows]))
-        if len(vals) >= 3:
-            d2 = np.abs(vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h
-            worst = np.maximum(worst, d2.max())       # propagates NaN
+        d2 = np.abs(vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h
+        worst = np.maximum(worst, d2.max())           # propagates NaN
     return float(worst)
 
 
@@ -575,11 +562,6 @@ def solution_errors(solution, exact):
 class ConvergenceReport:
     rows: list                     # (n, h, e_L2, e_V0, e_trace)
 
-    def __post_init__(self):
-        hs = [r[1] for r in self.rows]
-        if any(b >= a for a, b in zip(hs, hs[1:])):
-            raise ValueError("mesh sizes must strictly decrease")
-
     def pair_orders(self):
         """Per-refinement orders (None on the first row)."""
         out = [(None, None)]
@@ -594,8 +576,6 @@ class ConvergenceReport:
     @property
     def observed_orders(self):
         """Least-squares slopes of log error against log h."""
-        if len(self.rows) < 3:
-            raise ValueError("need at least 3 rows for an order estimate")
         x = np.log([r[1] for r in self.rows])
         xc = x - x.mean()
         den = float(xc @ xc)
@@ -629,10 +609,6 @@ class ConvergenceReport:
 
 def manufactured_convergence(problem, n0=8, levels=4) -> ConvergenceReport:
     """Solve on meshes n0, 2 n0, ... and tabulate errors."""
-    if levels < 3:
-        raise ValueError("need at least 3 levels")
-    if problem.exact is None:
-        raise ValueError("problem has no exact solution attached")
     rows = []
     for k in range(levels):
         n = n0 * 2**k

@@ -106,6 +106,16 @@ def test_bad_configuration_exits_2(argv, capsys, tmp_path):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("text", ["poly:1,,2", "poly:1,"])
+def test_empty_poly_cell_exits_2(text, capsys, tmp_path):
+    # an empty cell is rejected, not skipped: poly:1,,2 is not 1 + 2x
+    assert cli.main(["solve", "--domain", "square", "--n", "2", "--a2", text,
+                     "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: a2: bad number in {text!r}\n")
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_huge_a2_slope_gives_an_infinite_shift(tmp_path, capsys):
     # grad_bound**2 is past the double range
     config = ["--domain", "square", "--n", "4", "--a2", "poly:1e160,1e160"]
@@ -703,13 +713,3 @@ def test_convergence_command(tmp_path, capsys):
     lines = (tmp_path / "convergence.csv").read_text().strip().splitlines()
     assert lines[0] == "n,h,e_L2,e_V0,e_trace,order_L2,order_V0"
     assert len(lines) == 4
-
-
-def test_verify_command(tmp_path, capsys):
-    rc = cli.main(["verify", "--seed", "42", "--output-dir", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert out.strip().splitlines()[-1] == "ALL PASS"
-    for fname in ("summary.txt", "coercivity.csv", "convergence_cable.csv",
-                  "uniqueness.csv"):
-        assert (tmp_path / fname).exists()

@@ -132,6 +132,7 @@ def test_parse_coefficient_grammar():
 
 @pytest.mark.parametrize("bad", [
     "const:abc", "poly:", "poly:1,2,3,4,5,6,7", "poly:1,x", "mystery", "nodal:x.csv",
+    "poly:1,,2", "poly:1,",
 ])
 def test_parse_coefficient_rejects(bad):
     with pytest.raises(ValueError, match="a2"):
@@ -155,7 +156,7 @@ def test_nodal_coefficient_round_trip(tmp_path):
     # curves compare by identity: an equal curve of another domain is foreign
     foreign = square_domain().ventcel_curves[0]
     for method in (coef.eval_curve, coef.tangential_deriv):
-        with pytest.raises(ValueError, match="no boundary edges"):
+        with pytest.raises(InternalError, match="curve outside its mesh"):
             method(foreign, t)
 
 

@@ -134,11 +134,6 @@ def test_cable_top_row_on_curve():
     assert gap.max() < 1e-12
 
 
-def test_triangulate_rejects_bad_n():
-    with pytest.raises(ValueError):
-        triangulate(square_domain(), 0)
-
-
 def _boundary_row(row):
     """One BEDGES row as (a, b, tag[, curve token, ta, tb])."""
     a, b, tag, *rest = row.split()

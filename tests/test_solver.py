@@ -170,11 +170,6 @@ def test_threaded_solve_matches_the_serial_stages_bit_for_bit(
     assert sol.residual.hex() == residual.hex()
 
 
-def test_manufactured_problem_rejects_unknown_name():
-    with pytest.raises(ValueError, match="exact"):
-        manufactured_problem(square_domain(), "mystery", A2_ONE, ZERO)
-
-
 @pytest.mark.parametrize("key", ["a2", "a0"])
 def test_manufactured_chain_load_names_the_coefficient_of_a_bad_term(key):
     # a2 * u_ss and a0 * u are inf or nan; the error names the
@@ -187,11 +182,6 @@ def test_manufactured_chain_load_names_the_coefficient_of_a_bad_term(key):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(InputError, match=f"^{key}: the {key} term "):
             assemble_load(space, g1=problem.g1)
-
-
-def test_solve_ventcel_needs_mesh_or_n():
-    with pytest.raises(ValueError):
-        solve_ventcel(cable_problem())
 
 
 def test_solve_linear_raises_on_singular():
