@@ -304,8 +304,8 @@ def mcshane_lift(space: FeSpace, phi) -> np.ndarray:
     idx = np.flatnonzero(space.dirichlet_mask)
     wall = mesh.nodes[idx]
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.atleast_1d(phi.eval_edges(mesh, a, b, xi, pts))
-        wall_values = np.atleast_1d(phi.eval_edges(mesh, idx, idx, 0.0, wall))
+        values = phi.eval_edges(mesh, a, b, xi, pts)
+        wall_values = phi.eval_edges(mesh, idx, idx, 0.0, wall)
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(wall_values))):
         raise InputError("phi: wall data must be finite (found nan or inf)")
 
@@ -442,8 +442,8 @@ def assemble_load(space: FeSpace, f1=None, f2=None, g1=None,
         mid = 0.5 * (p + p[:, [1, 2, 0]])
 
     def at_midpoints(key, coef):
-        return _finite_load(key, np.atleast_2d(coef.eval_edges(
-            space.mesh, tris, tris[:, [1, 2, 0]], 0.5, mid)))
+        return _finite_load(key, coef.eval_edges(
+            space.mesh, tris, tris[:, [1, 2, 0]], 0.5, mid))
 
     with np.errstate(over="ignore", invalid="ignore"):
         if f1 is not None:

@@ -7,6 +7,10 @@ and/or along a parametrized boundary curve, and those used as a2
 provide the tangential derivative along the curve.  Nodal data is
 interpolated along its own mesh's edges, with no point location.
 
+Every method takes float ndarrays, points (..., 2) or curve parameters
+of any shape (0-d too), and returns an array of the same leading shape,
+with trailing axes for gradients and Hessians.
+
 The string grammar understood by ``parse_coefficient``:
 
     const:<v>                          constant
@@ -38,20 +42,17 @@ class QuadraticField:
         self.c = tuple(float(v) for v in (c00, c10, c01, c20, c11, c02))
 
     def value(self, p):
-        p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
         c = self.c
         return c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
 
     def grad(self, p):
-        p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
         c = self.c
         return np.stack([c[1] + 2 * c[3] * x + c[4] * y,
                          c[2] + c[4] * x + 2 * c[5] * y], axis=-1)
 
     def hess(self, p):
-        p = np.asarray(p, dtype=float)
         c = self.c
         h = np.empty(p.shape[:-1] + (2, 2))
         h[..., 0, 0] = 2 * c[3]
@@ -64,17 +65,14 @@ class CubicHarmonic:
     """u = x^3 - 3 x y^2, a harmonic cubic (real part of z^3)."""
 
     def value(self, p):
-        p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
         return x**3 - 3.0 * x * y * y
 
     def grad(self, p):
-        p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
         return np.stack([3.0 * (x * x - y * y), -6.0 * x * y], axis=-1)
 
     def hess(self, p):
-        p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
         h = np.empty(p.shape[:-1] + (2, 2))
         h[..., 0, 0] = 6.0 * x
@@ -89,18 +87,15 @@ class LogRadial:
     _L2 = math.log(2.0)
 
     def value(self, p):
-        p = np.asarray(p, dtype=float)
         r2 = p[..., 0] ** 2 + p[..., 1] ** 2
         with np.errstate(divide="ignore"):      # -inf at the origin
             return 0.5 * np.log(r2) / self._L2
 
     def grad(self, p):
-        p = np.asarray(p, dtype=float)
         r2 = (p[..., 0] ** 2 + p[..., 1] ** 2)[..., None]
         return p / (r2 * self._L2)
 
     def hess(self, p):
-        p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
         r4 = (x * x + y * y) ** 2 * self._L2
         h = np.empty(p.shape[:-1] + (2, 2))
@@ -175,7 +170,7 @@ class FieldCoefficient(Coefficient):
         self.field = field
 
     def eval_points(self, p):
-        return self.field.value(np.asarray(p, dtype=float))
+        return self.field.value(p)
 
     def tangential_deriv(self, curve, t):
         d1 = curve.velocity(t)
@@ -189,14 +184,13 @@ class ConstantCoefficient(Coefficient):
         self.constant = float(value)
 
     def eval_points(self, p):
-        p = np.asarray(p, dtype=float)
         return np.full(p.shape[:-1], self.constant)
 
     def eval_curve(self, curve, t):
-        return np.full(np.shape(np.asarray(t, dtype=float)), self.constant)
+        return np.full(t.shape, self.constant)
 
     def tangential_deriv(self, curve, t):
-        return np.zeros(np.shape(np.asarray(t, dtype=float)))
+        return np.zeros(t.shape)
 
 
 class InverseCurvature(Coefficient):
@@ -242,23 +236,19 @@ class NodalCoefficient(Coefficient):
         if path is None:
             raise InternalError(
                 "nodal coefficient asked for on a curve outside its mesh")
-        k = np.clip(np.searchsorted(tp[:-1], np.atleast_1d(t), side="right") - 1,
+        k = np.clip(np.searchsorted(tp[:-1], t, side="right") - 1,
                     0, len(path) - 2)
         return path[k], path[k + 1], tp[k], tp[k + 1]
 
     def eval_curve(self, curve, t):
-        t = np.asarray(t, dtype=float)
         a, b, ta, tb = self._edges_at(curve, t)
-        xi = np.clip((np.atleast_1d(t) - ta) / (tb - ta), 0.0, 1.0)
-        vals = (1 - xi) * self.values[a] + xi * self.values[b]
-        return vals.reshape(t.shape) if t.ndim else float(vals[0])
+        xi = np.clip((t - ta) / (tb - ta), 0.0, 1.0)
+        return (1 - xi) * self.values[a] + xi * self.values[b]
 
     def tangential_deriv(self, curve, t):
-        t = np.asarray(t, dtype=float)
         a, b, _, _ = self._edges_at(curve, t)
         e = self.mesh.nodes[b] - self.mesh.nodes[a]
-        d = (self.values[b] - self.values[a]) / np.hypot(e[..., 0], e[..., 1])
-        return d.reshape(t.shape) if t.ndim else float(d[0])
+        return (self.values[b] - self.values[a]) / np.hypot(e[..., 0], e[..., 1])
 
 
 class BoundaryFunction(Coefficient):
@@ -268,7 +258,7 @@ class BoundaryFunction(Coefficient):
         self.func = func
 
     def eval_curve(self, curve, t):
-        return np.asarray(self.func(curve, np.asarray(t, dtype=float)), dtype=float)
+        return self.func(curve, t)
 
 
 ZERO = ConstantCoefficient(0.0)

@@ -11,6 +11,9 @@ arc length as a monotone reparametrization with an accurate inverse,
 parametric curvature, and the first and second tangential and the
 normal derivatives of a plane field in a curve's unit tangent /
 outward normal frame.
+
+Curve parameters come in as a float ndarray of any shape (0-d too), and
+every result has that shape, plus a trailing axis 2 for points and vectors.
 """
 
 from __future__ import annotations
@@ -91,16 +94,16 @@ class Curve:
         return tg, np.concatenate([[0.0], np.cumsum(incr)])
 
     def _simpson(self, a, b, m):
-        # composite Simpson with m subpanels on each [a_i, b_i], vectorized
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+        # composite Simpson with m subpanels on each [a_i, b_i]; one flat
+        # matrix-vector product sums them all, so no sum depends on a's shape
         xi = np.linspace(0.0, 1.0, 2 * m + 1)
         t = a[..., None] + (b - a)[..., None] * xi
         f = self.speed(t)
         w = np.ones(2 * m + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        return (b - a) / (6.0 * m) * (f @ w)
+        return (b - a) / (6.0 * m) * (f.reshape(-1, 2 * m + 1) @ w).reshape(
+            f.shape[:-1])
 
     @property
     def total_length(self) -> float:
@@ -112,13 +115,10 @@ class Curve:
         t is clipped to [t0, t1]; every caller passes values inside it.
         """
         t_grid, s_grid = self._arc_grid
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.clip(np.atleast_1d(t).astype(float), self.t0, self.t1)
-        k = np.clip(np.searchsorted(t_grid, tt, side="right") - 1,
+        t = np.clip(t, self.t0, self.t1)
+        k = np.clip(np.searchsorted(t_grid, t, side="right") - 1,
                     0, len(t_grid) - 2)
-        s = s_grid[k] + self._simpson(t_grid[k], tt, 8)
-        return float(s[0]) if scalar else s.reshape(t.shape)
+        return s_grid[k] + self._simpson(t_grid[k], t, 8)
 
     def param_at_arc_length(self, s):
         """Inverse of ``arc_length``: |arc_length(t(s)) - s| < 1e-10 * length.
@@ -126,17 +126,15 @@ class Curve:
         s is clipped to [0, total_length].
         """
         t_grid, s_grid = self._arc_grid
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
         L = self.total_length
-        ss = np.clip(np.atleast_1d(s).astype(float), 0.0, L)
-        t = np.interp(ss, s_grid, t_grid)
+        s = np.clip(s, 0.0, L)
+        t = np.interp(s, s_grid, t_grid)
         for _ in range(60):
-            resid = self.arc_length(t.reshape(-1)).reshape(t.shape) - ss
+            resid = self.arc_length(t) - s
             if np.all(np.abs(resid) <= 64 * _EPS * max(L, 1.0)):
                 break
             t = np.clip(t - resid / self.speed(t), self.t0, self.t1)
-        return float(t[0]) if scalar else t.reshape(s.shape)
+        return t
 
     def token(self) -> str:
         raise NotImplementedError
@@ -157,8 +155,6 @@ class CableArc(Curve):
     """
 
     t0 = -1.0
-    t1 = 1.0
-    closed = False
     normal_sign = 1  # (-y', x') points up and away from the graph region
 
     def token(self):
@@ -169,20 +165,17 @@ class CableArc(Curve):
         return np.sqrt(1.0 + t * t)
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
         rho = self._rho(t)
         y = (2.0 - rho) ** (-2.0 / 3.0) * (1.0 + rho) ** (-1.0 / 3.0)
         return np.stack([t * y, y], axis=-1)
 
     def velocity(self, t):
-        t = np.asarray(t, dtype=float)
         rho = self._rho(t)
         y = (2.0 - rho) ** (-2.0 / 3.0) * (1.0 + rho) ** (-1.0 / 3.0)
         dy = t * (2.0 - rho) ** (-5.0 / 3.0) * (1.0 + rho) ** (-4.0 / 3.0)
         return np.stack([y + t * dy, dy], axis=-1)
 
     def acceleration(self, t):
-        t = np.asarray(t, dtype=float)
         rho = self._rho(t)
         dy = t * (2.0 - rho) ** (-5.0 / 3.0) * (1.0 + rho) ** (-4.0 / 3.0)
         d2y = (
@@ -195,7 +188,7 @@ class CableArc(Curve):
 
     def curvature_closed_form(self, t):
         """Closed-form curvature (2-rho)^(5/3) (1+rho)^(5/6) / (2^(3/2) rho^(5/2))."""
-        rho = self._rho(np.asarray(t, dtype=float))
+        rho = self._rho(t)
         return (
             (2.0 - rho) ** (5.0 / 3.0)
             * (1.0 + rho) ** (5.0 / 6.0)
@@ -204,7 +197,6 @@ class CableArc(Curve):
 
     def curvature_dt(self, t):
         """d(kappa)/dt from the logarithmic derivative of the closed form."""
-        t = np.asarray(t, dtype=float)
         rho = self._rho(t)
         kappa = self.curvature_closed_form(t)
         dlog = -(5.0 / 3.0) / (2.0 - rho) + (5.0 / 6.0) / (1.0 + rho) - 2.5 / rho
@@ -224,19 +216,16 @@ class Circle(Curve):
         self.closed = abs((self.t1 - self.t0) - 2.0 * math.pi) < 1e-12
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
         return self.radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
 
     def velocity(self, t):
-        t = np.asarray(t, dtype=float)
         return self.radius * np.stack([-np.sin(t), np.cos(t)], axis=-1)
 
     def acceleration(self, t):
-        t = np.asarray(t, dtype=float)
         return self.radius * np.stack([-np.cos(t), -np.sin(t)], axis=-1)
 
     def curvature_dt(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
+        return np.zeros_like(t)
 
     def token(self):
         # only a domain's full circles serialize, each about the origin;
@@ -248,29 +237,22 @@ class Circle(Curve):
 class Segment(Curve):
     """Straight segment from p0 to p1 on the unit parameter interval."""
 
-    t0 = 0.0
-    t1 = 1.0
-    closed = False
-
     def __init__(self, p0, p1, normal_sign=1):
         self.p0 = np.asarray(p0, dtype=float)
         self.p1 = np.asarray(p1, dtype=float)
         self.normal_sign = int(normal_sign)
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)[..., None]
-        return self.p0 + t * (self.p1 - self.p0)
+        return self.p0 + t[..., None] * (self.p1 - self.p0)
 
     def velocity(self, t):
-        t = np.asarray(t, dtype=float)
         return np.broadcast_to(self.p1 - self.p0, t.shape + (2,)).copy()
 
     def acceleration(self, t):
-        t = np.asarray(t, dtype=float)
         return np.zeros(t.shape + (2,))
 
     def curvature_dt(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
+        return np.zeros_like(t)
 
     def token(self):
         vals = [self.p0[0], self.p0[1], self.p1[0], self.p1[1]]
@@ -314,13 +296,11 @@ def equivalence_residual(field, curve: Curve, t):
     h = 1e-4 * length, stepping into the curve.  Small values certify
     that both routes to the tangential Laplacian agree.
     """
-    t = np.asarray(t, dtype=float)
-    tt = np.atleast_1d(t)
-    _, u_tt, u_nu, kappa_oriented = frame_derivatives(field, curve, tt)
+    _, u_tt, u_nu, kappa_oriented = frame_derivatives(field, curve, t)
     u_ss_curv = u_tt + kappa_oriented * u_nu
 
     L = curve.total_length
-    s0 = np.atleast_1d(curve.arc_length(tt)).astype(float)
+    s0 = curve.arc_length(t)
     h = np.full_like(s0, 1e-4 * L)
     if not curve.closed:
         h = np.minimum(h, np.minimum(s0, L - s0) / 2.0)
@@ -333,14 +313,14 @@ def equivalence_residual(field, curve: Curve, t):
     res = np.empty_like(u_ss_curv)
     si, hi = s0[ok], h[ok]
     if si.size:
-        uc = field.value(curve.point(tt[ok]))
+        uc = field.value(curve.point(t[ok]))
         u_ss = (uval(si + hi) - 2.0 * uc + uval(si - hi)) / hi**2
         res[ok] = np.abs(u_ss - u_ss_curv[ok])
     se = s0[~ok]
     if se.size:
         he = np.where(se < 0.5 * L, 1e-4 * L, -1e-4 * L)
-        u0 = field.value(curve.point(tt[~ok]))
+        u0 = field.value(curve.point(t[~ok]))
         u_ss = (2.0 * u0 - 5.0 * uval(se + he) + 4.0 * uval(se + 2.0 * he)
                 - uval(se + 3.0 * he)) / he**2
         res[~ok] = np.abs(u_ss - u_ss_curv[~ok])
-    return res.reshape(t.shape)
+    return res

@@ -114,10 +114,8 @@ def _mesh_annulus(spec, n):
     theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
     radii = np.linspace(r0, r1, n + 1)
 
-    nodes = np.empty(((n + 1) * ntheta, 2))
-    for k, r in enumerate(radii):
-        nodes[k * ntheta:(k + 1) * ntheta, 0] = r * np.cos(theta)
-        nodes[k * ntheta:(k + 1) * ntheta, 1] = r * np.sin(theta)
+    nodes = np.column_stack([np.outer(radii, np.cos(theta)).ravel(),
+                             np.outer(radii, np.sin(theta)).ravel()])
 
     # ring k walks m = 0 .. ntheta - 1 and closes back on m = 0
     ring = np.append(np.arange(ntheta), 0)
@@ -160,16 +158,11 @@ def _cable_column_params(curve, n):
 def _mesh_cable(spec, n):
     curve = spec.ventcel_curves[0]
     t_cols = _cable_column_params(curve, n)
-    tops = curve.point(t_cols)                      # exactly on the arc
-    px, py = tops[:, 0], tops[:, 1]
+    px, py = curve.point(t_cols).T
 
-    nodes = np.empty(((n + 1) ** 2, 2))
-    for j in range(n + 1):
-        rows = slice(j * (n + 1), (j + 1) * (n + 1))
-        nodes[rows, 0] = px
-        nodes[rows, 1] = py * (j / n)
-    # top row exactly equals the curve points
-    nodes[n * (n + 1):, :] = tops
+    # row j is at heights py * (j / n), so the top row is exactly on the arc
+    nodes = np.column_stack([np.tile(px, n + 1),
+                             np.outer(np.arange(n + 1) / n, py).ravel()])
 
     grid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1).T  # [i, j]
     tris = _grid_triangles(grid)
@@ -210,17 +203,16 @@ def _write_text(path: str, text: str) -> None:
 
 
 def write_mesh(mesh: Mesh, path: str) -> None:
-    lines = ["ventcel-mesh v1"]
-    lines.append(f"NODES {len(mesh.nodes)}")
-    for i, (x, y) in enumerate(mesh.nodes):
-        lines.append(f"{i} {_fmt(x)} {_fmt(y)}")
-    lines.append(f"TRIANGLES {len(mesh.triangles)}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"{a} {b} {c}")
     rows = []
     for curve, p, t in mesh.chains:
-        rows += [f"{a} {b} ventcel {curve.token()} {_fmt(ta)} {_fmt(tb)}"
+        rows += [f"{a} {b} ventcel {curve.token()} {_fmt(ta)} {_fmt(tb)}\n"
                  for a, b, ta, tb in zip(p[:-1], p[1:], t[:-1], t[1:])]
-    rows += [f"{a} {b} dirichlet" for a, b in mesh.walls]
-    lines.append(f"BEDGES {len(rows)}")
-    _write_text(path, "\n".join(lines + rows) + "\n")
+    rows += [f"{a} {b} dirichlet\n" for a, b in mesh.walls]
+    n, m = len(mesh.nodes), len(mesh.triangles)
+    nodes = tuple(np.column_stack([np.arange(n), mesh.nodes]).ravel().tolist())
+    # "%.17g" % x prints the same digits as _fmt(x) for every float
+    _write_text(path, f"ventcel-mesh v1\nNODES {n}\n"
+                + "%d %.17g %.17g\n" * n % nodes
+                + f"TRIANGLES {m}\n"
+                + "%d %d %d\n" * m % tuple(mesh.triangles.ravel().tolist())
+                + f"BEDGES {len(rows)}\n" + "".join(rows))

@@ -59,7 +59,7 @@ class _PointFunction(Coefficient):
         self.func = func
 
     def eval_points(self, p):
-        return np.asarray(self.func(np.asarray(p, dtype=float)), dtype=float)
+        return self.func(p)
 
 
 def manufactured_problem(domain: DomainSpec, exact, a2, a0) -> VentcelProblem:
@@ -83,12 +83,10 @@ def manufactured_problem(domain: DomainSpec, exact, a2, a0) -> VentcelProblem:
         return -(h[..., 0, 0] + h[..., 1, 1])
 
     def g1_func(curve, t):
-        t = np.asarray(t, dtype=float)
         _, u_tt, u_nu, kappa = frame_derivatives(exact, curve, t)
         u_ss = u_tt + kappa * u_nu
-        a2v = np.atleast_1d(a2.eval_curve(curve, t)).reshape(np.shape(u_nu))
-        a0v = np.atleast_1d(a0.eval_curve(curve, t)).reshape(np.shape(u_nu))
-        a2_term, a0_term = a2v * u_ss, a0v * exact.value(curve.point(t))
+        a2_term = a2.eval_curve(curve, t) * u_ss
+        a0_term = a0.eval_curve(curve, t) * exact.value(curve.point(t))
         for key, term in (("a2", a2_term), ("a0", a0_term)):
             if not np.all(np.isfinite(term)):
                 raise InputError(f"{key}: the {key} term of the manufactured "

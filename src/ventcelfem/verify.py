@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -121,7 +121,7 @@ def interval_poincare_check(v, label="interval"):
     measure, passed)``.
     """
     s = np.linspace(0.0, 1.0, 20001)
-    vv = np.asarray(v(s), dtype=float)
+    vv = v(s)
     slopes = np.diff(vv) / np.diff(s)
     return _level_set_inequality(s, vv, slopes, label)
 
@@ -135,10 +135,10 @@ def curve_poincare_check(w, curve, label="curve"):
     L = curve.total_length
     s = np.linspace(0.0, L, 4096)
     t = curve.param_at_arc_length(s)
-    vv = np.atleast_1d(np.asarray(w.value(curve.point(t)), dtype=float))
+    vv = w.value(curve.point(t))
     smid = 0.5 * (s[:-1] + s[1:])
     tmid = curve.param_at_arc_length(smid)
-    slopes = np.atleast_1d(frame_derivatives(w, curve, tmid)[0])
+    slopes = frame_derivatives(w, curve, tmid)[0]
     return _level_set_inequality(s, vv, slopes, label)
 
 
@@ -348,13 +348,13 @@ def _independent_load(space, problem):
     phys = np.einsum("qk,tkd->tqd", DUNAVANT6_BARY, pts)
 
     if problem.f1 is not None:
-        vals = np.atleast_2d(problem.f1.eval_points(phys))
+        vals = problem.f1.eval_points(phys)
         weights = space.tri_area[:, None] * DUNAVANT6_W[None, :]
         contrib = np.einsum("tq,qk->tk", weights * vals, DUNAVANT6_BARY)
         np.add.at(L, tris, contrib)
     if problem.f2 is not None:
-        fx = np.atleast_2d(problem.f2[0].eval_points(phys))
-        fy = np.atleast_2d(problem.f2[1].eval_points(phys))
+        fx = problem.f2[0].eval_points(phys)
+        fy = problem.f2[1].eval_points(phys)
         wx = space.tri_area * (fx @ DUNAVANT6_W)
         wy = space.tri_area * (fy @ DUNAVANT6_W)
         contrib = -(space.tri_grads[..., 0] * wx[:, None]
@@ -423,12 +423,12 @@ def ibp_identity_check(curve, u_field, w_field, a2, label="ibp"):
     t = np.linspace(curve.t0, curve.t1, 8192 + 1)
     sp = curve.speed(t)
     p = curve.point(t)
-    wv = np.asarray(w_field.value(p), dtype=float)
+    wv = w_field.value(p)
     dw = frame_derivatives(w_field, curve, t)[0]
     du, u_tt, u_nu, kappa = frame_derivatives(u_field, curve, t)
     d2u = u_tt + kappa * u_nu
-    a2v = np.atleast_1d(a2.eval_curve(curve, t))
-    da2 = np.atleast_1d(a2.tangential_deriv(curve, t))
+    a2v = a2.eval_curve(curve, t)
+    da2 = a2.tangential_deriv(curve, t)
 
     weights = np.ones(len(t))
     weights[1:-1:2] = 4.0
@@ -533,12 +533,11 @@ def solution_errors(solution, exact):
     w6 = space.tri_area[:, None] * DUNAVANT6_W[None, :]
 
     uh = np.einsum("tk,qk->tq", u[tris], DUNAVANT6_BARY)
-    diff = np.asarray(exact.value(phys), dtype=float) - uh
+    diff = exact.value(phys) - uh
     e_l2 = float(np.sqrt(np.sum(w6 * diff**2)))
 
     gh = np.einsum("ti,tid->td", u[tris], space.tri_grads)
-    gex = np.asarray(exact.grad(phys), dtype=float)
-    gd = gex - gh[:, None, :]
+    gd = exact.grad(phys) - gh[:, None, :]
     grad_sq = float(np.sum(w6 * np.einsum("tqd,tqd->tq", gd, gd)))
 
     ch = space.ventcel_edges
@@ -790,12 +789,20 @@ def _check_weak_residual(seed):
     bad = sq_sol.values.copy()
     bad[sq_sol.space.free[len(sq_sol.space.free) // 2]] += 1e-3
     r3, _ = weak_residual_check(sq_sol, sq_problem, seed=seed + 2, values=bad)
+    # every load key set: the only case whose solve reads f2 and g2
+    all_problem = replace(
+        sq_problem, exact=None, g2=FieldCoefficient(QuadraticField(0.2, 0.1)),
+        f2=(FieldCoefficient(QuadraticField(0.5, 0.0, 1.0)),
+            FieldCoefficient(QuadraticField(-0.5, 1.0))))
+    r4, ok4 = weak_residual_check(solve_ventcel(all_problem, n=8), all_problem,
+                                  seed=seed + 4)
     rows = [("square_affine", r1, WEAK_RESIDUAL_TOL, ok1),
             ("cable", r2, WEAK_RESIDUAL_TOL, ok2),
-            ("square_affine_fault", r3, "1e-06", r3 > 1e-6)]
+            ("square_affine_fault", r3, "1e-06", r3 > 1e-6),
+            ("square_all_loads", r4, WEAK_RESIDUAL_TOL, ok4)]
     return ("weak_residual.csv", _csv("case,max_residual,threshold,pass", rows),
             all(r[-1] for r in rows),
-            f"max {np.max([r1, r2]):.3g}, fault residual {r3:.3g}")
+            f"max {np.max([r1, r2, r4]):.3g}, fault residual {r3:.3g}")
 
 
 def _check_ibp(seed):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ventcelfem.domain import square_domain
 from ventcelfem.geometry import (
@@ -152,6 +154,22 @@ def test_arc_grid_equals_the_adaptive_table_bitwise(name):
     s8 = reference_simpson(curve, t_ref[:-1], t_ref[1:], 8)
     s16 = reference_simpson(curve, t_ref[:-1], t_ref[1:], 16)
     assert np.all(np.abs(s16 - s8) <= 1e-13 * np.abs(s16))
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_CURVES))
+@settings(max_examples=20)
+@given(k=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_arc_length_of_a_batch_equals_the_flat_call_bitwise(name, k, seed):
+    curve = DOMAIN_CURVES[name]()
+    rng = np.random.default_rng(seed)
+    t = curve.t0 + (curve.t1 - curve.t0) * rng.random((k, 3))
+    s = curve.arc_length(t)
+    assert s.shape == t.shape
+    assert s.tobytes() == curve.arc_length(t.ravel()).reshape(k, 3).tobytes()
+    back = curve.param_at_arc_length(s)
+    assert back.shape == t.shape
+    assert back.tobytes() == \
+        curve.param_at_arc_length(s.ravel()).reshape(k, 3).tobytes()
 
 
 def test_tangent_normal_orthonormal_and_outward():

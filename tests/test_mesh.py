@@ -179,6 +179,59 @@ def test_mesh_round_trip(tmp_path_factory, text, n):
     assert validate(mesh) == []
 
 
+def per_line_mesh_text(mesh):
+    """The mesh file as the per-line f-string writer formatted it."""
+    def fmt(x):
+        return format(float(x), ".17g")
+    lines = ["ventcel-mesh v1", f"NODES {len(mesh.nodes)}"]
+    lines += [f"{i} {fmt(x)} {fmt(y)}" for i, (x, y) in enumerate(mesh.nodes)]
+    lines.append(f"TRIANGLES {len(mesh.triangles)}")
+    lines += [f"{a} {b} {c}" for a, b, c in mesh.triangles]
+    rows = []
+    for curve, p, t in mesh.chains:
+        rows += [f"{a} {b} ventcel {curve.token()} {fmt(ta)} {fmt(tb)}"
+                 for a, b, ta, tb in zip(p[:-1], p[1:], t[:-1], t[1:])]
+    rows += [f"{a} {b} dirichlet" for a, b in mesh.walls]
+    lines.append(f"BEDGES {len(rows)}")
+    return "\n".join(lines + rows) + "\n"
+
+
+def per_row_nodes(spec, mesh, n):
+    """The nodes as the per-row loops of the annulus and cable built them."""
+    if spec.kind == "annulus":
+        ntheta = 4 * n
+        theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
+        radii = np.linspace(spec.params["r_inner"], spec.params["r_outer"],
+                            n + 1)
+        nodes = np.empty(((n + 1) * ntheta, 2))
+        for k, r in enumerate(radii):
+            nodes[k * ntheta:(k + 1) * ntheta, 0] = r * np.cos(theta)
+            nodes[k * ntheta:(k + 1) * ntheta, 1] = r * np.sin(theta)
+        return nodes
+    (curve, _, t_cols), = mesh.chains
+    tops = curve.point(t_cols)
+    nodes = np.empty(((n + 1) ** 2, 2))
+    for j in range(n + 1):
+        rows = slice(j * (n + 1), (j + 1) * (n + 1))
+        nodes[rows, 0] = tops[:, 0]
+        nodes[rows, 1] = tops[:, 1] * (j / n)
+    nodes[n * (n + 1):, :] = tops
+    return nodes
+
+
+@pytest.mark.parametrize("kind", ["cable", "square", "annulus"])
+@settings(max_examples=20)
+@given(n=st.integers(2, 40))
+def test_array_mesh_code_equals_the_per_row_code(tmp_path_factory, kind, n):
+    spec = make_domain(kind)
+    mesh = triangulate(spec, n)
+    if kind != "square":
+        assert mesh.nodes.tobytes() == per_row_nodes(spec, mesh, n).tobytes()
+    path = tmp_path_factory.mktemp("writer") / "mesh.txt"
+    write_mesh(mesh, str(path))
+    assert path.read_bytes() == per_line_mesh_text(mesh).encode()
+
+
 def test_validate_names_each_fault():
     mesh = triangulate(square_domain(), 3)
     (bottom, path, t), top = mesh.chains
