@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 from .domain import InputError, InternalError
+from .geometry import tangential_derivative
 
 
 # ----------------------------------------------------------------------
@@ -173,10 +174,8 @@ class FieldCoefficient(Coefficient):
         return self.field.value(p)
 
     def tangential_deriv(self, curve, t):
-        d1 = curve.velocity(t)
-        sp = np.hypot(d1[..., 0], d1[..., 1])
-        g = self.field.grad(curve.point(t))
-        return (d1[..., 0] * g[..., 0] + d1[..., 1] * g[..., 1]) / sp
+        return tangential_derivative(curve.velocity(t),
+                                     self.field.grad(curve.point(t)))
 
 
 class ConstantCoefficient(Coefficient):

@@ -260,6 +260,12 @@ class Segment(Curve):
             ";%+d" % self.normal_sign
 
 
+def tangential_derivative(d1, g):
+    """Derivative of a field with gradient g along the unit tangent d1/|d1|."""
+    return (d1[..., 0] * g[..., 0] + d1[..., 1] * g[..., 1]) / np.hypot(
+        d1[..., 0], d1[..., 1])
+
+
 def frame_derivatives(field, curve: Curve, t):
     """Derivatives of a plane field in the unit frame of a curve at t.
 
@@ -274,7 +280,7 @@ def frame_derivatives(field, curve: Curve, t):
     sp = np.hypot(d1[..., 0], d1[..., 1])
     g = field.grad(p)
     H = field.hess(p)
-    u_tau = (d1[..., 0] * g[..., 0] + d1[..., 1] * g[..., 1]) / sp
+    u_tau = tangential_derivative(d1, g)
     u_tt = (
         d1[..., 0] ** 2 * H[..., 0, 0]
         + 2.0 * d1[..., 0] * d1[..., 1] * H[..., 0, 1]

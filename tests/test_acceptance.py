@@ -7,10 +7,10 @@ line in ``pytest -v`` certifies the corresponding claim end to end.
 import filecmp
 import os
 
+import cases
 import numpy as np
 import pytest
 
-from ventcelfem import cli
 from ventcelfem.domain import annulus_domain, cable_domain, square_domain
 from ventcelfem.fields import (
     ConstantCoefficient,
@@ -190,12 +190,11 @@ def test_criterion_8_integration_by_parts():
         assert passed
 
 
-def test_criterion_9_deterministic_verification(tmp_path, verify_seed42):
-    code, _, dir_a = verify_seed42
+def test_criterion_9_deterministic_verification(tmp_path, runs):
+    code, _, _, dir_a = runs["verify_seed42"]
     dir_b = tmp_path / "run_b"
     assert code == 0
-    assert cli.main(["verify", "--seed", "42",
-                     "--output-dir", str(dir_b)]) == 0
+    assert cases.run("verify_seed42", dir_b, runs.inputs).code == 0
     names = sorted(os.listdir(dir_a))
     assert names == sorted(os.listdir(dir_b))
     assert "summary.txt" in names

@@ -5,6 +5,7 @@ import sys
 import threading
 import warnings
 
+import cases
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -83,39 +84,6 @@ def test_output_dir_precedence(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [
-    ["solve", "--domain", "hexagon", "--n", "2"],
-    ["solve", "--n", "1"],
-    ["info", "--exact", "mystery"],
-    ["solve", "--domain", "square", "--n", "2", "--a2", "mystery"],
-    ["solve", "--domain", "square", "--n", "2", "--a2", "const:-1"],
-    ["convergence", "--domain", "square", "--n", "4", "--levels", "2"],
-    ["info", "--domain", "annulus:1,inf,outer", "--n", "4"],
-    ["solve", "--domain", "annulus:1,inf,outer", "--n", "4"],
-    ["mesh", "--domain", "annulus:1,inf,outer", "--n", "4"],
-    ["convergence", "--domain", "annulus:1,inf,outer", "--n", "4",
-     "--levels", "3"],
-    ["solve", "--domain", "annulus:1e-200,2e-200,inner", "--n", "4"],
-    # too thin to mesh: its node rings coincide after rounding
-    *([command, "--domain", "annulus:1,1.0000000000000002,outer", "--n", "4"]
-      for command in ("info", "solve", "mesh", "convergence")),
-])
-def test_bad_configuration_exits_2(argv, capsys, tmp_path):
-    assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err
-
-
-@pytest.mark.parametrize("text", ["poly:1,,2", "poly:1,"])
-def test_empty_poly_cell_exits_2(text, capsys, tmp_path):
-    # an empty cell is rejected, not skipped: poly:1,,2 is not 1 + 2x
-    assert cli.main(["solve", "--domain", "square", "--n", "2", "--a2", text,
-                     "--output-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == (
-        f"configuration error: a2: bad number in {text!r}\n")
-    assert not (tmp_path / "solution.csv").exists()
-
-
 def test_huge_a2_slope_gives_an_infinite_shift(tmp_path, capsys):
     # grad_bound**2 is past the double range
     config = ["--domain", "square", "--n", "4", "--a2", "poly:1e160,1e160"]
@@ -133,23 +101,6 @@ def test_huge_wall_data_gives_a_finite_residual(tmp_path, capsys):
         "algebraic_residual"]
     assert 0.0 <= residual < 1e-14
     capsys.readouterr()
-
-
-@pytest.mark.parametrize("key, value", [
-    ("phi", "const:nan"), ("phi", "const:inf"),
-    ("a2", "const:nan"), ("a2", "poly:nan"), ("a2", "const:inf"),
-    ("a0", "const:nan"), ("a0", "const:-inf"),
-    ("f1", "const:nan"), ("f2x", "const:inf"), ("f2y", "poly:0,nan"),
-    ("g1", "const:-inf"), ("g2", "const:nan"),
-])
-def test_non_finite_data_exits_2(key, value, capsys, tmp_path):
-    rc = cli.main(["solve", "--domain", "square", "--n", "4",
-                   f"--{key}", value, "--output-dir", str(tmp_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"configuration error: {key}: " in err
-    assert "finite" in err
-    assert not (tmp_path / "solution.csv").exists()
 
 
 # every node of the n = 2 square, once
@@ -194,57 +145,6 @@ def test_wall_data_singular_at_a_wall_point_exits_2_without_warning(
     assert "phi: wall data must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, rc, message", [
-    (["solve", "--f1", "poly:0,inf"], 2, "configuration error: f1: "),
-    (["solve", "--g1", "poly:1e308,1e308"], 2, "configuration error: g1: "),
-    (["solve", "--f2x", "const:1e308"], 3, "solver failure: "),
-    (["solve", "--a2", "poly:1e308,1e308"], 2, "configuration error: a2: "),
-    (["info", "--a2", "poly:1e308,1e308"], 0, None),
-    (["convergence", "--a2", "poly:1e308,1e308", "--levels", "3"], 2,
-     "configuration error: a2: "),
-    (["solve", "--phi", "poly:1e308,1e308"], 2, "configuration error: phi: "),
-    (["convergence", "--a0", "const:1e308", "--levels", "3"], 2,
-     "configuration error: a0: "),
-    # finite a2 whose chain blocks overflow
-    (["solve", "--domain", "square", "--a2", "const:1e308"], 3,
-     "solver failure: solver produced non-finite values"),
-    (["solve", "--a2", "const:1.7e308"], 3,
-     "solver failure: solver produced non-finite values"),
-    (["convergence", "--a2", "const:1.7e308", "--levels", "3"], 3,
-     "solver failure: solver produced non-finite values"),
-])
-def test_huge_or_infinite_data_exits_without_warning(argv, rc, message,
-                                                     capsys, tmp_path):
-    # inf * 0 and sums past the double range give nan or inf, which a
-    # finiteness check or the solve reports; numpy must not warn first.
-    # The cable at n = 2 is the default; a case's own --domain wins.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        got = cli.main(argv[:1] + ["--domain", "cable", "--n", "2",
-                                   "--output-dir", str(tmp_path)] + argv[1:])
-    out, err = capsys.readouterr()
-    assert got == rc
-    if message is None:
-        assert err == "" and "# sigma0 = inf\n" in out
-    else:
-        assert err.startswith(message) and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("command, rc, message", [
-    ("solve", 2, "a2: values must be finite"),
-    ("info", 0, "# sigma0 = nan"),
-])
-def test_inv_curvature_on_a_straight_chain_runs_without_warning(
-        command, rc, message, capsys, tmp_path):
-    # the square's chains are straight, so 1/curvature is infinite
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = cli.main([command, "--domain", "square", "--n", "4",
-                        "--a2", "inv_curvature", "--output-dir", str(tmp_path)])
-    assert got == rc
-    assert message in "".join(capsys.readouterr())
-
-
 @pytest.mark.parametrize("argv", [
     ["solve", "--domain", "cable", "--n", "100000000"],
     ["mesh", "--domain", "square", "--n", "1000"],
@@ -264,9 +164,15 @@ def test_oversized_mesh_exits_2_before_meshing(argv, monkeypatch, capsys,
 
 
 def test_info_prints_non_finite_bounds(capsys):
-    assert cli.main(["info", "--domain", "square", "--n", "4",
-                     "--a2", "const:nan"]) == 0
-    assert "# lambda2 = " in capsys.readouterr().out
+    # nan a2; 1/curvature on the square's straight chains; a slope whose
+    # square, grad_bound**2, is past the double range
+    for domain, a2, line in [("square", "const:nan", "# lambda2 = nan\n"),
+                             ("square", "inv_curvature", "# sigma0 = nan\n"),
+                             ("cable", "poly:1e308,1e308", "# sigma0 = inf\n")
+                             ]:
+        assert cli.main(["info", "--domain", domain, "--n", "4",
+                         "--a2", a2]) == 0
+        assert line in capsys.readouterr().out
 
 
 def test_info_and_solve_print_the_same_bounds(tmp_path, capsys):
@@ -306,16 +212,6 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "configuration error: a2: nodal csv ab\0c: cannot read "
         "(embedded null byte)\n")
-
-
-@pytest.mark.parametrize("key", ["f1", "f2x", "f2y", "phi"])
-def test_inv_curvature_off_the_chain_names_its_key(key, capsys, tmp_path):
-    assert cli.main(["solve", "--domain", "cable", "--n", "4",
-                     f"--{key}", "inv_curvature",
-                     "--output-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == (
-        f"configuration error: {key}: inv_curvature is defined only on "
-        "boundary curves\n")
 
 
 def test_internal_value_error_is_not_a_configuration_error(tmp_path,
@@ -406,40 +302,17 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("a2, rc", [("const:1e12", 3), ("const:1e6", 0)])
-def test_singular_system_exits_3_before_any_output(a2, rc, tmp_path, capsys):
-    # annulus at n = 32: rcond 9.6e-17 at a2 = 1e12, 9.5e-11 at a2 = 1e6
-    assert cli.main(["solve", "--domain", "annulus", "--n", "32",
-                     "--a2", a2, "--phi", "log_radial", "--g1", "const:0.5",
-                     "--output-dir", str(tmp_path)]) == rc
-    err = capsys.readouterr().err
-    if rc == 3:
-        assert err.startswith("solver failure: reduced system is singular")
-        assert float(err.split("rcond = ")[1].rstrip(")\n")) < 1e-14
-        assert os.listdir(tmp_path) == []
+@pytest.mark.parametrize("name", ["solve_annulus_a2_1e12",
+                                  "convergence_annulus_a2_1e10",
+                                  "convergence_annulus_a2_1e12",
+                                  "solve_annulus_a2_1e6"])
+def test_the_rcond_cut_decides_the_exit(name, runs):
+    # the rows check the exit code, the message and the empty output
+    run = runs[name]
+    if run.code == 3:
+        assert float(run.stderr.split("rcond = ")[1].rstrip(")\n")) < 1e-14
     else:
-        assert err == ""
-        assert (tmp_path / "solution.csv").exists()
-
-
-@pytest.mark.parametrize("a2", ["const:1e10", "const:1e12"])
-def test_singular_convergence_level_exits_3_without_a_csv(a2, tmp_path,
-                                                          capsys):
-    # the first level, n = 8, is singular to working precision
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        rc = cli.main(["convergence", "--domain", "annulus", "--n", "8",
-                       "--levels", "3", "--a2", a2,
-                       "--output-dir", str(tmp_path)])
-    assert rc == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("solver failure: reduced system is singular to "
-                             "working precision (rcond = ")
-    assert float(err[0].split("rcond = ")[1].rstrip(")")) < 1e-14
-    assert os.listdir(tmp_path) == []
+        assert read_diagnostics(run.out / "diagnostics.txt")["rcond"] >= 1e-14
 
 
 @pytest.mark.parametrize("argv", [
@@ -654,18 +527,13 @@ def test_solve_recovers_affine_solution(tmp_path, capsys):
     assert np.abs(data[:, 0] + data[:, 1] - data[:, 2]).max() < 1e-12
 
 
-def write_nodal(path, mesh, func):
-    path.write_text("node,value\n" + "".join(
-        f"{i},{v:.17g}\n" for i, v in enumerate(func(mesh.nodes))))
-
-
 @pytest.mark.parametrize("domain", ["square", "cable", "annulus"])
 def test_nodal_wall_data_matches_the_analytic_solve(domain, tmp_path, capsys):
     # phi = x + y is affine along every straight wall edge, so its P1
     # interpolant is the same wall data up to rounding
     mesh = triangulate(make_domain(domain), 6)
     path = tmp_path / "phi.csv"
-    write_nodal(path, mesh, EXACT_SOLUTIONS["affine"].value)
+    cases.write_nodal(path, EXACT_SOLUTIONS["affine"].value(mesh.nodes))
     base = ["solve", "--domain", domain, "--n", "6", "--g1", "poly:1,0,2"]
     for phi in ("affine", f"nodal:{path}"):
         out = tmp_path / phi[:5]
@@ -676,21 +544,15 @@ def test_nodal_wall_data_matches_the_analytic_solve(domain, tmp_path, capsys):
     assert np.abs(got - want).max() <= 1e-12
     walls = np.unique(mesh.walls)
     assert len(walls) > 0
-    values = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1]
+    values = np.loadtxt(path, delimiter=",")[:, 1]
     assert np.array_equal(got[walls], values[walls])
 
 
 def test_nodal_solve_does_not_import_scipy_spatial(tmp_path):
     # nodal data is read on its own mesh's edges: nothing locates points
-    mesh = triangulate(make_domain("annulus"), 4)
-    for key, func in (("a2", lambda p: 3.0 + p[:, 0]),
-                      ("f1", lambda p: p[:, 0] * p[:, 1]),
-                      ("phi", lambda p: p[:, 0] - p[:, 1])):
-        write_nodal(tmp_path / f"{key}.csv", mesh, func)
-    argv = ["solve", "--domain", "annulus", "--n", "4",
-            "--output-dir", str(tmp_path / "out")]
-    argv += [f"--{key}=nodal:{tmp_path / key}.csv"
-             for key in ("a2", "f1", "phi")]
+    cases.write_inputs(tmp_path)
+    argv = cases.ROWS["solve_annulus_nodal_n8"].argv(tmp_path)
+    argv += ["--output-dir", str(tmp_path / "out")]
     code = ("import sys; from ventcelfem import cli; "
             "rc = cli.main(sys.argv[1:]); "
             "print('scipy.spatial' in sys.modules); sys.exit(rc)")

@@ -1,15 +1,14 @@
 """Every function defined in ``src/ventcelfem`` runs for some command.
 
-``cli.main`` is driven in-process over the traffic the CLI serves: the
-verify suite, the benchmark's and CI's solve command lines at small n,
-a solve with every load key, each domain form, ``convergence``,
-``mesh``, ``info`` from a config file and the documented error exits.
-A profile hook on this thread and on every thread started meanwhile
-(the solve's lift worker) records each code object entered.  Every
-``def`` in the package, nested ones included, must have been entered,
-apart from the abstract base methods in ``ALLOWED`` that only raise
-and the defs in ``OUTSIDE_CALLERS``.  A def that no command reaches
-belongs in ``tests/`` or nowhere.
+``cli.main`` is driven in-process over every row of ``tests/cases.py``:
+the verify suite, solves on each domain form with every load key and
+with nodal data, ``convergence``, ``mesh``, ``info`` from a config file
+and the documented error exits.  A profile hook on this thread and on
+every thread a run starts (the solve's lift worker) records each code
+object entered.  Every ``def`` in the package, nested ones included,
+must have been entered, apart from the abstract base methods in
+``ALLOWED`` that only raise and the defs in ``OUTSIDE_CALLERS``.  A def
+that no command reaches belongs in ``tests/`` or nowhere.
 
 Every ``raise`` in the package outside ``ALLOWED`` raises one of the
 exceptions ``cli.main`` maps to an exit code, so any other exception
@@ -18,12 +17,9 @@ that escapes a command is a bug.
 
 import ast
 import pathlib
-import sys
-import threading
 
+import cases
 from ventcelfem import cli
-from ventcelfem.domain import make_domain
-from ventcelfem.mesh import triangulate
 
 SRC = pathlib.Path(cli.__file__).parent
 
@@ -85,70 +81,10 @@ def defined_functions():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
 
-def write_nodal(path, mesh, func):
-    path.write_text("node,value\n" + "".join(
-        f"{i},{v!r}\n" for i, v in enumerate(func(mesh.nodes).tolist())))
-    return f"nodal:{path}"
-
-
-def traffic(tmp):
-    """(argv, expected exit code) for each command the probe runs."""
-    mesh = triangulate(make_domain("annulus"), 4)
-    a2 = write_nodal(tmp / "a2.csv", mesh, lambda p: 3.0 + p[:, 0])
-    f1 = write_nodal(tmp / "f1.csv", mesh, lambda p: p[:, 0] * p[:, 1])
-    phi = write_nodal(tmp / "phi.csv", mesh,
-                      lambda p: 1.0 + p[:, 0] - 2.0 * p[:, 1] ** 2)
-    config = tmp / "run.cfg"
-    config.write_text("domain = cable\nn = 4\na2 = inv_curvature  # arc\n")
-    square = ["solve", "--domain", "square", "--n", "4"]
-    annulus = ["solve", "--domain", "annulus", "--n", "4"]
-    return [
-        (["verify", "--seed", "42"], 0),
-        (["solve", "--domain", "cable", "--n", "8", "--a2", "inv_curvature",
-          "--phi", "harmonic_cubic", "--exact", "harmonic_cubic",
-          "--seed", "1"], 0),
-        (annulus + ["--phi", "log_radial", "--seed", "1", "--a2", a2,
-                    "--f1", f1, "--a0", "poly:0.5,0,0,0.2,0,0.1",
-                    "--g1", "poly:0.3,-0.2,0.1,0.4,-0.5,0.6"], 0),
-        (annulus + ["--a2", a2, "--f1", f1, "--phi", phi], 0),
-        (square + ["--phi", "affine", "--exact", "affine", "--f1", "const:1",
-                   "--f2x", "poly:0,1", "--f2y", "const:0.5",
-                   "--g1", "poly:-3,0,2", "--g2", "poly:1,0,1"], 0),
-        (["solve", "--domain", "annulus:1,2,inner", "--n", "4",
-          "--phi", "log_radial"], 0),
-        (annulus + ["--a2", "inv_curvature"], 2),
-        (square + ["--a2", "inv_curvature"], 2),
-        (["convergence", "--domain", "cable", "--n", "4", "--levels", "3"], 0),
-        (["mesh", "--domain", "annulus", "--n", "4"], 0),
-        (["info", "--config", str(config)], 0),
-        (square + ["--f1", "inv_curvature"], 2),
-        (square + ["--f1", "const:nan"], 2),
-    ]
-
-
-def test_every_def_in_src_is_reached_by_a_command(tmp_path, capsys):
-    commands = traffic(tmp_path)
-    entered = set()
-
-    def hook(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-
-    codes = []
-    old = sys.getprofile()
-    threading.setprofile(hook)
-    sys.setprofile(hook)
-    try:
-        for k, (argv, _) in enumerate(commands):
-            codes.append(cli.main(argv + ["--output-dir",
-                                          str(tmp_path / f"run{k}")]))
-    finally:
-        sys.setprofile(old)
-        threading.setprofile(None)
-    capsys.readouterr()
-    assert codes == [rc for _, rc in commands]
-
-    reached = {(path.name, code.co_firstlineno) for code in entered
+def test_every_def_in_src_is_reached_by_a_command(runs):
+    for name in cases.ROWS:
+        runs[name]      # runs the row unless a test before ran it
+    reached = {(path.name, code.co_firstlineno) for code in runs.entered
                for path in [pathlib.Path(code.co_filename)]
                if path.parent == SRC}
     missed = [f"{fname}:{line} {name}"

@@ -1,6 +1,7 @@
 import os
 import re
 
+import cases
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ventcelfem import cli, solver, verify
+from ventcelfem import solver, verify
 from ventcelfem.domain import annulus_domain, cable_domain, square_domain
 from ventcelfem.fields import (
     ConstantCoefficient,
@@ -593,7 +594,7 @@ NAN_GATES = [
 @pytest.mark.parametrize("check, target, nth, when, spoil, detail",
                          NAN_GATES, ids=[g[0] for g in NAN_GATES])
 def test_verify_fails_a_gate_fed_nan(check, target, nth, when, spoil, detail,
-                                     tmp_path, monkeypatch, capsys):
+                                     tmp_path, monkeypatch):
     real = getattr(verify, target)
     matched = []
 
@@ -606,12 +607,12 @@ def test_verify_fails_a_gate_fed_nan(check, target, nth, when, spoil, detail,
         return out
     monkeypatch.setattr(verify, target, spoiled)
 
-    out = tmp_path / "reports"
-    assert cli.main(["verify", "--seed", "42", "--output-dir", str(out)]) == 1
-    summary = (out / "summary.txt").read_text().splitlines()
-    assert capsys.readouterr().out.splitlines() == summary
+    run = cases.run("verify_seed42", tmp_path, None)
+    assert run.code == 1
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert run.stdout.splitlines() == summary
     failed = [line for line in summary if line.startswith("FAIL ")]
     assert len(failed) == 1
     assert failed[0].startswith(f"FAIL {check} {detail}")
     assert summary[-1] == "FAILURES: 1"
-    assert set(os.listdir(out)) == set(SUITE_FILES)
+    assert set(os.listdir(tmp_path)) == set(SUITE_FILES)
