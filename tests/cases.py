@@ -56,6 +56,13 @@ SINGULAR = ("solver failure: reduced system is singular to working "
             "precision (rcond = ")
 FINITE = {"a2": "values", "a0": "values", "phi": "wall data"}
 COMMANDS = ("info", "solve", "mesh", "convergence")
+# the keys whose inv_curvature is asked off a boundary curve
+OFF_CHAIN = ("f1", "f2x", "f2y", "phi")
+EMPTY_CELLS = ("poly:1,,2", "poly:1,")
+NON_FINITE = (("phi", "const:nan"), ("phi", "const:inf"), ("a2", "const:nan"),
+              ("a2", "poly:nan"), ("a2", "const:inf"), ("a0", "const:nan"),
+              ("a0", "const:-inf"), ("f1", "const:nan"), ("f2x", "const:inf"),
+              ("f2y", "poly:0,nan"), ("g1", "const:-inf"), ("g2", "const:nan"))
 
 ROWS = {
     # golden
@@ -114,10 +121,12 @@ ROWS = {
     "solve_square_inv_curvature": Row(
         "solve --domain square --n 4 --a2 inv_curvature", 2,
         CONFIG + "a2: values must be finite"),
+    "info_square_inv_curvature": Row(
+        "info --domain square --n 4 --a2 inv_curvature"),
     **{f"solve_{key}_inv_curvature": Row(
         f"solve --domain cable --n 4 --{key} inv_curvature", 2,
         CONFIG + f"{key}: inv_curvature is defined only on boundary curves")
-       for key in ("f1", "f2x", "f2y", "phi")},
+       for key in OFF_CHAIN},
     "convergence_levels_2": Row(
         "convergence --domain square --n 4 --levels 2", 2,
         CONFIG + "levels: need at least 3 for a convergence study, got 2"),
@@ -136,16 +145,11 @@ ROWS = {
     # an empty cell is rejected, not skipped: poly:1,,2 is not 1 + 2x
     **{f"solve_a2_{text}": Row(f"solve --domain square --n 2 --a2 {text}", 2,
                                CONFIG + f"a2: bad number in {text!r}")
-       for text in ("poly:1,,2", "poly:1,")},
+       for text in EMPTY_CELLS},
     **{f"solve_{key}_{text}": Row(
         f"solve --domain square --n 4 --{key} {text}", 2,
         CONFIG + f"{key}: {FINITE.get(key, 'load data')} must be finite")
-       for key, text in (("phi", "const:nan"), ("phi", "const:inf"),
-                         ("a2", "const:nan"), ("a2", "poly:nan"),
-                         ("a2", "const:inf"), ("a0", "const:nan"),
-                         ("a0", "const:-inf"), ("f1", "const:nan"),
-                         ("f2x", "const:inf"), ("f2y", "poly:0,nan"),
-                         ("g1", "const:-inf"), ("g2", "const:nan"))},
+       for key, text in NON_FINITE},
 
     # huge or infinite data: inf * 0 and sums past the double range give
     # nan or inf, which a finiteness check or the solve reports
@@ -155,6 +159,9 @@ ROWS = {
        for key, text in (("f1", "poly:0,inf"), ("g1", "poly:1e308,1e308"),
                          ("a2", "poly:1e308,1e308"),
                          ("phi", "poly:1e308,1e308"))},
+    # grad_bound**2 is past the double range
+    "info_cable_a2_poly:1e308,1e308": Row(
+        "info --domain cable --n 2 --a2 poly:1e308,1e308"),
     "convergence_cable_a2_poly:1e308,1e308": Row(
         "convergence --domain cable --n 2 --levels 3 --a2 poly:1e308,1e308",
         2, CONFIG + "a2: values must be finite"),
