@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import field, make_dataclass
 
 from . import verify
 from .domain import InputError, InternalError, make_domain
@@ -51,32 +52,39 @@ DEFAULT_EXACT = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str = "info"
-    domain: str = "cable"
-    n: int = 16
-    levels: int = 4
-    a2: str = "const:1"
-    a0: str = "const:0"
-    f1: str = ""
-    f2x: str = ""
-    f2y: str = ""
-    g1: str = ""
-    g2: str = ""
-    phi: str = ""
-    exact: str = ""
-    seed: int = 42
-    output_dir: str = "."
+# every configuration key, in flag, echo and field order: its default and
+# its help text.  The flag is --key with "_" written "-"; a key whose
+# default is an int takes an integer.
+OPTIONS = {
+    "domain": ("cable", "cable | square | annulus[:r0,r1,side]"),
+    "n": (16, "mesh subdivision (>= 2)"),
+    "levels": (4, "refinement levels (>= 3)"),
+    "a2": ("const:1", "chain diffusion coefficient"),
+    "a0": ("const:0", "chain reaction coefficient"),
+    "f1": ("", "interior source"),
+    "f2x": ("", "interior flux source, x component"),
+    "f2y": ("", "interior flux source, y component"),
+    "g1": ("", "chain source"),
+    "g2": ("", "chain flux source"),
+    "phi": ("", "wall (Dirichlet) data"),
+    "exact": ("", "exact solution name for error studies"),
+    "seed": (42, "random seed"),
+    "output_dir": (".", "artifact directory"),
+}
+CONFIG_KEYS = tuple(OPTIONS)
 
+# the command, then one field per key with the key's default
+RunConfig = make_dataclass(
+    "RunConfig", [("command", str, field(default="info"))]
+    + [(key, type(default), field(default=default))
+       for key, (default, _) in OPTIONS.items()])
 
-CONFIG_KEYS = tuple(f.name for f in dataclass_fields(RunConfig)
-                    if f.name != "command")
-INT_KEYS = frozenset(("n", "levels", "seed"))
+# a comment: '#' at the start of a line or after whitespace, to the end
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 def read_config_file(path: str) -> dict:
-    """Parse a key = value file; '#' starts a comment."""
+    """Parse a key = value file; ``_COMMENT`` marks a comment."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -84,7 +92,7 @@ def read_config_file(path: str) -> dict:
         raise InputError(f"config: cannot read {path!r}: {exc}") from None
     out = {}
     for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
         if "=" not in line:
@@ -98,7 +106,7 @@ def read_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, value):
-    if key in INT_KEYS:
+    if isinstance(OPTIONS[key][0], int):
         try:
             return int(value)
         except (TypeError, ValueError):
@@ -284,20 +292,9 @@ def main(argv=None) -> int:
                     "on curved chains, with a verification suite.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--domain", help="cable | square | annulus[:r0,r1,side]")
-    parser.add_argument("--n", type=int, help="mesh subdivision (>= 2)")
-    parser.add_argument("--levels", type=int, help="refinement levels (>= 3)")
-    parser.add_argument("--a2", help="chain diffusion coefficient")
-    parser.add_argument("--a0", help="chain reaction coefficient")
-    parser.add_argument("--f1", help="interior source")
-    parser.add_argument("--f2x", help="interior flux source, x component")
-    parser.add_argument("--f2y", help="interior flux source, y component")
-    parser.add_argument("--g1", help="chain source")
-    parser.add_argument("--g2", help="chain flux source")
-    parser.add_argument("--phi", help="wall (Dirichlet) data")
-    parser.add_argument("--exact", help="exact solution name for error studies")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--output-dir", dest="output_dir", help="artifact directory")
+    for key, (default, text) in OPTIONS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            type=type(default), help=text)
     args = parser.parse_args(argv)
 
     try:

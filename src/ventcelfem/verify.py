@@ -50,9 +50,8 @@ RELATIVE_SLACK = 1e-8            # inequality checks pass iff lhs <= rhs*(1+slac
 N_RANDOM = 100
 # weak_residual_check passes iff the largest scaled gap is below this
 WEAK_RESIDUAL_TOL = 1e-8
-# relative distances from an ARPACK eigenvalue estimate at which a bound
-# is certified, tried in order: below it for coercivity_eigencheck's
-# lower bound, above it for trace_poincare_estimate's upper bound
+# relative distances from an ARPACK eigenvalue estimate at which
+# _certified_eigenvalue tries, in order, to certify a bound beyond it
 _CERTIFY_MARGINS = (1e-13, 1e-12, 1e-11, 1e-10)
 
 # independent quadrature: 6-point degree-4 triangle rule
@@ -199,17 +198,41 @@ def _positive_definite(matrix) -> bool:
                 and np.all(lu.U.diagonal() > 0.0))
 
 
+def _certified_eigenvalue(A, B, sign, v0) -> float:
+    """Certified bound on an extreme eigenvalue of the pencil (A, B).
+
+    ``sign`` +1 bounds the largest from above (ARPACK inverts B through
+    one ``factorize`` LU), -1 the smallest from below (shift-invert
+    about 0 through one LU of A).  Returns the first est + sign delta
+    |est|, delta in ``_CERTIFY_MARGINS``, with sign (bound B - A)
+    certified positive definite; nan when ARPACK fails or none does.
+    """
+    n = A.shape[0]
+    lu = factorize(B if sign > 0 else A)
+    inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+    mode = (dict(Minv=inv, which="LA") if sign > 0
+            else dict(sigma=0.0, OPinv=inv))
+    try:
+        est = float(spla.eigsh(A, k=1, M=B, tol=1e-12, v0=v0,
+                               return_eigenvectors=False, **mode)[0])
+    except spla.ArpackError:          # ArpackNoConvergence included
+        return float("nan")
+    for delta in _CERTIFY_MARGINS:
+        bound = est + sign * delta * abs(est)
+        if _positive_definite(sign * (bound * B - A)):
+            return bound
+    return float("nan")
+
+
 def trace_poincare_estimate(space, seed=0):
     """Bracket the best constant in |v|_chain <= L |Dv|_domain over V0.
 
     Returns ``(sampled_max, L_est)``.  L^2 is the top eigenvalue of the
     pencil (boundary mass Mb, interior stiffness K) on the free dofs.
     ``sampled_max`` is the best quotient over ``N_RANDOM`` seeded random
-    fields and every hat function, a lower value.  ARPACK inverts K
-    through one ``factorize`` LU.  ``L_est`` is sqrt(mu) for the first
-    mu = est + delta |est|, delta in ``_CERTIFY_MARGINS``, with
-    mu K - Mb certified positive definite, an upper bound; nan when
-    ARPACK fails or no margin certifies.
+    fields and every hat function, a lower value; its field starts
+    ARPACK.  ``L_est``, the root of the certified upper bound on L^2, is
+    an upper bound; nan when none certifies.
     """
     system = assemble_bilinear(space, ConstantCoefficient(1.0), ZERO)
     fr = space.free
@@ -230,51 +253,19 @@ def trace_poincare_estimate(space, seed=0):
         best_q = float(hat_q[ih])
         best_x = np.zeros(nf)
         best_x[ih] = 1.0
-    sampled_max = float(np.sqrt(best_q))
-
-    lu = factorize(K)
-    inv = spla.LinearOperator((nf, nf), matvec=lu.solve, dtype=np.float64)
-    try:
-        est = float(spla.eigsh(Mb, k=1, M=K, Minv=inv, which="LA",
-                               tol=1e-12, v0=best_x,
-                               return_eigenvectors=False)[0])
-    except spla.ArpackError:          # ArpackNoConvergence included
-        return sampled_max, float("nan")
-    for delta in _CERTIFY_MARGINS:
-        mu = est + delta * abs(est)
-        if _positive_definite(mu * K - Mb):
-            return sampled_max, float(np.sqrt(mu))
-    return sampled_max, float("nan")
+    mu = _certified_eigenvalue(Mb, K, 1, best_x)
+    return float(np.sqrt(best_q)), float(np.sqrt(mu))
 
 
 def coercivity_eigencheck(matrix, gram, seed=0) -> float:
     """Certified lower bound on the min eigenvalue of sym(matrix) vs gram.
 
     Only the symmetric part enters, since the quadratic form discards
-    the skew part.  ARPACK in shift-invert mode about 0 (one ``factorize``
-    LU of sym(matrix)) estimates the smallest eigenvalue ``est``.  For each
-    margin delta in ``_CERTIFY_MARGINS`` in turn, c = est - delta |est|
-    is returned once sym(matrix) - c gram is certified positive
-    definite, which puts c below every eigenvalue.  nan when ARPACK
-    fails or no margin certifies.
+    the skew part.  ARPACK starts from a seeded random vector.
     """
     symB = (0.5 * (matrix + matrix.T)).tocsc()
-    n = matrix.shape[0]
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1.0, 1.0, n)
-    lu = factorize(symB)
-    inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
-    try:
-        est = float(spla.eigsh(symB, k=1, M=gram, sigma=0.0, OPinv=inv,
-                               tol=1e-12, v0=x,
-                               return_eigenvectors=False)[0])
-    except spla.ArpackError:          # ArpackNoConvergence included
-        return float("nan")
-    for delta in _CERTIFY_MARGINS:
-        c = est - delta * abs(est)
-        if _positive_definite(symB - c * gram):
-            return c
-    return float("nan")
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, matrix.shape[0])
+    return _certified_eigenvalue(symB, gram, -1, x)
 
 
 def continuity_check(matrix, gram, bounds, L_est, seed=0):
@@ -305,91 +296,62 @@ def continuity_check(matrix, gram, bounds, L_est, seed=0):
 # independent weak-form residual
 
 
-def _independent_action(space, a2, a0, u):
-    """Apply the variational form to nodal values u, fresh quadrature.
-
-    Interior stiffness is exact for piecewise-linear gradients; chain
-    terms use the 5-point rule on each edge with coefficients sampled
-    on the exact curve.
-    """
-    mesh = space.mesh
-    q = np.zeros(space.n_nodes)
-    tris = mesh.triangles
-    uv = u[tris]                                       # (T, 3)
-    du = np.einsum("ti,tid->td", uv, space.tri_grads)  # (T, 2)
-    contrib = space.tri_area[:, None] * np.einsum(
-        "td,tid->ti", du, space.tri_grads)
-    np.add.at(q, tris, contrib)
-
-    ch = space.ventcel_edges
-    tq = ch.points(GAUSS5_XI)
-    wq = ch.ell[:, None] * GAUSS5_W
-    a2q = ch.on_curves(a2.eval_curve, tq)[:, None]
-    da2q = ch.on_curves(a2.tangential_deriv, tq)[:, None]
-    a0q = ch.on_curves(a0.eval_curve, tq)[:, None]
-    ua, ub = u[ch.a][:, None], u[ch.b][:, None]
-    uq = (ua * (1.0 - GAUSS5_XI) + ub * GAUSS5_XI)[:, None]
-    dus = ((ub - ua) / ch.ell[:, None])[:, None]
-    phi = np.stack([1.0 - GAUSS5_XI, GAUSS5_XI])       # (2, q)
-    dphi = (np.array([-1.0, 1.0]) / ch.ell[:, None])[:, :, None]
-    # (E, 2, q): test functions of nodes a and b on every edge
-    integrand = wq[:, None] * (a2q * dphi * dus + phi * da2q * dus
-                               + a0q * uq * phi)
-    ch.add_to(q, np.sum(integrand, axis=-1))
-    return q
-
-
-def _independent_load(space, problem):
-    """Evaluate the load functional with the higher-order rules."""
-    mesh = space.mesh
-    L = np.zeros(space.n_nodes)
-    tris = mesh.triangles
-    pts = mesh.nodes[tris]                             # (T, 3, 2)
-    phys = np.einsum("qk,tkd->tqd", DUNAVANT6_BARY, pts)
-
-    if problem.f1 is not None:
-        vals = problem.f1.eval_points(phys)
-        weights = space.tri_area[:, None] * DUNAVANT6_W[None, :]
-        contrib = np.einsum("tq,qk->tk", weights * vals, DUNAVANT6_BARY)
-        np.add.at(L, tris, contrib)
-    if problem.f2 is not None:
-        fx = problem.f2[0].eval_points(phys)
-        fy = problem.f2[1].eval_points(phys)
-        wx = space.tri_area * (fx @ DUNAVANT6_W)
-        wy = space.tri_area * (fy @ DUNAVANT6_W)
-        contrib = -(space.tri_grads[..., 0] * wx[:, None]
-                    + space.tri_grads[..., 1] * wy[:, None])
-        np.add.at(L, tris, contrib)
-    ch = space.ventcel_edges
-    tq = ch.points(GAUSS5_XI)
-    wq = ch.ell[:, None] * GAUSS5_W
-    chain = []
-    if problem.g1 is not None:
-        g1q = ch.on_curves(problem.g1.eval_curve, tq)
-        phi = np.stack([1.0 - GAUSS5_XI, GAUSS5_XI])
-        chain.append(np.sum((wq * g1q)[:, None] * phi, axis=-1))
-    if problem.g2 is not None:
-        g2q = ch.on_curves(problem.g2.eval_curve, tq)
-        dphi = np.array([-1.0, 1.0]) / ch.ell[:, None]
-        chain.append(-(np.sum(wq * g2q, axis=-1)[:, None] * dphi))
-    if chain:
-        ch.add_to(L, *chain)
-    return L
-
-
 def weak_residual_check(solution, problem, seed=0, values=None):
     """Test the solved values in the weak equation, fresh quadrature.
 
-    For ``N_RANDOM`` seeded random test fields supported on the free
-    dofs the two sides of the variational identity are recomputed
-    independently of the assembled system; the scaled gap must stay
+    Both sides of the variational identity are recomputed independently
+    of the assembled system: interior stiffness exactly for piecewise-
+    linear gradients, interior loads by the 6-point rule, and every
+    chain term by the 5-point rule on each edge with coefficients and
+    loads sampled on the exact curve.  For ``N_RANDOM`` seeded random
+    test fields supported on the free dofs the scaled gap must stay
     below ``WEAK_RESIDUAL_TOL``.  ``values`` overrides the nodal
     solution (fault injection).  Returns ``(max_residual, passed)``.
     """
     space = solution.space
     u = solution.values if values is None else values
-    q = _independent_action(space, problem.a2, problem.a0, u)
-    ell = _independent_load(space, problem)
+    tris = space.mesh.triangles
+    q = np.zeros(space.n_nodes)                        # the form applied to u
+    du = np.einsum("ti,tid->td", u[tris], space.tri_grads)  # (T, 2)
+    np.add.at(q, tris, space.tri_area[:, None] * np.einsum(
+        "td,tid->ti", du, space.tri_grads))
+    ell = np.zeros(space.n_nodes)                      # the load functional
+    phys = np.einsum("qk,tkd->tqd", DUNAVANT6_BARY, space.mesh.nodes[tris])
+    if problem.f1 is not None:
+        vals = problem.f1.eval_points(phys)
+        weights = space.tri_area[:, None] * DUNAVANT6_W[None, :]
+        np.add.at(ell, tris, np.einsum("tq,qk->tk", weights * vals,
+                                       DUNAVANT6_BARY))
+    if problem.f2 is not None:
+        wx = space.tri_area * (problem.f2[0].eval_points(phys) @ DUNAVANT6_W)
+        wy = space.tri_area * (problem.f2[1].eval_points(phys) @ DUNAVANT6_W)
+        np.add.at(ell, tris, -(space.tri_grads[..., 0] * wx[:, None]
+                               + space.tri_grads[..., 1] * wy[:, None]))
+
+    ch = space.ventcel_edges
+    tq = ch.points(GAUSS5_XI)
+    wq = ch.ell[:, None] * GAUSS5_W
+    phi = np.stack([1.0 - GAUSS5_XI, GAUSS5_XI])       # (2, q)
+    dphi = np.array([-1.0, 1.0]) / ch.ell[:, None]     # (E, 2)
+    a2q = ch.on_curves(problem.a2.eval_curve, tq)[:, None]
+    da2q = ch.on_curves(problem.a2.tangential_deriv, tq)[:, None]
+    a0q = ch.on_curves(problem.a0.eval_curve, tq)[:, None]
+    ua, ub = u[ch.a][:, None], u[ch.b][:, None]
+    uq = (ua * (1.0 - GAUSS5_XI) + ub * GAUSS5_XI)[:, None]
+    dus = ((ub - ua) / ch.ell[:, None])[:, None]
+    # (E, 2, q): test functions of nodes a and b on every edge
+    integrand = wq[:, None] * (a2q * dphi[:, :, None] * dus + phi * da2q * dus
+                               + a0q * uq * phi)
+    ch.add_to(q, np.sum(integrand, axis=-1))
+    chain = []
+    if problem.g1 is not None:
+        g1q = ch.on_curves(problem.g1.eval_curve, tq)
+        chain.append(np.sum((wq * g1q)[:, None] * phi, axis=-1))
+    if problem.g2 is not None:
+        g2q = ch.on_curves(problem.g2.eval_curve, tq)
+        chain.append(-(np.sum(wq * g2q, axis=-1)[:, None] * dphi))
+    if chain:
+        ch.add_to(ell, *chain)
 
     rng = np.random.default_rng(seed)
     fr = space.free

@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -45,14 +46,26 @@ def clean_env(monkeypatch):
 
 
 def test_info_echo_round_trip(tmp_path, capsys):
+    # a '#' inside a value is no comment: only one at the start of a
+    # line or after whitespace is
     argv = ["info", "--domain", "square", "--n", "4", "--a2", "poly:3,1",
-            "--a0", "const:1", "--seed", "7"]
+            "--a0", "const:1", "--seed", "7", "--phi", "const:1#x",
+            "--output-dir", "o#d"]
     assert cli.main(argv) == 0
     first = capsys.readouterr().out
     echo = [l for l in first.splitlines() if not l.startswith("#")]
     assert "domain = square" in echo
     assert "a2 = poly:3,1" in echo
     assert "n = 4" in echo
+    assert "phi = const:1#x" in echo
+    assert "output_dir = o#d" in echo
+    # OPTIONS is the one list of keys: the echo and --help follow it
+    assert [l.split(" = ")[0] for l in echo] == list(cli.OPTIONS)
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    flags = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+    assert flags == ["--config"] + ["--" + key.replace("_", "-")
+                                    for key in cli.OPTIONS]
 
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("\n".join(echo) + "\n")
@@ -60,6 +73,24 @@ def test_info_echo_round_trip(tmp_path, capsys):
     second = capsys.readouterr().out
     second_echo = [l for l in second.splitlines() if not l.startswith("#")]
     assert second_echo == echo
+
+
+# a text value reads back unless it holds a newline, starts or ends with
+# whitespace, or has whitespace (the echo's " = " included) before a '#'
+ECHOED_TEXT = st.text().filter(lambda v: "\n" not in v and v == v.strip()
+                               and not re.search(r"\s#", " " + v))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=ECHOED_TEXT)
+@example(value="const:1#x")
+def test_an_echoed_text_value_reads_back(value, tmp_path):
+    cfg = cli.RunConfig(**{key: value for key, (default, _) in
+                           cli.OPTIONS.items() if isinstance(default, str)})
+    path = tmp_path / "run.cfg"
+    path.write_text(cli.config_echo(cfg) + "\n", encoding="utf-8")
+    assert cli.read_config_file(str(path)) == {
+        key: str(getattr(cfg, key)) for key in cli.CONFIG_KEYS}
 
 
 def test_flag_overrides_config_file(tmp_path, capsys):

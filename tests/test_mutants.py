@@ -1,0 +1,95 @@
+"""Mutants of the solver that verify must catch.
+
+Each mutant is one ``monkeypatch`` that breaks one term of the solver's
+assembly, or of the certificate behind verify's bounds, and leaves the
+rest alone.  ``verify``'s weak residual recomputes both sides of the
+weak equation with its own quadrature, so every assembly mutant must
+make ``_check_weak_residual`` FAIL in the cases whose data feel the
+broken term, each with a residual above the mutant's floor (at least
+1e4 times the tolerance), while the fault row still detects its fault.
+"""
+
+import pytest
+
+from ventcelfem import femcore, solver, verify
+from ventcelfem.fields import FieldCoefficient, QuadraticField
+
+ALL = ("square_affine", "cable", "square_all_loads")
+SQUARE = ("square_affine", "square_all_loads")
+
+
+def _chain_coefficients(change):
+    """femcore._chain_coefficients with change applied to (a2q, da2q, a0q)."""
+    real = femcore._chain_coefficients
+    return lambda space, a2, a0: change(*real(space, a2, a0))
+
+
+def _scaled_wq(factor):
+    real = femcore.VentcelChain.__init__
+
+    def init(self, mesh):
+        real(self, mesh)
+        self.wq = factor * self.wq
+    return init
+
+
+def _negated(coef):
+    return FieldCoefficient(QuadraticField(*(-c for c in coef.field.c)))
+
+
+def _flipped_load(key):
+    """solver.assemble_load with the sign of the f2 or g2 load flipped."""
+    real = solver.assemble_load
+
+    def flipped(space, **loads):
+        if loads[key] is not None:
+            loads[key] = (tuple(map(_negated, loads[key])) if key == "f2"
+                          else _negated(loads[key]))
+        return real(space, **loads)
+    return flipped
+
+
+CHAIN = (femcore, "_chain_coefficients")
+LOAD = (solver, "assemble_load")
+
+# name -> (patched object and attribute, replacement, cases that must
+# fail, floor of their residuals)
+MUTANTS = {
+    "drop_C_b": (CHAIN, _chain_coefficients(
+        lambda a2q, da2q, a0q: (a2q, 0.0 * da2q, a0q)), ALL, 0.1),
+    "negate_C_b": (CHAIN, _chain_coefficients(
+        lambda a2q, da2q, a0q: (a2q, -da2q, a0q)), ALL, 0.1),
+    "scale_a0": (CHAIN, _chain_coefficients(
+        lambda a2q, da2q, a0q: (a2q, da2q, 1.01 * a0q)), SQUARE, 1e-3),
+    "scale_wq": ((femcore.VentcelChain, "__init__"), _scaled_wq(1.001), ALL,
+                 1e-4),
+    "flip_f2_load": (LOAD, _flipped_load("f2"), ("square_all_loads",), 1e-3),
+    "flip_g2_load": (LOAD, _flipped_load("g2"), ("square_all_loads",), 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_weak_residual_kills_the_mutant(name, monkeypatch):
+    (target, attr), mutant, must_fail, floor = MUTANTS[name]
+    monkeypatch.setattr(target, attr, mutant)
+    _, text, ok, _ = verify._check_weak_residual(42)
+    rows = {case: (float(res), passed)
+            for case, res, _, passed in (r.split(",")
+                                         for r in text.splitlines()[1:])}
+    assert not ok
+    assert sorted(c for c, (_, p) in rows.items() if p == "0") \
+        == sorted(must_fail)
+    assert all(rows[c][0] > floor for c in must_fail)
+    assert rows["square_affine_fault"][1] == "1"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 12: ARPACK's estimates are accurate, so a test that "
+    "certifies anything returns the same first-margin bounds, and every "
+    "gate still passes"))
+def test_bound_checks_kill_an_always_positive_definite_mutant(monkeypatch):
+    monkeypatch.setattr(verify, "_positive_definite", lambda matrix: True)
+    verdicts = [check(42)[2] for check in (verify._check_trace_poincare,
+                                           verify._check_coercivity,
+                                           verify._check_continuity)]
+    assert not all(verdicts)

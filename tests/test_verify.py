@@ -399,31 +399,6 @@ def test_weak_residual_vanishes_on_exactly_integrated_data(n, c):
     assert weak_residual_check(sol, prob)[0] < 1e-8
 
 
-def _negated(coef):
-    return FieldCoefficient(QuadraticField(*(-c for c in coef.field.c)))
-
-
-@pytest.mark.parametrize("key", ["f2", "g2"])
-def test_verify_catches_a_flipped_f2_or_g2_load(key, monkeypatch):
-    # the solve's load gets the wrong sign of f2 or g2; the check's
-    # independent load does not
-    real = solver.assemble_load
-
-    def flipped(space, **loads):
-        if loads[key] is not None:
-            loads[key] = (tuple(map(_negated, loads[key])) if key == "f2"
-                          else _negated(loads[key]))
-        return real(space, **loads)
-    monkeypatch.setattr(solver, "assemble_load", flipped)
-
-    _, text, ok, _ = verify._check_weak_residual(42)
-    rows = [row.split(",") for row in text.splitlines()]
-    assert not ok
-    assert rows[-1][0] == "square_all_loads" and rows[-1][-1] == "0"
-    assert float(rows[-1][1]) > 1e-3
-    assert [row[-1] for row in rows[1:-1]] == ["1", "1", "1"]
-
-
 # ----------------------------------------------------------------------
 # integration by parts
 
