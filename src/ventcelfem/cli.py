@@ -159,7 +159,7 @@ def _domain_or_error(cfg: RunConfig, finest_n: int | None = None):
     nodes = node_count(dom, n)
     if nodes > MAX_NODES:
         raise InputError(
-            f"n: a {dom.kind} mesh at n = {n} has {nodes} nodes, above the "
+            f"n: the {dom.kind} mesh at n = {n} has {nodes} nodes, above the "
             f"cap of {MAX_NODES}")
     return dom
 

@@ -221,17 +221,17 @@ def _dirichlet_boundary_samples(space: FeSpace):
     wall edge (a[i], b[i]).  Every Dirichlet node appears among the
     samples (edge endpoints are always included, at xi 0 and 1 exactly).
     """
-    mesh = space.mesh
-    pts, fracs, counts = [np.zeros((0, 2))], [np.zeros(0)], []
-    for pa, pb in mesh.nodes[mesh.walls]:
-        ell = np.hypot(*(pb - pa))
-        m = max(1, int(np.ceil(ell / (0.25 * space.h))))
-        xi = np.linspace(0.0, 1.0, m + 1)
-        pts.append(pa + xi[:, None] * (pb - pa))
-        fracs.append(xi)
-        counts.append(m + 1)
-    a, b = np.repeat(mesh.walls, counts, axis=0).T
-    return np.concatenate(pts), a, b, np.concatenate(fracs)
+    walls = space.mesh.walls
+    pa, pb = space.mesh.nodes[walls.T]
+    d = pb - pa
+    m = np.maximum(1, np.ceil(np.hypot(*d.T) / (0.25 * space.h)).astype(int))
+    edge = np.repeat(np.arange(len(m)), m + 1)
+    ends = np.cumsum(m + 1)
+    # np.linspace(0, 1, m + 1) per edge: k * (1 / m), exactly 1 at the end
+    xi = (np.arange(len(edge)) - (ends - m - 1)[edge]) * (1.0 / m[edge])
+    xi[ends - 1] = 1.0
+    a, b = walls[edge].T
+    return pa[edge] + xi[:, None] * d[edge], a, b, xi
 
 
 def _sample_cells(samples, values, side):

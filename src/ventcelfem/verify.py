@@ -180,6 +180,17 @@ def poincare_counterexample():
 # pencil eigenvalues
 
 
+def _random_fields(seed, *shape):
+    """Seeded uniform(-1, 1) draws; shape (N, n) is N fields drawn in turn."""
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+
+
+def _quadratic_forms(matrix, X, Y):
+    """x . (matrix y) for each row x of X and y of Y, as dot products of
+    C-contiguous rows: strided ones round differently."""
+    return np.vecdot(X, np.ascontiguousarray((matrix @ Y.T).T))
+
+
 def _positive_definite(matrix) -> bool:
     """Inertia certificate that the symmetric ``matrix`` is positive definite.
 
@@ -239,22 +250,13 @@ def trace_poincare_estimate(space, seed=0):
     K = system.K_int[fr][:, fr].tocsc()
     Mb = system.M_b[fr][:, fr].tocsr()
     nf = len(fr)
-
-    rng = np.random.default_rng(seed)
-    best_q, best_x = 0.0, None
-    for _ in range(N_RANDOM):
-        x = rng.uniform(-1.0, 1.0, nf)
-        q = float(x @ Mb.dot(x)) / float(x @ (K.dot(x)))
-        if q > best_q:
-            best_q, best_x = q, x
-    hat_q = Mb.diagonal() / K.diagonal()
-    ih = int(np.argmax(hat_q))
-    if hat_q[ih] > best_q:
-        best_q = float(hat_q[ih])
-        best_x = np.zeros(nf)
-        best_x[ih] = 1.0
+    X = _random_fields(seed, N_RANDOM, nf)
+    q = np.concatenate([_quadratic_forms(Mb, X, X) / _quadratic_forms(K, X, X),
+                        Mb.diagonal() / K.diagonal()])    # then every hat
+    i = int(np.argmax(q))             # the first best: a field before a hat
+    best_x = X[i] if i < N_RANDOM else np.eye(1, nf, i - N_RANDOM)[0]
     mu = _certified_eigenvalue(Mb, K, 1, best_x)
-    return float(np.sqrt(best_q)), float(np.sqrt(mu))
+    return float(np.sqrt(q[i])), float(np.sqrt(mu))
 
 
 def coercivity_eigencheck(matrix, gram, seed=0) -> float:
@@ -264,8 +266,8 @@ def coercivity_eigencheck(matrix, gram, seed=0) -> float:
     the skew part.  ARPACK starts from a seeded random vector.
     """
     symB = (0.5 * (matrix + matrix.T)).tocsc()
-    x = np.random.default_rng(seed).uniform(-1.0, 1.0, matrix.shape[0])
-    return _certified_eigenvalue(symB, gram, -1, x)
+    return _certified_eigenvalue(symB, gram, -1,
+                                 _random_fields(seed, matrix.shape[0]))
 
 
 def continuity_check(matrix, gram, bounds, L_est, seed=0):
@@ -278,17 +280,10 @@ def continuity_check(matrix, gram, bounds, L_est, seed=0):
     """
     bound = (1.0 + bounds.Lambda2 + bounds.grad_bound * L_est
              + bounds.Lambda0 * L_est**2)
-    rng = np.random.default_rng(seed)
-    nf = matrix.shape[0]
-    worst = 0.0
-    for _ in range(N_RANDOM):
-        v = rng.uniform(-1.0, 1.0, nf)
-        w = rng.uniform(-1.0, 1.0, nf)
-        nv = float(np.sqrt(max(v @ gram.dot(v), 0.0)))
-        nw = float(np.sqrt(max(w @ gram.dot(w), 0.0)))
-        val = abs(float(v @ matrix.dot(w)))
-        worst = np.maximum(worst, val / (nv * nw))   # propagates NaN
-    worst = float(worst)
+    V, W = _random_fields(seed, N_RANDOM, 2, matrix.shape[0]).swapaxes(0, 1)
+    nv = np.sqrt(np.maximum(_quadratic_forms(gram, V, V), 0.0))
+    nw = np.sqrt(np.maximum(_quadratic_forms(gram, W, W), 0.0))
+    worst = float(np.max(np.abs(_quadratic_forms(matrix, V, W)) / (nv * nw)))
     return bound, worst, worst <= bound * (1.0 + RELATIVE_SLACK)
 
 
@@ -296,20 +291,8 @@ def continuity_check(matrix, gram, bounds, L_est, seed=0):
 # independent weak-form residual
 
 
-def weak_residual_check(solution, problem, seed=0, values=None):
-    """Test the solved values in the weak equation, fresh quadrature.
-
-    Both sides of the variational identity are recomputed independently
-    of the assembled system: interior stiffness exactly for piecewise-
-    linear gradients, interior loads by the 6-point rule, and every
-    chain term by the 5-point rule on each edge with coefficients and
-    loads sampled on the exact curve.  For ``N_RANDOM`` seeded random
-    test fields supported on the free dofs the scaled gap must stay
-    below ``WEAK_RESIDUAL_TOL``.  ``values`` overrides the nodal
-    solution (fault injection).  Returns ``(max_residual, passed)``.
-    """
-    space = solution.space
-    u = solution.values if values is None else values
+def _weak_form(space, problem, u):
+    """(q, ell): the form applied to nodal values u, the load functional."""
     tris = space.mesh.triangles
     q = np.zeros(space.n_nodes)                        # the form applied to u
     du = np.einsum("ti,tid->td", u[tris], space.tri_grads)  # (T, 2)
@@ -352,18 +335,30 @@ def weak_residual_check(solution, problem, seed=0, values=None):
         chain.append(-(np.sum(wq * g2q, axis=-1)[:, None] * dphi))
     if chain:
         ch.add_to(ell, *chain)
+    return q, ell
 
-    rng = np.random.default_rng(seed)
-    fr = space.free
-    worst = 0.0
-    for _ in range(N_RANDOM):
-        w = np.zeros(space.n_nodes)
-        w[fr] = rng.uniform(-1.0, 1.0, len(fr))
-        lhs = float(w @ q)
-        rhs = float(w @ ell)
-        gap = abs(lhs - rhs) / (1.0 + abs(rhs))
-        worst = np.maximum(worst, gap)                 # propagates NaN
-    worst = float(worst)
+
+def weak_residual_check(solution, problem, seed=0, values=None):
+    """Test the solved values in the weak equation, fresh quadrature.
+
+    Both sides of the variational identity are recomputed independently
+    of the assembled system: interior stiffness exactly for piecewise-
+    linear gradients, interior loads by the 6-point rule, and every
+    chain term by the 5-point rule on each edge with coefficients and
+    loads sampled on the exact curve.  For ``N_RANDOM`` seeded random
+    test fields supported on the free dofs the scaled gap must stay
+    below ``WEAK_RESIDUAL_TOL``; they vanish on the walls, so wrong wall
+    values go unseen.  ``values`` overrides the nodal solution (fault
+    injection).  Returns ``(max_residual, passed)``.
+    """
+    space = solution.space
+    q, ell = _weak_form(space, problem,
+                        solution.values if values is None else values)
+    # full-length rows, zero on the walls: each w . q stays one dot product
+    W = np.zeros((N_RANDOM, space.n_nodes))
+    W[:, space.free] = _random_fields(seed, N_RANDOM, len(space.free))
+    rhs = np.vecdot(W, ell)
+    worst = float(np.max(np.abs(np.vecdot(W, q) - rhs) / (1.0 + np.abs(rhs))))
     return worst, worst < WEAK_RESIDUAL_TOL
 
 
@@ -466,13 +461,12 @@ def compatibility_check():
 def _chain_second_difference(solution) -> float:
     """Max |u_{j+1} - 2 u_j + u_{j-1}| / h over interior chain nodes."""
     ch = solution.space.ventcel_edges
-    worst = 0.0
+    worst = [0.0]
     for _, rows in ch.curves:
         vals = solution.values[np.concatenate([ch.a[rows][:1], ch.b[rows]])]
         h = float(np.mean(ch.ell[rows]))
-        d2 = np.abs(vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h
-        worst = np.maximum(worst, d2.max())           # propagates NaN
-    return float(worst)
+        worst.append(np.abs(vals[2:] - 2.0 * vals[1:-1] + vals[:-2]).max() / h)
+    return float(np.max(worst))                       # propagates NaN
 
 
 # ---------------------------------------------------------------------------
@@ -523,44 +517,36 @@ def solution_errors(solution, exact):
 class ConvergenceReport:
     rows: list                     # (n, h, e_L2, e_V0, e_trace)
 
+    def _columns(self):
+        """h and the three error columns, as C-contiguous rows."""
+        cols = np.array(self.rows, dtype=float).T.copy()
+        return cols[1], cols[2:]
+
     def pair_orders(self):
         """Per-refinement orders (None on the first row)."""
-        out = [(None, None)]
-        for (n0, h0, a0, b0, _), (n1, h1, a1, b1, _) in zip(
-                self.rows, self.rows[1:]):
-            lo = np.log(h0 / h1)
-            o_l2 = np.log(max(a0, 1e-300) / max(a1, 1e-300)) / lo
-            o_v0 = np.log(max(b0, 1e-300) / max(b1, 1e-300)) / lo
-            out.append((float(o_l2), float(o_v0)))
-        return out
+        h, err = self._columns()
+        err = np.maximum(err[:2], 1e-300)
+        orders = np.log(err[:, :-1] / err[:, 1:]) / np.log(h[:-1] / h[1:])
+        return [(None, None), *zip(*orders.tolist())]
 
     @property
     def observed_orders(self):
         """Least-squares slopes of log error against log h."""
-        x = np.log([r[1] for r in self.rows])
+        h, err = self._columns()
+        x, y = np.log(h), np.log(np.maximum(err, 1e-300))
         xc = x - x.mean()
-        den = float(xc @ xc)
-        slopes = []
-        for col in (2, 3, 4):
-            y = np.log([max(r[col], 1e-300) for r in self.rows])
-            slopes.append(float(xc @ (y - y.mean()) / den))
-        return tuple(slopes)
+        slopes = np.vecdot(xc, y - y.mean(axis=1, keepdims=True)) / (xc @ xc)
+        return tuple(slopes.tolist())
 
     def monotone(self) -> bool:
         """Finite errors that decrease across levels.  Pairs with an
         error at or below 1e-12 (the rounding floor) are skipped, and
         the coarsest pair may grow by up to 5 %."""
-        for col in (2, 3, 4):
-            vals = [r[col] for r in self.rows]
-            if not np.isfinite(vals).all():
-                return False
-            for i, (a, b) in enumerate(zip(vals, vals[1:])):
-                if a <= 1e-12 or b <= 1e-12:
-                    continue
-                limit = a * 1.05 if i == 0 else a
-                if b >= limit:
-                    return False
-        return True
+        err = self._columns()[1]
+        a, b = err[:, :-1], err[:, 1:]
+        limit = np.hstack([a[:, :1] * 1.05, a[:, 1:]])
+        grows = (a > 1e-12) & (b > 1e-12) & (b >= limit)
+        return bool(np.isfinite(err).all() and not grows.any())
 
     def csv_text(self) -> str:
         rows = [(*row, *("" if o is None else format(o, ".6f") for o in pair))

@@ -306,8 +306,11 @@ def test_oversized_mesh_exits_2_before_meshing(argv, monkeypatch, capsys,
         monkeypatch.setattr(module, "triangulate", no_mesh)
     assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "configuration error: n: " in err
+    assert f"configuration error: n: the {argv[2]} mesh at n = " in err
     assert f"above the cap of {cli.MAX_NODES}" in err
+    if argv[0] == "info":
+        assert err == ("configuration error: n: the annulus mesh at n = 500 "
+                       "has 1002000 nodes, above the cap of 1000000\n")
 
 
 def test_info_prints_non_finite_bounds(capsys):

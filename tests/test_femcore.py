@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ventcelfem import femcore
 from ventcelfem.domain import (InputError, annulus_domain, cable_domain,
-                               square_domain)
+                               make_domain, square_domain)
 from ventcelfem.fields import (
     EXACT_SOLUTIONS,
     ConstantCoefficient,
@@ -172,6 +172,31 @@ def test_dirichlet_samples_cover_walls():
     pa, pb = mesh.nodes[a], mesh.nodes[b]
     assert np.array_equal(pts, pa + xi[:, None] * (pb - pa))
     assert np.array_equal(pts[xi == 0.0], pa[xi == 0.0])
+
+
+def linspace_samples(space):
+    """Reference wall sampler: one np.linspace per wall edge."""
+    mesh = space.mesh
+    pts, fracs, counts = [np.zeros((0, 2))], [np.zeros(0)], []
+    for pa, pb in mesh.nodes[mesh.walls]:
+        m = max(1, int(np.ceil(np.hypot(*(pb - pa)) / (0.25 * space.h))))
+        xi = np.linspace(0.0, 1.0, m + 1)
+        pts.append(pa + xi[:, None] * (pb - pa))
+        fracs.append(xi)
+        counts.append(m + 1)
+    a, b = np.repeat(mesh.walls, counts, axis=0).T
+    return np.concatenate(pts), a, b, np.concatenate(fracs)
+
+
+@settings(max_examples=12)
+@given(st.sampled_from(["square", "cable", "annulus", "annulus:0.5,3,inner"]),
+       st.integers(2, 40))
+def test_dirichlet_samples_are_the_per_edge_linspace_bits(spec, n):
+    space = build_space(triangulate(make_domain(spec), n))
+    got = femcore._dirichlet_boundary_samples(space)
+    for g, w in zip(got, linspace_samples(space), strict=True):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
 
 
 def test_mcshane_lift_node_exact_and_lipschitz():

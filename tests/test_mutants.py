@@ -1,17 +1,25 @@
 """Mutants of the solver that verify must catch.
 
 Each mutant is one ``monkeypatch`` that breaks one term of the solver's
-assembly, or of the certificate behind verify's bounds, and leaves the
-rest alone.  ``verify``'s weak residual recomputes both sides of the
-weak equation with its own quadrature, so every assembly mutant must
-make ``_check_weak_residual`` FAIL in the cases whose data feel the
-broken term, each with a residual above the mutant's floor (at least
-1e4 times the tolerance), while the fault row still detects its fault.
+assembly, of its data, or of the certificate behind verify's bounds,
+and leaves the rest alone.  ``verify``'s weak residual recomputes both
+sides of the weak equation with its own quadrature, so every assembly
+mutant must make ``_check_weak_residual`` FAIL in the cases whose data
+feel the broken term, each with a residual above the mutant's floor (at
+least 1e4 times the tolerance), while the fault row still detects its
+fault.
+
+The solve mutants break the data a solve is given: the manufactured
+chain load without its curvature term, and the wall values shifted.
+Each must fail exactly the named checks among ``SOLVE_CHECKS``.  The
+weak residual passes under the wall shift: its test fields vanish on
+the walls, and the shifted solution still solves the weak equation for
+the data it was given.  The convergence and zero-data rows catch it.
 """
 
 import pytest
 
-from ventcelfem import femcore, solver, verify
+from ventcelfem import femcore, geometry, solver, verify
 from ventcelfem.fields import FieldCoefficient, QuadraticField
 
 ALL = ("square_affine", "cable", "square_all_loads")
@@ -93,3 +101,37 @@ def test_bound_checks_kill_an_always_positive_definite_mutant(monkeypatch):
                                            verify._check_coercivity,
                                            verify._check_continuity)]
     assert not all(verdicts)
+
+
+def _flat_frame(*args):
+    """geometry.frame_derivatives with the curvature set to zero."""
+    du, u_tt, u_nu, kappa = geometry.frame_derivatives(*args)
+    return du, u_tt, u_nu, 0.0 * kappa
+
+
+def _shifted_lift(space, phi):
+    """femcore.mcshane_lift with every value raised by 1e-3."""
+    return femcore.mcshane_lift(space, phi) + 1e-3
+
+
+# the verify checks that solve a problem, each run under every solve mutant
+SOLVE_CHECKS = ("weak_residual", "compatibility", "convergence_cable",
+                "convergence_square", "convergence_annulus", "uniqueness")
+
+# name -> (patched object and attribute, replacement, checks that must fail)
+SOLVE_MUTANTS = {
+    # the square's chains are straight and the cable problem has no g1
+    "drop_kappa_u_nu_in_g1": ((solver, "frame_derivatives"), _flat_frame,
+                              ("convergence_annulus",)),
+    "shift_wall_data": ((solver, "mcshane_lift"), _shifted_lift,
+                        ("convergence_cable", "convergence_square",
+                         "convergence_annulus", "uniqueness")),
+}
+
+
+@pytest.mark.parametrize("name", SOLVE_MUTANTS)
+def test_verify_kills_the_solve_mutant(name, monkeypatch):
+    (target, attr), mutant, must_fail = SOLVE_MUTANTS[name]
+    monkeypatch.setattr(target, attr, mutant)
+    checks = dict(verify.CHECKS)
+    assert [c for c in SOLVE_CHECKS if not checks[c](42)[2]] == list(must_fail)

@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 
@@ -591,3 +592,146 @@ def test_verify_fails_a_gate_fed_nan(check, target, nth, when, spoil, detail,
     assert failed[0].startswith(f"FAIL {check} {detail}")
     assert summary[-1] == "FAILURES: 1"
     assert set(os.listdir(tmp_path)) == set(SUITE_FILES)
+
+
+# ----------------------------------------------------------------------
+# the batched oracles and the convergence table, bit for bit against
+# the per-draw and per-level loops they replaced
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@functools.cache
+def small_solve(domain):
+    """(solution, problem): the affine square at n = 4, the cable at n = 6."""
+    square = domain == "square"
+    problem = square_affine_problem() if square else cable_problem()
+    return solve_ventcel(problem, n=4 if square else 6), problem
+
+
+def trace_pencil(space):
+    """trace_poincare_estimate's (Mb, K) on the free dofs."""
+    system = assemble_bilinear(space, ConstantCoefficient(1.0), ZERO)
+    fr = space.free
+    return system.M_b[fr][:, fr].tocsr(), system.K_int[fr][:, fr].tocsc()
+
+
+def loop_trace_sample(space, seed):
+    """trace_poincare_estimate's sampled_max and ARPACK start, one draw
+    at a time."""
+    Mb, K = trace_pencil(space)
+    rng = np.random.default_rng(seed)
+    best_q, best_x = 0.0, None
+    for _ in range(verify.N_RANDOM):
+        x = rng.uniform(-1.0, 1.0, space.n_free)
+        q = float(x @ Mb.dot(x)) / float(x @ (K.dot(x)))
+        if q > best_q:
+            best_q, best_x = q, x
+    hat_q = Mb.diagonal() / K.diagonal()
+    ih = int(np.argmax(hat_q))
+    if hat_q[ih] > best_q:
+        best_q, best_x = float(hat_q[ih]), np.eye(1, space.n_free, ih)[0]
+    return float(np.sqrt(best_q)), best_x
+
+
+def loop_continuity_ratio(matrix, gram, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(verify.N_RANDOM):
+        v = rng.uniform(-1.0, 1.0, matrix.shape[0])
+        w = rng.uniform(-1.0, 1.0, matrix.shape[0])
+        nv = float(np.sqrt(max(v @ gram.dot(v), 0.0)))
+        nw = float(np.sqrt(max(w @ gram.dot(w), 0.0)))
+        worst = np.maximum(worst, abs(float(v @ matrix.dot(w))) / (nv * nw))
+    return float(worst)
+
+
+def loop_weak_residual(solution, problem, seed):
+    space = solution.space
+    q, ell = verify._weak_form(space, problem, solution.values)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(verify.N_RANDOM):
+        w = np.zeros(space.n_nodes)
+        w[space.free] = rng.uniform(-1.0, 1.0, space.n_free)
+        rhs = float(w @ ell)
+        worst = np.maximum(worst, abs(float(w @ q) - rhs) / (1.0 + abs(rhs)))
+    return float(worst)
+
+
+@settings(max_examples=10)
+@given(st.sampled_from(["square", "cable"]), st.integers(0, 2**32 - 1))
+def test_sampled_oracles_are_the_per_draw_loop_bits(domain, seed):
+    solution, problem = small_solve(domain)
+    space = solution.space
+    starts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_certified_eigenvalue",
+                   lambda A, B, sign, v0: starts.append(v0) or 1.0)
+        sampled, _ = trace_poincare_estimate(space, seed=seed)
+    want, want_start = loop_trace_sample(space, seed)
+    assert bits(sampled) == bits(want)
+    assert bits(starts) == bits([want_start])
+    # a hat function wins on these meshes: compare the fields' quotients too
+    X = verify._random_fields(seed, verify.N_RANDOM, space.n_free)
+    for M in trace_pencil(space):
+        assert bits(verify._quadratic_forms(M, X, X)) \
+            == bits([x @ M.dot(x) for x in X])
+
+    system = assemble_bilinear(space, problem.a2, problem.a0)
+    ratio = continuity_check(system.matrix, system.gram_v0(), system.bounds,
+                             1.0, seed=seed)[1]
+    assert bits(ratio) == bits(loop_continuity_ratio(
+        system.matrix, system.gram_v0(), seed))
+
+    residual = weak_residual_check(solution, problem, seed=seed)[0]
+    assert bits(residual) == bits(loop_weak_residual(solution, problem, seed))
+
+
+def loop_report(rows):
+    """(pair orders, observed orders, monotone), one column and one
+    level at a time."""
+    pairs = [(None, None)]
+    for (_, h0, a0, b0, _), (_, h1, a1, b1, _) in zip(rows, rows[1:]):
+        lo = np.log(h0 / h1)
+        pairs.append(
+            (float(np.log(max(a0, 1e-300) / max(a1, 1e-300)) / lo),
+             float(np.log(max(b0, 1e-300) / max(b1, 1e-300)) / lo)))
+    x = np.log([r[1] for r in rows])
+    xc = x - x.mean()
+    den = float(xc @ xc)
+    slopes, monotone = [], True
+    for col in (2, 3, 4):
+        vals = [r[col] for r in rows]
+        y = np.log([max(v, 1e-300) for v in vals])
+        slopes.append(float(xc @ (y - y.mean()) / den))
+        monotone &= bool(np.isfinite(vals).all())
+        for i, (a, b) in enumerate(zip(vals, vals[1:])):
+            if a > 1e-12 and b > 1e-12 and b >= (a * 1.05 if i == 0 else a):
+                monotone = False
+    return pairs, tuple(slopes), monotone
+
+
+ERROR_CELLS = st.one_of(st.floats(1e-15, 10.0),
+                        st.sampled_from([0.0, 1e-13, np.nan, np.inf]))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.floats(1e-3, 1.0), ERROR_CELLS, ERROR_CELLS,
+                          ERROR_CELLS), min_size=1, max_size=12),
+       st.booleans())
+def test_convergence_report_is_the_per_level_loop_bits(levels, decreasing):
+    if decreasing:          # refined meshes: h and most errors fall
+        levels = [tuple(sorted(col, reverse=True)) for col in zip(*levels)]
+        levels = list(zip(*levels))
+    rows = [(8 * 2**k, *level) for k, level in enumerate(levels)]
+    rep = ConvergenceReport(rows)
+    with np.errstate(all="ignore"):
+        pairs, slopes, monotone = loop_report(rows)
+        got_pairs = rep.pair_orders()
+        assert got_pairs[0] == pairs[0] == (None, None)
+        assert bits(got_pairs[1:]) == bits(pairs[1:])
+        assert bits(rep.observed_orders) == bits(slopes)
+        assert rep.monotone() is monotone
