@@ -86,7 +86,7 @@ _COMMENT = re.compile(r"(?:^|\s)#.*")
 def read_config_file(path: str) -> dict:
     """Parse a key = value file; ``_COMMENT`` marks a comment."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"config: cannot read {path!r}: {exc}") from None

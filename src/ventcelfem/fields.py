@@ -310,7 +310,7 @@ def _read_nodal_csv(path, n_nodes, role):
         raise InputError(f"{where}: cannot read (embedded null byte)")
     vals = [None] * n_nodes
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             for row in reader:
                 if not row or row[0].strip().lower() in ("node", "#"):

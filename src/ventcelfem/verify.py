@@ -45,8 +45,7 @@ from .solver import (
 )
 
 RELATIVE_SLACK = 1e-8            # inequality checks pass iff lhs <= rhs*(1+slack)
-# seeded random fields (or field pairs) drawn by trace_poincare_estimate,
-# continuity_check and weak_residual_check
+# seeded draws of continuity_check (field pairs) and weak_residual_check
 N_RANDOM = 100
 # weak_residual_check passes iff the largest scaled gap is below this
 WEAK_RESIDUAL_TOL = 1e-8
@@ -235,27 +234,23 @@ def _certified_eigenvalue(A, B, sign, v0) -> float:
     return float("nan")
 
 
-def trace_poincare_estimate(space, seed=0):
+def trace_poincare_estimate(space):
     """Bracket the best constant in |v|_chain <= L |Dv|_domain over V0.
 
-    Returns ``(sampled_max, L_est)``.  L^2 is the top eigenvalue of the
-    pencil (boundary mass Mb, interior stiffness K) on the free dofs.
-    ``sampled_max`` is the best quotient over ``N_RANDOM`` seeded random
-    fields and every hat function, a lower value; its field starts
-    ARPACK.  ``L_est``, the root of the certified upper bound on L^2, is
-    an upper bound; nan when none certifies.
+    Returns ``(sampled_max, L_est)``, functions of the mesh alone.  L^2
+    is the top eigenvalue of the pencil (boundary mass Mb, interior
+    stiffness K) on the free dofs.  ``sampled_max``, a lower value, is
+    the best hat quotient (Mb)_ii / K_ii; that hat starts ARPACK.
+    ``L_est``, the root of the certified upper bound on L^2, is an upper
+    bound; nan when none certifies.
     """
     system = assemble_bilinear(space, ConstantCoefficient(1.0), ZERO)
     fr = space.free
     K = system.K_int[fr][:, fr].tocsc()
     Mb = system.M_b[fr][:, fr].tocsr()
-    nf = len(fr)
-    X = _random_fields(seed, N_RANDOM, nf)
-    q = np.concatenate([_quadratic_forms(Mb, X, X) / _quadratic_forms(K, X, X),
-                        Mb.diagonal() / K.diagonal()])    # then every hat
-    i = int(np.argmax(q))             # the first best: a field before a hat
-    best_x = X[i] if i < N_RANDOM else np.eye(1, nf, i - N_RANDOM)[0]
-    mu = _certified_eigenvalue(Mb, K, 1, best_x)
+    q = Mb.diagonal() / K.diagonal()
+    i = int(np.argmax(q))
+    mu = _certified_eigenvalue(Mb, K, 1, np.eye(1, len(fr), i)[0])
     return float(np.sqrt(q[i])), float(np.sqrt(mu))
 
 
@@ -668,7 +663,7 @@ def _check_trace_poincare(seed):
                             ("square", square_domain, 32),
                             ("annulus", annulus_domain, 16)]:
         space = build_space(triangulate(domain(), n))
-        rows.append((name, n, *trace_poincare_estimate(space, seed=seed)))
+        rows.append((name, n, *trace_poincare_estimate(space)))
     L = [r[3] for r in rows]
     lo, hi = np.min(L[:3]), np.max(L[:3])
     ok = bool(np.isfinite(L).all() and hi <= 1.2 * lo)
@@ -719,7 +714,7 @@ def _check_coercivity(seed):
 def _check_continuity(seed):
     space = build_space(triangulate(cable_domain(), 16))
     system = assemble_bilinear(space, InverseCurvature(), ZERO)
-    L_est = trace_poincare_estimate(space, seed=seed)[1]
+    L_est = trace_poincare_estimate(space)[1]
     bound, ratio, ok = continuity_check(system.matrix, system.gram_v0(),
                                         system.bounds, L_est, seed=seed + 1)
     return ("continuity.csv", _csv("domain,n_pairs,bound,max_ratio,pass",
@@ -845,9 +840,11 @@ CHECKS = (
 def run_suite(output_dir: str, seed: int = 42) -> SuiteResult:
     """Run every check in ``CHECKS`` and write its artifact under output_dir.
 
-    Deterministic for a fixed seed: all randomness flows from it and
-    every artifact is formatted with explicit precision.  summary.txt
-    holds one PASS/FAIL line per check.
+    Artifacts have explicit precision and the suite's draws flow from
+    the seed, but not ARPACK's: at seeds 5 and 15 coercivity.csv's row
+    square,a2=3+x+y2/4,a0=1+y2/4 varies from run to run, as a restart
+    asks eigsh for a fresh vector and scipy draws it unseeded.
+    summary.txt holds one PASS/FAIL line per check.
     """
     os.makedirs(output_dir, exist_ok=True)
     lines = []

@@ -281,6 +281,22 @@ def test_malformed_nodal_file_exits_2(name, capsys, tmp_path):
     assert not (tmp_path / "solution.csv").exists()
 
 
+# Excel's "CSV UTF-8" starts the file with a byte-order mark
+@pytest.mark.parametrize("header", ["node,value\r\n", ""],
+                         ids=["header", "no_header"])
+def test_nodal_file_with_a_byte_order_mark_solves(header, capsys, tmp_path):
+    rows = "".join(f"{i},{1.0 + i / 8}\r\n" for i in range(9))
+    (tmp_path / "plain.csv").write_text(header + rows, encoding="utf-8")
+    (tmp_path / "bom.csv").write_text(header + rows, encoding="utf-8-sig")
+    for name in ("plain", "bom"):
+        assert cli.main(["solve", "--domain", "square", "--n", "2", "--a2",
+                         f"nodal:{tmp_path / name}.csv",
+                         "--output-dir", str(tmp_path / name)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "bom" / "solution.csv").read_bytes() \
+        == (tmp_path / "plain" / "solution.csv").read_bytes()
+
+
 def test_wall_data_singular_at_a_wall_point_exits_2_without_warning(
         capsys, tmp_path):
     # log_radial is -inf at the origin, a wall point of the cable domain
@@ -331,6 +347,15 @@ def test_info_and_solve_print_the_same_bounds(tmp_path, capsys):
     assert cli.main(["solve", *config, "--output-dir", str(tmp_path)]) == 0
     diag = (tmp_path / "diagnostics.txt").read_text().splitlines()
     assert [line for line in diag if line.split(" = ")[0] in keys] == info
+
+
+def test_config_file_with_a_byte_order_mark_reads(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("domain = square\nn = 4\n", encoding="utf-8-sig")
+    assert cli.read_config_file(str(path)) == {"domain": "square", "n": "4"}
+    assert cli.main(["info", "--config", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "domain = square" in out and "n = 4" in out
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ventcelfem.domain import (InternalError, annulus_domain, cable_domain,
-                               square_domain)
+from ventcelfem import fields
+from ventcelfem.domain import (InputError, InternalError, annulus_domain,
+                               cable_domain, square_domain)
 from ventcelfem.fields import (
     EXACT_SOLUTIONS,
     Coefficient,
@@ -166,6 +167,80 @@ def test_nodal_csv_must_cover_all_nodes(tmp_path):
     path.write_text("0,1.0\n1,2.0\n")
     with pytest.raises(ValueError):
         parse_coefficient(f"nodal:{path}", mesh=mesh, role="a2")
+
+
+@st.composite
+def nodal_file(draw):
+    """(values, lines, newline, bom): one valid ``index,value`` file.
+
+    The rows come in any order, with or without the header, between
+    blank rows; values are written by repr.
+    """
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=12))
+    order = draw(st.permutations(range(len(values))))
+    lines = [f"{i},{values[i]!r}" for i in order]
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        lines.insert(at, "")
+    if draw(st.booleans()):
+        lines.insert(0, "node,value")
+    return (values, lines, draw(st.sampled_from(["\n", "\r\n"])),
+            draw(st.booleans()))
+
+
+def write_nodal(path, lines, newline, bom):
+    text = "".join(line + newline for line in lines)
+    path.write_bytes(text.encode("utf-8-sig" if bom else "utf-8"))
+    return str(path)
+
+
+ROLE = st.sampled_from(["a2", "f1", "phi"])
+NODAL_SETTINGS = settings(
+    max_examples=100,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@NODAL_SETTINGS
+@given(file=nodal_file(), role=ROLE)
+def test_a_valid_nodal_file_reads_back_exactly(file, role, tmp_path):
+    values, lines, newline, bom = file
+    path = write_nodal(tmp_path / "v.csv", lines, newline, bom)
+    got = fields._read_nodal_csv(path, len(values), role)
+    assert got.tobytes() == np.array(values).tobytes()
+
+
+@NODAL_SETTINGS
+@given(file=nodal_file(), role=ROLE, data=st.data(),
+       fault=st.sampled_from(["duplicated", "missing", "out_of_range",
+                              "non_finite"]))
+def test_one_bad_nodal_row_names_the_role_file_and_line(file, role, data,
+                                                        fault, tmp_path):
+    values, lines, newline, bom = file
+    n = len(values)
+    rows = [k for k, line in enumerate(lines) if line[:1] not in ("", "n")]
+    k = data.draw(st.sampled_from(rows))
+    node = lines[k].split(",")[0]
+    if fault == "missing":
+        del lines[k]
+    elif fault == "non_finite":
+        bad = data.draw(st.sampled_from(["inf", "-inf", "nan"]))
+        lines[k] = f"{node},{bad}"
+    else:
+        bad = (node if fault == "duplicated"
+               else data.draw(st.sampled_from([-1, n, n + 7])))
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, f"{bad},0.5")
+        # the later of the two rows of a node is the bad one
+        k = at if fault == "out_of_range" or at > k else k + 1
+    path = write_nodal(tmp_path / "v.csv", lines, newline, bom)
+    with pytest.raises(InputError) as err:
+        fields._read_nodal_csv(path, n, role)
+    where = f"{role}: nodal csv {path}"
+    if fault == "missing":      # no line holds a missing row
+        assert str(err.value) == (f"{where} does not cover all {n} nodes "
+                                  "(1 missing)")
+    else:
+        assert str(err.value).startswith(f"{where}:{k + 1}: ")
 
 
 EDGE_DOMAINS = {"cable": cable_domain, "square": square_domain,

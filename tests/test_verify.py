@@ -1,4 +1,5 @@
 import functools
+import inspect
 import os
 import re
 
@@ -123,10 +124,10 @@ def test_counterexample_annulus():
 
 def test_trace_estimate_square():
     space = build_space(triangulate(square_domain(), 8))
-    sampled_max, L_est = trace_poincare_estimate(space, seed=0)
+    sampled_max, L_est = trace_poincare_estimate(space)
     assert L_est >= sampled_max * (1.0 - 1e-12)
     assert 0.5 < L_est < 0.7
-    assert trace_poincare_estimate(space, seed=0)[1] == L_est  # deterministic
+    assert trace_poincare_estimate(space)[1] == L_est  # deterministic
 
 
 TRACE_DOMAINS = {"square": square_domain(), "cable": cable_domain(),
@@ -149,13 +150,44 @@ def _dense_trace_constant(space):
 
 
 @settings(max_examples=100)
-@given(domain=st.sampled_from(sorted(TRACE_DOMAINS)), n=st.integers(2, 8),
-       seed=st.integers(0, 2**16))
-def test_trace_estimate_brackets_the_dense_constant(domain, n, seed):
+@given(domain=st.sampled_from(sorted(TRACE_DOMAINS)), n=st.integers(2, 8))
+def test_trace_estimate_brackets_the_dense_constant(domain, n):
     space = build_space(triangulate(TRACE_DOMAINS[domain], n))
-    sampled_max, L_est = trace_poincare_estimate(space, seed=seed)
+    sampled_max, L_est = trace_poincare_estimate(space)
     L = _dense_trace_constant(space)
     assert sampled_max <= L <= L_est <= L * (1.0 + 1e-8)
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("trace_poincare_estimate drew random numbers")
+
+
+# the meshes whose trace constant the suite certifies
+SUITE_TRACE_MESHES = [("square", 8), ("square", 16), ("square", 32),
+                      ("annulus", 16), ("cable", 16)]
+
+
+@pytest.mark.parametrize("domain, n", SUITE_TRACE_MESHES)
+def test_trace_sample_is_the_best_hat_and_starts_arpack(domain, n,
+                                                        monkeypatch):
+    assert list(inspect.signature(trace_poincare_estimate).parameters) \
+        == ["space"]
+    space = build_space(triangulate(TRACE_DOMAINS[domain], n))
+    K, Mb = _trace_pencil(space)
+    q = np.diagonal(Mb) / np.diagonal(K)
+    i = int(np.argmax(q))
+    real_eigsh, starts = spla.eigsh, []
+
+    def recording_eigsh(*args, **kwargs):
+        starts.append(kwargs["v0"])
+        return real_eigsh(*args, **kwargs)
+    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
+    monkeypatch.setattr(verify, "_random_fields", _no_draws)
+    sampled_max, L_est = trace_poincare_estimate(space)
+    assert np.float64(sampled_max).tobytes() == np.sqrt(q[i]).tobytes()
+    assert len(starts) == 1
+    assert starts[0].tobytes() == np.eye(1, space.n_free, i)[0].tobytes()
+    assert L_est >= sampled_max
 
 
 def test_trace_estimate_is_nan_when_arpack_fails(monkeypatch):
@@ -165,7 +197,7 @@ def test_trace_estimate_is_nan_when_arpack_fails(monkeypatch):
         raise spla.ArpackNoConvergence("no convergence", np.array([]),
                                        np.array([]))
     monkeypatch.setattr(spla, "eigsh", no_convergence)
-    sampled_max, L_est = trace_poincare_estimate(space, seed=0)
+    sampled_max, L_est = trace_poincare_estimate(space)
     assert np.isnan(L_est)
     assert sampled_max > 0.0
 
@@ -303,7 +335,7 @@ def test_coercivity_eigencheck_stays_below_dense_annulus():
 def test_continuity_bound_holds():
     space = build_space(triangulate(square_domain(), 6))
     system = assemble_bilinear(space, ConstantCoefficient(1.0), ZERO)
-    L = trace_poincare_estimate(space, seed=0)[1]
+    L = trace_poincare_estimate(space)[1]
     bound, max_ratio, passed = continuity_check(
         system.matrix, system.gram_v0(), system.bounds, L, seed=0)
     assert passed
@@ -611,31 +643,6 @@ def small_solve(domain):
     return solve_ventcel(problem, n=4 if square else 6), problem
 
 
-def trace_pencil(space):
-    """trace_poincare_estimate's (Mb, K) on the free dofs."""
-    system = assemble_bilinear(space, ConstantCoefficient(1.0), ZERO)
-    fr = space.free
-    return system.M_b[fr][:, fr].tocsr(), system.K_int[fr][:, fr].tocsc()
-
-
-def loop_trace_sample(space, seed):
-    """trace_poincare_estimate's sampled_max and ARPACK start, one draw
-    at a time."""
-    Mb, K = trace_pencil(space)
-    rng = np.random.default_rng(seed)
-    best_q, best_x = 0.0, None
-    for _ in range(verify.N_RANDOM):
-        x = rng.uniform(-1.0, 1.0, space.n_free)
-        q = float(x @ Mb.dot(x)) / float(x @ (K.dot(x)))
-        if q > best_q:
-            best_q, best_x = q, x
-    hat_q = Mb.diagonal() / K.diagonal()
-    ih = int(np.argmax(hat_q))
-    if hat_q[ih] > best_q:
-        best_q, best_x = float(hat_q[ih]), np.eye(1, space.n_free, ih)[0]
-    return float(np.sqrt(best_q)), best_x
-
-
 def loop_continuity_ratio(matrix, gram, seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -665,22 +672,7 @@ def loop_weak_residual(solution, problem, seed):
 @given(st.sampled_from(["square", "cable"]), st.integers(0, 2**32 - 1))
 def test_sampled_oracles_are_the_per_draw_loop_bits(domain, seed):
     solution, problem = small_solve(domain)
-    space = solution.space
-    starts = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_certified_eigenvalue",
-                   lambda A, B, sign, v0: starts.append(v0) or 1.0)
-        sampled, _ = trace_poincare_estimate(space, seed=seed)
-    want, want_start = loop_trace_sample(space, seed)
-    assert bits(sampled) == bits(want)
-    assert bits(starts) == bits([want_start])
-    # a hat function wins on these meshes: compare the fields' quotients too
-    X = verify._random_fields(seed, verify.N_RANDOM, space.n_free)
-    for M in trace_pencil(space):
-        assert bits(verify._quadratic_forms(M, X, X)) \
-            == bits([x @ M.dot(x) for x in X])
-
-    system = assemble_bilinear(space, problem.a2, problem.a0)
+    system = assemble_bilinear(solution.space, problem.a2, problem.a0)
     ratio = continuity_check(system.matrix, system.gram_v0(), system.bounds,
                              1.0, seed=seed)[1]
     assert bits(ratio) == bits(loop_continuity_ratio(
