@@ -3,8 +3,8 @@
 Everything here re-derives its numbers independently of the assembly
 path in femcore: quadrature rules are one order higher (6-point
 interior, 5-point boundary), the trace constant is a certified upper
-bound and the coercivity constant a certified lower bound (each an
-ARPACK estimate checked by an inertia count), and the weak-form
+bound and the coercivity constant a certified lower bound (each a
+condensed-pencil eigenvalue checked by an inertia count), and the weak-form
 residual is evaluated without touching the assembled matrix.
 
 The suite is the table ``CHECKS`` of (name, check) pairs.  Each check
@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .geometry import (CABLE_HALF_WIDTH, CableArc, Circle,
@@ -49,7 +50,7 @@ RELATIVE_SLACK = 1e-8            # inequality checks pass iff lhs <= rhs*(1+slac
 N_RANDOM = 100
 # weak_residual_check passes iff the largest scaled gap is below this
 WEAK_RESIDUAL_TOL = 1e-8
-# relative distances from an ARPACK eigenvalue estimate at which
+# relative distances from a condensed eigenvalue estimate at which
 # _certified_eigenvalue tries, in order, to certify a bound beyond it
 _CERTIFY_MARGINS = (1e-13, 1e-12, 1e-11, 1e-10)
 
@@ -208,25 +209,30 @@ def _positive_definite(matrix) -> bool:
                 and np.all(lu.U.diagonal() > 0.0))
 
 
-def _certified_eigenvalue(A, B, sign, v0) -> float:
-    """Certified bound on an extreme eigenvalue of the pencil (A, B).
+def _certified_eigenvalue(A, B, sign, shift) -> float:
+    """Certified bound on an extreme eigenvalue of the pencil (A, B), B SPD.
 
-    ``sign`` +1 bounds the largest from above (ARPACK inverts B through
-    one ``factorize`` LU), -1 the smallest from below (shift-invert
-    about 0 through one LU of A).  Returns the first est + sign delta
-    |est|, delta in ``_CERTIFY_MARGINS``, with sign (bound B - A)
-    certified positive definite; nan when ARPACK fails or none does.
+    ``sign`` +1 bounds the largest from above, -1 the smallest from
+    below.  Where E = A - shift B is zero off the dofs c, the eigenvalues
+    are ``shift`` (if some dof i is not in c) and shift + mu, mu those of
+    the dense pencil (E_cc, S), S = B_cc - B_ci B_ii^-1 B_ic: an exact
+    condensation through one ``factorize``.  Returns the first est + sign
+    delta |est|, delta in ``_CERTIFY_MARGINS``, with sign (bound B - A)
+    certified positive definite; nan when ``eigh`` fails or none does.
     """
-    n = A.shape[0]
-    lu = factorize(B if sign > 0 else A)
-    inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
-    mode = (dict(Minv=inv, which="LA") if sign > 0
-            else dict(sigma=0.0, OPinv=inv))
+    E = A - shift * B
+    c = np.union1d(*E.nonzero())
+    i = np.setdiff1d(np.arange(A.shape[0]), c)
+    S = B[c][:, c].toarray()
+    if len(i):
+        B_ic = B[i][:, c].toarray()
+        S -= B_ic.T @ factorize(B[i][:, i]).solve(B_ic)
     try:
-        est = float(spla.eigsh(A, k=1, M=B, tol=1e-12, v0=v0,
-                               return_eigenvectors=False, **mode)[0])
-    except spla.ArpackError:          # ArpackNoConvergence included
+        mu = scipy.linalg.eigh(E[c][:, c].toarray(), S, eigvals_only=True)
+    except scipy.linalg.LinAlgError:
         return float("nan")
+    mu = np.append(mu, np.zeros(min(len(i), 1)))  # mu = 0 when i is nonempty
+    est = float(shift + (mu.max() if sign > 0 else mu.min()))
     for delta in _CERTIFY_MARGINS:
         bound = est + sign * delta * abs(est)
         if _positive_definite(sign * (bound * B - A)):
@@ -240,29 +246,25 @@ def trace_poincare_estimate(space):
     Returns ``(sampled_max, L_est)``, functions of the mesh alone.  L^2
     is the top eigenvalue of the pencil (boundary mass Mb, interior
     stiffness K) on the free dofs.  ``sampled_max``, a lower value, is
-    the best hat quotient (Mb)_ii / K_ii; that hat starts ARPACK.
-    ``L_est``, the root of the certified upper bound on L^2, is an upper
-    bound; nan when none certifies.
+    the best hat quotient (Mb)_ii / K_ii.  ``L_est``, the root of the
+    certified upper bound on L^2, is an upper bound, or nan.
     """
     system = assemble_bilinear(space, ConstantCoefficient(1.0), ZERO)
     fr = space.free
     K = system.K_int[fr][:, fr].tocsc()
     Mb = system.M_b[fr][:, fr].tocsr()
     q = Mb.diagonal() / K.diagonal()
-    i = int(np.argmax(q))
-    mu = _certified_eigenvalue(Mb, K, 1, np.eye(1, len(fr), i)[0])
-    return float(np.sqrt(q[i])), float(np.sqrt(mu))
+    mu = _certified_eigenvalue(Mb, K, 1, 0.0)
+    return float(np.sqrt(q.max())), float(np.sqrt(mu))
 
 
-def coercivity_eigencheck(matrix, gram, seed=0) -> float:
+def coercivity_eigencheck(matrix, gram) -> float:
     """Certified lower bound on the min eigenvalue of sym(matrix) vs gram.
 
     Only the symmetric part enters, since the quadratic form discards
-    the skew part.  ARPACK starts from a seeded random vector.
+    the skew part.  It shares gram's interior part: the shift is 1.
     """
-    symB = (0.5 * (matrix + matrix.T)).tocsc()
-    return _certified_eigenvalue(symB, gram, -1,
-                                 _random_fields(seed, matrix.shape[0]))
+    return _certified_eigenvalue(0.5 * (matrix + matrix.T), gram, -1, 1.0)
 
 
 def continuity_check(matrix, gram, bounds, L_est, seed=0):
@@ -701,7 +703,7 @@ def _check_coercivity(seed):
             system = assemble_bilinear(space, a2, a0)
             bound = system.bounds.coercivity_constant()
             quotient = coercivity_eigencheck(system.matrix_shifted,
-                                             system.gram_v0(), seed=seed)
+                                             system.gram_v0())
             rows.append((dname, label, system.bounds.lambda2,
                          system.bounds.grad_bound, system.bounds.sigma0, bound,
                          quotient, quotient - bound, quotient >= bound - 1e-8))
@@ -840,11 +842,9 @@ CHECKS = (
 def run_suite(output_dir: str, seed: int = 42) -> SuiteResult:
     """Run every check in ``CHECKS`` and write its artifact under output_dir.
 
-    Artifacts have explicit precision and the suite's draws flow from
-    the seed, but not ARPACK's: at seeds 5 and 15 coercivity.csv's row
-    square,a2=3+x+y2/4,a0=1+y2/4 varies from run to run, as a restart
-    asks eigsh for a fresh vector and scipy draws it unseeded.
-    summary.txt holds one PASS/FAIL line per check.
+    Artifacts have explicit precision and every draw flows from the
+    seed, so a seed repeats them byte for byte.  summary.txt holds one
+    PASS/FAIL line per check.
     """
     os.makedirs(output_dir, exist_ok=True)
     lines = []

@@ -92,9 +92,9 @@ def test_weak_residual_kills_the_mutant(name, monkeypatch):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 12: ARPACK's estimates are accurate, so a test that "
-    "certifies anything returns the same first-margin bounds, and every "
-    "gate still passes"))
+    "ROADMAP item 12: the condensed estimates are exact to rounding, so "
+    "a test that certifies anything returns the same first-margin "
+    "bounds, and every gate still passes"))
 def test_bound_checks_kill_an_always_positive_definite_mutant(monkeypatch):
     monkeypatch.setattr(verify, "_positive_definite", lambda matrix: True)
     verdicts = [check(42)[2] for check in (verify._check_trace_poincare,

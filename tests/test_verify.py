@@ -167,6 +167,17 @@ SUITE_TRACE_MESHES = [("square", 8), ("square", 16), ("square", 32),
                       ("annulus", 16), ("cable", 16)]
 
 
+def _stub_condensed_eigh(monkeypatch, result):
+    """verify's dense eigen-solve of the condensed pencil returns or
+    raises ``result``; compute every dense reference before this."""
+    def stub(*args, **kwargs):
+        if isinstance(result, Exception):
+            raise result
+        return np.array(result)
+    monkeypatch.setattr(scipy.linalg, "eigh", stub)
+
+
+# kept under its old name; the estimate no longer takes a start vector
 @pytest.mark.parametrize("domain, n", SUITE_TRACE_MESHES)
 def test_trace_sample_is_the_best_hat_and_starts_arpack(domain, n,
                                                         monkeypatch):
@@ -175,38 +186,25 @@ def test_trace_sample_is_the_best_hat_and_starts_arpack(domain, n,
     space = build_space(triangulate(TRACE_DOMAINS[domain], n))
     K, Mb = _trace_pencil(space)
     q = np.diagonal(Mb) / np.diagonal(K)
-    i = int(np.argmax(q))
-    real_eigsh, starts = spla.eigsh, []
-
-    def recording_eigsh(*args, **kwargs):
-        starts.append(kwargs["v0"])
-        return real_eigsh(*args, **kwargs)
-    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
     monkeypatch.setattr(verify, "_random_fields", _no_draws)
     sampled_max, L_est = trace_poincare_estimate(space)
-    assert np.float64(sampled_max).tobytes() == np.sqrt(q[i]).tobytes()
-    assert len(starts) == 1
-    assert starts[0].tobytes() == np.eye(1, space.n_free, i)[0].tobytes()
+    assert np.float64(sampled_max).tobytes() == np.sqrt(q.max()).tobytes()
     assert L_est >= sampled_max
 
 
-def test_trace_estimate_is_nan_when_arpack_fails(monkeypatch):
+def test_trace_estimate_is_nan_when_the_condensed_solve_fails(monkeypatch):
     space = build_space(triangulate(square_domain(), 4))
-
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.array([]),
-                                       np.array([]))
-    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    _stub_condensed_eigh(monkeypatch, scipy.linalg.LinAlgError("not SPD"))
     sampled_max, L_est = trace_poincare_estimate(space)
     assert np.isnan(L_est)
     assert sampled_max > 0.0
+    assert not verify._check_trace_poincare(42)[2]
 
 
 def test_trace_estimate_rejects_an_estimate_below_the_maximum(monkeypatch):
     space = build_space(triangulate(square_domain(), 4))
     too_low = _dense_trace_constant(space) ** 2 * (1.0 - 1e-6)
-    monkeypatch.setattr(spla, "eigsh",
-                        lambda *args, **kwargs: np.array([too_low]))
+    _stub_condensed_eigh(monkeypatch, [too_low])
     assert np.isnan(trace_poincare_estimate(space)[1])
 
 
@@ -245,7 +243,7 @@ def test_coercivity_eigencheck_against_dense():
         space, FieldCoefficient(QuadraticField(3.0, 1.0)), ZERO)
     B = system.matrix_shifted
     G = system.gram_v0()
-    lam = coercivity_eigencheck(B, G, seed=0)
+    lam = coercivity_eigencheck(B, G)
     symB = 0.5 * (B.toarray() + B.toarray().T)
     dense = scipy.linalg.eigh(symB, G.toarray(), eigvals_only=True)[0]
     assert abs(lam - dense) < 1e-8 * max(1.0, abs(dense))
@@ -254,7 +252,7 @@ def test_coercivity_eigencheck_against_dense():
 
 def test_coercivity_eigencheck_identity_pencil():
     G = sp.identity(8, format="csc")
-    assert abs(coercivity_eigencheck(G, G, seed=1) - 1.0) < 1e-12
+    assert abs(coercivity_eigencheck(G, G) - 1.0) < 1e-12
 
 
 def _dense_lambda_min(system):
@@ -279,15 +277,13 @@ QUAD_RAW = st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6)
 
 @settings(max_examples=100)
 @given(domain=st.sampled_from(sorted(COERCIVITY_DOMAINS)), n=st.integers(2, 8),
-       a2_raw=QUAD_RAW, a0_raw=st.one_of(st.none(), QUAD_RAW),
-       seed=st.integers(0, 2**16))
+       a2_raw=QUAD_RAW, a0_raw=st.one_of(st.none(), QUAD_RAW))
 def test_coercivity_certificate_is_a_tight_lower_bound(domain, n, a2_raw,
-                                                        a0_raw, seed):
+                                                        a0_raw):
     space = build_space(triangulate(COERCIVITY_DOMAINS[domain], n))
     a0 = ZERO if a0_raw is None else _positive_quadratic(a0_raw, 0.0)
     system = assemble_bilinear(space, _positive_quadratic(a2_raw, 0.05), a0)
-    lam = coercivity_eigencheck(system.matrix_shifted, system.gram_v0(),
-                                seed=seed)
+    lam = coercivity_eigencheck(system.matrix_shifted, system.gram_v0())
     dense = _dense_lambda_min(system)
     assert lam <= dense
     assert dense - lam <= 1e-8 * abs(dense)
@@ -295,30 +291,35 @@ def test_coercivity_certificate_is_a_tight_lower_bound(domain, n, a2_raw,
 
 
 def _square_system():
+    # a2 = 0.1: the minimum lies below the interior eigenvalue 1
     space = build_space(triangulate(square_domain(), 4))
-    return assemble_bilinear(
-        space, FieldCoefficient(QuadraticField(3.0, 1.0)), ZERO)
+    return assemble_bilinear(space, ConstantCoefficient(0.1),
+                             ConstantCoefficient(1.0))
 
 
 def test_coercivity_eigencheck_rejects_an_estimate_above_the_minimum(
         monkeypatch):
     system = _square_system()
     too_high = 1.01 * _dense_lambda_min(system)
-    monkeypatch.setattr(spla, "eigsh",
-                        lambda *args, **kwargs: np.array([too_high]))
+    assert too_high < 1.0
+    # the condensation is about the shift 1
+    _stub_condensed_eigh(monkeypatch, [too_high - 1.0])
     assert np.isnan(coercivity_eigencheck(system.matrix_shifted,
                                           system.gram_v0()))
 
 
-def test_coercivity_eigencheck_is_nan_when_arpack_fails(monkeypatch):
+def test_coercivity_eigencheck_is_nan_when_the_condensed_solve_fails(
+        monkeypatch, tmp_path):
     system = _square_system()
-
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.array([]),
-                                       np.array([]))
-    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    _stub_condensed_eigh(monkeypatch, scipy.linalg.LinAlgError("not SPD"))
     assert np.isnan(coercivity_eigencheck(system.matrix_shifted,
                                           system.gram_v0()))
+    # the checks that read a bound FAIL, and verify exits 1, not raises
+    run = cases.run("verify_seed42", tmp_path, None)
+    assert run.code == 1
+    failed = [line.split()[1] for line in run.stdout.splitlines()
+              if line.startswith("FAIL ")]
+    assert failed == ["trace_poincare", "coercivity", "continuity"]
 
 
 def test_coercivity_eigencheck_stays_below_dense_annulus():
@@ -327,9 +328,55 @@ def test_coercivity_eigencheck_stays_below_dense_annulus():
     space = build_space(triangulate(annulus_domain(), 16))
     system = assemble_bilinear(space, ConstantCoefficient(0.1),
                                ConstantCoefficient(1.0))
-    lam = coercivity_eigencheck(system.matrix_shifted, system.gram_v0(),
-                                seed=42)
+    lam = coercivity_eigencheck(system.matrix_shifted, system.gram_v0())
     assert lam <= _dense_lambda_min(system)
+
+
+@settings(max_examples=100)
+@given(n=st.integers(2, 8), support=st.sampled_from(["empty", "partial",
+                                                     "every"]),
+       sign=st.sampled_from([-1, 1]), shift=st.floats(1.0, 2.0),
+       seed=st.integers(0, 2**16))
+def test_certified_eigenvalue_brackets_the_dense_extreme(n, support, sign,
+                                                         shift, seed):
+    # A = shift B + E with E nonzero on no, some or every dof: without
+    # every dof the eigenvalue ``shift`` itself is in the spectrum
+    rng = np.random.default_rng(seed)
+    off = np.triu(rng.uniform(-1.0, 1.0, (n, n))
+                  * (rng.random((n, n)) < 0.4), 1)
+    off += off.T
+    B = off + np.diag(1.0 + np.abs(off).sum(axis=1) + rng.random(n))
+    m = {"empty": 0, "partial": n // 2, "every": n}[support]
+    c = rng.choice(n, m, replace=False)
+    E_cc = rng.uniform(-0.05, 0.05, (m, m))
+    E_cc += E_cc.T
+    E_cc[np.diag_indices(m)] = rng.choice([-0.1, 0.1], m)
+    E = np.zeros((n, n))
+    E[np.ix_(c, c)] = E_cc
+    A = shift * B + E
+    # lambda_min(B) >= 1 and |E| <= 0.8: the spectrum lies in [0.2, 2.8]
+    lam = scipy.linalg.eigh(A, B, eigvals_only=True)
+    extreme = lam.max() if sign > 0 else lam.min()
+    bound = verify._certified_eigenvalue(sp.csr_matrix(A), sp.csr_matrix(B),
+                                         sign, shift)
+    assert sign * (bound - extreme) >= 0.0
+    assert abs(bound - extreme) <= 1e-10 * abs(extreme)
+
+
+def test_coercivity_check_repeats_at_every_seed():
+    texts = {verify._check_coercivity(seed)[1]
+             for seed in (5, 5, 5, 15, 15, 42)}
+    assert len(texts) == 1
+
+
+def test_bound_checks_pass_without_arpack(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.array([]),
+                                       np.array([]))
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    for check in (verify._check_trace_poincare, verify._check_coercivity,
+                  verify._check_continuity):
+        assert check(42)[2]
 
 
 def test_continuity_bound_holds():
