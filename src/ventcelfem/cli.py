@@ -68,7 +68,7 @@ OPTIONS = {
     "g2": ("", "chain flux source"),
     "phi": ("", "wall (Dirichlet) data"),
     "exact": ("", "exact solution name for error studies"),
-    "seed": (42, "random seed"),
+    "seed": (42, "seed of verify's weak-residual test fields"),
     "output_dir": (".", "artifact directory"),
 }
 CONFIG_KEYS = tuple(OPTIONS)
@@ -144,7 +144,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def config_echo(cfg: RunConfig) -> str:
-    """Reparseable key = value block (command excluded)."""
+    """Reparseable key = value block (command excluded).  A value that
+    ``read_config_file`` would not read back (a line break, whitespace at
+    either end, a comment) is an InputError naming its key."""
+    for key in CONFIG_KEYS:
+        value = str(getattr(cfg, key))
+        # read with universal newlines, "\r" ends a line as "\n" does
+        if re.search("[\r\n]", value) or value != _COMMENT.sub(
+                "", " " + value, count=1).strip():
+            raise InputError(f"{key}: {value!r} would not read back from "
+                             "info's key = value echo")
     return "\n".join(f"{key} = {getattr(cfg, key)}" for key in CONFIG_KEYS)
 
 
@@ -196,7 +205,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     _output_dir(cfg)
     mesh = triangulate(dom, cfg.n)
     problem = build_problem(cfg, dom, mesh)
-    solution = solve_ventcel(problem, mesh=mesh, seed=cfg.seed)
+    solution = solve_ventcel(problem, mesh=mesh)
     system, diag = solution.system, solution.uniqueness
 
     sol_path = os.path.join(cfg.output_dir, "solution.csv")
@@ -263,13 +272,14 @@ def cmd_mesh(cfg: RunConfig) -> int:
 
 
 def cmd_info(cfg: RunConfig) -> int:
+    echo = config_echo(cfg)
     dom = _domain_or_error(cfg)
     mesh = triangulate(dom, cfg.n)
     space = build_space(mesh)
     a2 = parse_coefficient(cfg.a2, mesh, "a2")
     a0 = parse_coefficient(cfg.a0, mesh, "a0")
     bounds = coefficient_bounds(space, a2, a0)
-    print(config_echo(cfg))
+    print(echo)
     print(f"# nodes = {space.n_nodes}, free = {space.n_free}, h = {space.h:.6g}")
     for key in BOUND_KEYS:
         print(f"# {key} = {getattr(bounds, key):.17g}")

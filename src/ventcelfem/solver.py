@@ -140,7 +140,7 @@ def solve_linear(lu, rhs) -> np.ndarray:
 
 
 def solve_ventcel(problem: VentcelProblem, n: int | None = None,
-                  mesh: Mesh | None = None, seed: int = 0) -> Solution:
+                  mesh: Mesh | None = None) -> Solution:
     """Solve ``problem`` on ``mesh``, or when it is None on a fresh mesh
     with subdivision ``n``; one of the two must be given.
 
@@ -151,9 +151,9 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     data) is raised in preference to a SingularSystemError from the
     factor, as a serial run would report them.
 
-    ``uniqueness_diagnostic`` then runs on the same factor, with
-    ``seed`` for its Lanczos start; a system it finds singular raises
-    SingularSystemError.  The factor is dropped on return.
+    ``uniqueness_diagnostic`` then runs on the same factor; a system it
+    finds singular raises SingularSystemError.  The factor is dropped on
+    return.
     """
     if mesh is None:
         mesh = triangulate(problem.domain, n)
@@ -190,7 +190,7 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     s = np.ldexp(1.0, -max(int(e), 0))
     residual = float(np.linalg.norm(r * s) / (s + np.linalg.norm(rhs * s)))
 
-    report = uniqueness_diagnostic(system, lu, seed)
+    report = uniqueness_diagnostic(system, lu)
     if report.singular:
         raise SingularSystemError(
             "reduced system is singular to working precision "
@@ -215,13 +215,12 @@ class UniquenessReport:
     last_rel_change: float = float("nan")  # |theta_k - theta_(k-1)| / theta_k
 
 
-def uniqueness_diagnostic(system: FeSystem, lu,
-                          seed: int = 0) -> UniquenessReport:
+def uniqueness_diagnostic(system: FeSystem, lu) -> UniquenessReport:
     """Conditioning report for the reduced matrix.
 
     rcond is 1 / (norm1(A) * est norm1(inv A)).  sigma_min = 1/sqrt(theta)
     with theta the largest Ritz value of Lanczos on the SPD operator
-    B = A^-1 A^-T = (A^T A)^-1, started from a seeded random unit vector
+    B = A^-1 A^-T = (A^T A)^-1, started from the normalized vector of ones
     and fully reorthogonalized (two Gram-Schmidt passes per step).  The
     Ritz value grows towards lambda_max(B) = 1/sigma_min^2, so the
     estimate approaches sigma_min from above (up to rounding).  Lanczos
@@ -244,9 +243,7 @@ def uniqueness_diagnostic(system: FeSystem, lu,
         return UniquenessReport(m, 0.0, 0.0, True)
     rcond = 1.0 / (norm1 * inv_norm1) if norm1 * inv_norm1 > 0 else 0.0
 
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(m)
-    q /= np.linalg.norm(q)
+    q = np.full(m, 1.0 / np.sqrt(m))
     basis = np.empty((_LANCZOS_STEPS, m))
     alpha, beta = [], []
     theta, change = 0.0, float("nan")

@@ -1,10 +1,11 @@
 """One table of ``ventcelfem`` command lines: ``ROWS``.
 
-Each row gives a command line less ``--output-dir``, the exit code it
-must give, the start of the one line it must print on stderr (empty
-when it exits 0 and prints nothing there) and whether its outputs are
-committed in ``tests/golden/<name>/``.  ``{inputs}`` in a command line
-stands for a directory that ``write_inputs`` filled.
+Each row gives a command line, the exit code it must give, the start
+of the one line it must print on stderr (empty when it exits 0 and
+prints nothing there) and whether its outputs are committed in
+``tests/golden/<name>/``.  ``{inputs}`` in a command line
+stands for a directory that ``write_inputs`` filled.  ``run`` names the
+output directory before the line, so a row's own ``--output-dir`` wins.
 
 ``golden/regen.py`` regenerates the golden rows, ``test_golden.py``
 runs every row and checks it against the table, and
@@ -110,6 +111,10 @@ ROWS = {
                     CONFIG + "n: subdivision must be at least 2, got 1"),
     "info_unknown_exact": Row("info --exact mystery", 2,
                               CONFIG + "exact: unknown solution 'mystery'"),
+    # a '#' after whitespace starts a comment: the echo would read back ''
+    "info_output_dir_comment": Row(
+        "info --n 2 --output-dir #x", 2,
+        CONFIG + "output_dir: '#x' would not read back"),
     "solve_unknown_a2": Row("solve --domain square --n 2 --a2 mystery", 2,
                             CONFIG + "a2: unknown coefficient 'mystery'"),
     "solve_negative_a2": Row("solve --domain square --n 2 --a2 const:-1", 2,
@@ -209,6 +214,6 @@ def run(name, out, inputs):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
-        code = cli.main(ROWS[name].argv(inputs) + ["--output-dir", str(out)])
+        code = cli.main(["--output-dir", str(out)] + ROWS[name].argv(inputs))
     return Run(code, stdout.getvalue().replace(str(out), OUT),
                stderr.getvalue(), out)

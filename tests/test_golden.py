@@ -92,6 +92,17 @@ def test_a_second_run_writes_the_same_bytes(name, runs, tmp_path):
     assert files(tmp_path) == files(first.out)
 
 
+def test_only_the_weak_residual_depends_on_the_seed():
+    seed42, seed7 = (files(regen.GOLDEN / f"verify_seed{s}") for s in (42, 7))
+    assert sorted(seed42) == sorted(seed7)
+    differ = {n for n in seed42 if seed42[n] != seed7[n]}
+    assert differ <= {"weak_residual.csv", "summary.txt", "stdout.txt"}
+    for name in differ - {"weak_residual.csv"}:
+        lines = zip(seed42[name].splitlines(), seed7[name].splitlines(),
+                    strict=True)
+        assert [a.split()[1] for a, b in lines if a != b] == [b"weak_residual"]
+
+
 @pytest.mark.parametrize("got, equal", [
     ("e = 2.500000000e+00, 3e-13, PASS\n", True),
     ("e = 2.500000002e+00, 3e-13, PASS\n", True),     # 1e-9 relative

@@ -15,6 +15,9 @@ Each must fail exactly the named checks among ``SOLVE_CHECKS``.  The
 weak residual passes under the wall shift: its test fields vanish on
 the walls, and the shifted solution still solves the weak equation for
 the data it was given.  The convergence and zero-data rows catch it.
+
+The chain mutant triples the chain part of the assembled matrix and
+leaves the bounds and the Gram matrix alone, so ``continuity`` must FAIL.
 """
 
 import pytest
@@ -38,6 +41,17 @@ def _scaled_wq(factor):
     def init(self, mesh):
         real(self, mesh)
         self.wq = factor * self.wq
+    return init
+
+
+def _scaled_chain_part(factor):
+    """femcore.FeSystem.__init__ with A = K_int + factor (A - K_int); the
+    bounds, M_b and the Gram matrix stay as assembled."""
+    real = femcore.FeSystem.__init__
+
+    def init(self, space, bounds, K_int, S_b, M_b, A):
+        real(self, space, bounds, K_int, S_b, M_b,
+             K_int + factor * (A - K_int))
     return init
 
 
@@ -89,6 +103,18 @@ def test_weak_residual_kills_the_mutant(name, monkeypatch):
         == sorted(must_fail)
     assert all(rows[c][0] > floor for c in must_fail)
     assert rows["square_affine_fault"][1] == "1"
+
+
+def test_continuity_kills_the_scaled_chain_mutant(monkeypatch):
+    # the mutant's exact constant 17.368 lies above the bound 17.068,
+    # which it leaves alone; 100 random pairs reached only 1.497
+    monkeypatch.setattr(femcore.FeSystem, "__init__", _scaled_chain_part(3.0))
+    _, text, ok, _ = verify._check_continuity(42)
+    domain, chain_dofs, bound, constant, passed = \
+        text.splitlines()[1].split(",")
+    assert not ok and passed == "0"
+    assert float(bound) == pytest.approx(17.068316595782377, rel=1e-12)
+    assert float(constant) == pytest.approx(17.368, abs=1e-3)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -194,8 +194,8 @@ def test_solve_linear_raises_on_singular():
         solve_linear(factorize(sp.identity(3)), np.ones(4))
 
 
-def _diagnose(system, seed=0):
-    return uniqueness_diagnostic(system, factorize(system.matrix), seed)
+def _diagnose(system):
+    return uniqueness_diagnostic(system, factorize(system.matrix))
 
 
 def test_uniqueness_diagnostic_healthy_system():
@@ -205,7 +205,7 @@ def test_uniqueness_diagnostic_healthy_system():
     assert not rep.singular
     assert 1e-12 < rep.rcond <= 1.0
     assert rep.sigma_min > 0.0
-    # deterministic for a fixed seed
+    # deterministic: Lanczos starts from the vector of ones
     rep2 = _diagnose(sol.system)
     assert rep2.rcond == rep.rcond and rep2.sigma_min == rep.sigma_min
 
@@ -236,14 +236,14 @@ UNIQUENESS_DOMAINS = {"square": square_domain(), "annulus": annulus_domain(),
 @settings(max_examples=60)
 @given(domain=st.sampled_from(sorted(UNIQUENESS_DOMAINS)), n=st.integers(2, 8),
        a2=st.tuples(st.floats(2.5, 5.0), st.floats(-1.0, 1.0) | st.just(0.0)),
-       a0=st.floats(0.0, 3.0), seed=st.integers(0, 2**16))
-def test_uniqueness_sigma_min_matches_dense_svd(domain, n, a2, a0, seed):
+       a0=st.floats(0.0, 3.0))
+def test_uniqueness_sigma_min_matches_dense_svd(domain, n, a2, a0):
     # c0 + c1 x stays >= 0.5 on |x| <= 2; c1 != 0 varies a2 along every
     # chain, which makes the matrix unsymmetric
     space = build_space(triangulate(UNIQUENESS_DOMAINS[domain], n))
     system = assemble_bilinear(space, FieldCoefficient(QuadraticField(*a2)),
                                ConstantCoefficient(a0))
-    rep = _diagnose(system, seed)
+    rep = _diagnose(system)
     dense = _dense_sigma_min(system)
     assert not rep.singular
     assert abs(rep.sigma_min - dense) <= 1e-12 * dense
@@ -254,7 +254,7 @@ def test_uniqueness_sigma_min_converges_with_varying_a2_on_the_annulus():
     mesh = triangulate(annulus_domain(), 8)
     system = assemble_bilinear(
         build_space(mesh), parse_coefficient("poly:1,0.5,0,0,0,0", mesh), ZERO)
-    rep = _diagnose(system, 42)
+    rep = _diagnose(system)
     dense = _dense_sigma_min(system)
     assert abs(rep.sigma_min - dense) <= 1e-13 * dense
 
@@ -319,15 +319,18 @@ def _report_bits(rep):
 @pytest.mark.parametrize("domain", sorted(VARIABLE_A2))
 @pytest.mark.parametrize("seed", [0, 7])
 def test_solve_certifies_its_system_bit_for_bit(domain, seed):
-    # the solve's certificate is the standalone diagnostic of its matrix;
+    # the solve's certificate is the standalone diagnostic of its matrix,
+    # whatever the global np.random state (``seed``) each one meets;
     # a2 = 3 + x + y^2 / 4 >= 1 varies along every chain
     make, n = VARIABLE_A2[domain]
     problem = manufactured_problem(
         make(), DOMAIN_EXACT[domain][1],
         FieldCoefficient(QuadraticField(3.0, 1.0, 0.0, 0.0, 0.0, 0.25)),
         ConstantCoefficient(0.5))
-    sol = solve_ventcel(problem, n=n, seed=seed)
-    alone = _diagnose(sol.system, seed)
+    np.random.seed(seed)
+    sol = solve_ventcel(problem, n=n)
+    np.random.seed(seed ^ 0x5A5A5A5A)
+    alone = _diagnose(sol.system)
     assert _report_bits(sol.uniqueness) == _report_bits(alone)
 
 

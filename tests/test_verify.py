@@ -2,6 +2,7 @@ import functools
 import inspect
 import os
 import re
+from types import SimpleNamespace
 
 import cases
 import numpy as np
@@ -383,26 +384,62 @@ def test_continuity_bound_holds():
     space = build_space(triangulate(square_domain(), 6))
     system = assemble_bilinear(space, ConstantCoefficient(1.0), ZERO)
     L = trace_poincare_estimate(space)[1]
-    bound, max_ratio, passed = continuity_check(
-        system.matrix, system.gram_v0(), system.bounds, L, seed=0)
+    chain_dofs, bound, constant, passed = continuity_check(
+        system.matrix, system.gram_v0(), system.bounds, L)
     assert passed
     assert abs(bound - 2.0) < 1e-12         # 1 + Lambda2, M = Lambda0 = 0
-    assert 0.0 < max_ratio <= bound
-    # single-hat diagonal ratio: A == G here, so every quotient is 1
-    A = system.matrix.diagonal()
-    Gd = system.gram_v0().diagonal()
-    assert np.abs(A / Gd - 1.0).max() < 1e-13
+    # a2 = 1, a0 = 0: A == G, so nothing is condensed and the constant is 1
+    assert chain_dofs == 0
+    assert 1.0 <= constant <= 1.0 + 1e-10
 
 
-def test_continuity_fails_on_a_nan_matrix():
+def _dense_continuity_constant(matrix, gram):
+    w, V = np.linalg.eigh(gram)
+    root = (V / np.sqrt(w)) @ V.T                    # G^-1/2
+    return float(np.linalg.norm(root @ matrix @ root, 2))
+
+
+@settings(max_examples=100)
+@given(n=st.integers(2, 8), support=st.sampled_from(["empty", "partial",
+                                                     "every"]),
+       scale=st.floats(0.0, 3.0), seed=st.integers(0, 2**16))
+def test_continuity_constant_brackets_the_dense_norm(n, support, scale,
+                                                     seed):
+    # M = G + E with E unsymmetric and nonzero on no, some or every dof
+    rng = np.random.default_rng(seed)
+    off = np.triu(rng.uniform(-1.0, 1.0, (n, n))
+                  * (rng.random((n, n)) < 0.4), 1)
+    off += off.T
+    G = off + np.diag(1.0 + np.abs(off).sum(axis=1) + rng.random(n))
+    m = {"empty": 0, "partial": n // 2, "every": n}[support]
+    c = rng.choice(n, m, replace=False)
+    E = np.zeros((n, n))
+    E[np.ix_(c, c)] = scale * rng.uniform(-1.0, 1.0, (m, m))
+    M = G + E
+    dense = _dense_continuity_constant(M, G)
+    unit = SimpleNamespace(Lambda2=0.0, grad_bound=0.0, Lambda0=0.0)
+    chain_dofs, _, constant, _ = continuity_check(
+        sp.csr_matrix(M), sp.csr_matrix(G), unit, 0.0)
+    # the dofs where M - G, as rounded, has a nonzero row or column
+    D = np.abs(M - G)
+    assert chain_dofs == np.count_nonzero(D.sum(axis=0) + D.sum(axis=1))
+    assert dense <= constant <= dense * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("check", ["continuity", "coercivity"])
+def test_continuity_fails_on_a_nan_matrix(check):
+    # scipy's eigh raises ValueError, not LinAlgError, on non-finite input
     space = build_space(triangulate(square_domain(), 6))
     system = assemble_bilinear(space, ConstantCoefficient(1.0), ZERO)
     matrix = system.matrix.copy()
     matrix.data[:] = np.nan
-    bound, max_ratio, passed = continuity_check(
-        matrix, system.gram_v0(), system.bounds, 0.6, seed=0)
-    assert np.isnan(max_ratio)
-    assert not passed
+    if check == "continuity":
+        *_, constant, passed = continuity_check(
+            matrix, system.gram_v0(), system.bounds, 0.6)
+        assert not passed
+    else:
+        constant = coercivity_eigencheck(matrix, system.gram_v0())
+    assert np.isnan(constant)
 
 
 # ----------------------------------------------------------------------
@@ -690,18 +727,6 @@ def small_solve(domain):
     return solve_ventcel(problem, n=4 if square else 6), problem
 
 
-def loop_continuity_ratio(matrix, gram, seed):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(verify.N_RANDOM):
-        v = rng.uniform(-1.0, 1.0, matrix.shape[0])
-        w = rng.uniform(-1.0, 1.0, matrix.shape[0])
-        nv = float(np.sqrt(max(v @ gram.dot(v), 0.0)))
-        nw = float(np.sqrt(max(w @ gram.dot(w), 0.0)))
-        worst = np.maximum(worst, abs(float(v @ matrix.dot(w))) / (nv * nw))
-    return float(worst)
-
-
 def loop_weak_residual(solution, problem, seed):
     space = solution.space
     q, ell = verify._weak_form(space, problem, solution.values)
@@ -719,12 +744,6 @@ def loop_weak_residual(solution, problem, seed):
 @given(st.sampled_from(["square", "cable"]), st.integers(0, 2**32 - 1))
 def test_sampled_oracles_are_the_per_draw_loop_bits(domain, seed):
     solution, problem = small_solve(domain)
-    system = assemble_bilinear(solution.space, problem.a2, problem.a0)
-    ratio = continuity_check(system.matrix, system.gram_v0(), system.bounds,
-                             1.0, seed=seed)[1]
-    assert bits(ratio) == bits(loop_continuity_ratio(
-        system.matrix, system.gram_v0(), seed))
-
     residual = weak_residual_check(solution, problem, seed=seed)[0]
     assert bits(residual) == bits(loop_weak_residual(solution, problem, seed))
 
