@@ -9,8 +9,8 @@ inertia count), and the weak-form residual is evaluated without
 touching the assembled matrix.
 
 The suite is the table ``CHECKS`` of (name, check) pairs.  Each check
-maps the seed to (artifact file name, artifact text, verdict, detail);
-only the weak residual's test fields read it.  ``run_suite`` writes
+takes no argument and returns (artifact file name, artifact text,
+verdict, detail); none draws a random number.  ``run_suite`` writes
 every artifact and a PASS/FAIL summary line per check.  A gate that
 meets NaN fails.
 """
@@ -50,8 +50,6 @@ from .solver import (
 )
 
 RELATIVE_SLACK = 1e-8            # inequality checks pass iff lhs <= rhs*(1+slack)
-# seeded test fields of weak_residual_check
-N_RANDOM = 100
 # weak_residual_check passes iff the largest scaled gap is below this
 WEAK_RESIDUAL_TOL = 1e-8
 # relative distances from a condensed eigenvalue estimate at which
@@ -179,11 +177,6 @@ def poincare_counterexample():
 
 # ---------------------------------------------------------------------------
 # pencil eigenvalues
-
-
-def _random_fields(seed, *shape):
-    """Seeded uniform(-1, 1) draws; shape (N, n) is N fields drawn in turn."""
-    return np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
 
 
 def _positive_definite(matrix) -> bool:
@@ -350,27 +343,24 @@ def _weak_form(space, problem, u):
     return q, ell
 
 
-def weak_residual_check(solution, problem, seed=0, values=None):
+def weak_residual_check(solution, problem, values=None):
     """Test the solved values in the weak equation, fresh quadrature.
 
     Both sides of the variational identity are recomputed independently
     of the assembled system: interior stiffness exactly for piecewise-
     linear gradients, interior loads by the 6-point rule, and every
     chain term by the 5-point rule on each edge with coefficients and
-    loads sampled on the exact curve.  For ``N_RANDOM`` seeded random
-    test fields supported on the free dofs the scaled gap must stay
-    below ``WEAK_RESIDUAL_TOL``; they vanish on the walls, so wrong wall
+    loads sampled on the exact curve.  The test fields are the hat
+    functions of the free dofs, a basis of the discrete V0: on each the
+    scaled gap |q_i - ell_i| / (1 + |ell_i|) must stay below
+    ``WEAK_RESIDUAL_TOL``.  They vanish on the walls, so wrong wall
     values go unseen.  ``values`` overrides the nodal solution (fault
     injection).  Returns ``(max_residual, passed)``.
     """
-    space = solution.space
-    q, ell = _weak_form(space, problem,
+    fr = solution.space.free
+    q, ell = _weak_form(solution.space, problem,
                         solution.values if values is None else values)
-    # full-length rows, zero on the walls: each w . q stays one dot product
-    W = np.zeros((N_RANDOM, space.n_nodes))
-    W[:, space.free] = _random_fields(seed, N_RANDOM, len(space.free))
-    rhs = np.vecdot(W, ell)
-    worst = float(np.max(np.abs(np.vecdot(W, q) - rhs) / (1.0 + np.abs(rhs))))
+    worst = float(np.max(np.abs(q[fr] - ell[fr]) / (1.0 + np.abs(ell[fr]))))
     return worst, worst < WEAK_RESIDUAL_TOL
 
 
@@ -605,7 +595,7 @@ def annulus_log_problem() -> VentcelProblem:
 
 
 # ---------------------------------------------------------------------------
-# the suite: one function per check, seed -> (artifact, text, ok, detail)
+# the suite: one function per check, () -> (artifact, text, ok, detail)
 
 
 @dataclass
@@ -652,14 +642,14 @@ def _curve_cases():
                                  label="semicircle_x")]
 
 
-def _check_poincare(artifact, cases, seed):
+def _check_poincare(artifact, cases):
     rows = cases()
     n_ok = sum(r[-1] for r in rows)
     return (artifact, _csv("label,lhs,rhs,ratio,measure,pass", rows),
             n_ok == len(rows), f"{n_ok}/{len(rows)} cases")
 
 
-def _check_trace_poincare(seed):
+def _check_trace_poincare():
     rows = []
     meshes = [("square", square_domain, n) for n in (8, 16, 32)]
     for name, domain, n in meshes + [("annulus", annulus_domain, 16)]:
@@ -672,7 +662,7 @@ def _check_trace_poincare(seed):
             f"square L in [{lo:.6g}, {hi:.6g}], annulus L = {L[3]:.6g}")
 
 
-def _check_counterexample(seed):
+def _check_counterexample():
     rows, ok = poincare_counterexample()
     q = dict(rows)
     return ("counterexample.csv", _csv("quantity,value", rows), ok,
@@ -680,7 +670,7 @@ def _check_counterexample(seed):
             f"mass {q['boundary_mass_sq']:.6g} vs {q['expected_mass_sq']:.6g}")
 
 
-def _check_coercivity(seed):
+def _check_coercivity():
     coeff_sets = [
         ("a2=1,a0=0", ConstantCoefficient(1.0), ZERO),
         ("a2=0.1,a0=1", ConstantCoefficient(0.1), ConstantCoefficient(1.0)),
@@ -712,7 +702,7 @@ def _check_coercivity(seed):
             all(r[-1] for r in rows), f"{len(rows)} domain/coefficient cases")
 
 
-def _check_continuity(seed):
+def _check_continuity():
     space = build_space(triangulate(cable_domain(), 16))
     system = assemble_bilinear(space, InverseCurvature(), ZERO)
     row = continuity_check(system.matrix, system.gram_v0(), system.bounds,
@@ -722,23 +712,22 @@ def _check_continuity(seed):
             row[-1], f"max ratio {row[2]:.6g} vs bound {row[1]:.6g}")
 
 
-def _check_weak_residual(seed):
+def _check_weak_residual():
     sq_problem = square_affine_problem()
     sq_sol = solve_ventcel(sq_problem, n=8)
-    r1, ok1 = weak_residual_check(sq_sol, sq_problem, seed=seed + 2)
+    r1, ok1 = weak_residual_check(sq_sol, sq_problem)
     cb_problem = cable_problem()
     cb_sol = solve_ventcel(cb_problem, n=32)
-    r2, ok2 = weak_residual_check(cb_sol, cb_problem, seed=seed + 3)
+    r2, ok2 = weak_residual_check(cb_sol, cb_problem)
     bad = sq_sol.values.copy()
     bad[sq_sol.space.free[len(sq_sol.space.free) // 2]] += 1e-3
-    r3, _ = weak_residual_check(sq_sol, sq_problem, seed=seed + 2, values=bad)
+    r3, _ = weak_residual_check(sq_sol, sq_problem, values=bad)
     # every load key set: the only case whose solve reads f2 and g2
     all_problem = replace(
         sq_problem, exact=None, g2=FieldCoefficient(QuadraticField(0.2, 0.1)),
         f2=(FieldCoefficient(QuadraticField(0.5, 0.0, 1.0)),
             FieldCoefficient(QuadraticField(-0.5, 1.0))))
-    r4, ok4 = weak_residual_check(solve_ventcel(all_problem, n=8), all_problem,
-                                  seed=seed + 4)
+    r4, ok4 = weak_residual_check(solve_ventcel(all_problem, n=8), all_problem)
     rows = [("square_affine", r1, WEAK_RESIDUAL_TOL, ok1),
             ("cable", r2, WEAK_RESIDUAL_TOL, ok2),
             ("square_affine_fault", r3, "1e-06", r3 > 1e-6),
@@ -748,7 +737,7 @@ def _check_weak_residual(seed):
             f"max {np.max([r1, r2, r4]):.3g}, fault residual {r3:.3g}")
 
 
-def _check_ibp(seed):
+def _check_ibp():
     rows = ibp_identity_suite()
     n_ok = sum(r[-1] for r in rows)
     return ("ibp.csv", _csv("label,lhs,rhs,residual,tol,pass", rows),
@@ -756,7 +745,7 @@ def _check_ibp(seed):
             f"worst residual {np.max([r[3] for r in rows]):.3g}")
 
 
-def _check_compatibility(seed):
+def _check_compatibility():
     rows, ok = compatibility_check()
     q = dict(rows)
     return ("compatibility.csv", _csv("quantity,value", rows), ok,
@@ -764,7 +753,7 @@ def _check_compatibility(seed):
             f"equivalence {q['max_equivalence_residual']:.3g}")
 
 
-def _check_convergence_cable(seed):
+def _check_convergence_cable():
     conv = manufactured_convergence(cable_problem(), n0=8, levels=4)
     o2, ov, ot = conv.observed_orders
     finest = conv.rows[-1][2]
@@ -775,21 +764,21 @@ def _check_convergence_cable(seed):
             f"finest L2 {finest:.3g}")
 
 
-def _check_convergence_square(seed):
+def _check_convergence_square():
     conv = manufactured_convergence(square_affine_problem(), n0=8, levels=3)
     worst = float(np.max([r[2:] for r in conv.rows]))
     return ("convergence_square.csv", conv.csv_text(), worst < 1e-10,
             f"worst error {worst:.3g} (exact reproduction)")
 
 
-def _check_convergence_annulus(seed):
+def _check_convergence_annulus():
     conv = manufactured_convergence(annulus_log_problem(), n0=8, levels=3)
     o2 = conv.observed_orders[0]
     return ("convergence_annulus.csv", conv.csv_text(),
             o2 >= 1.8 and conv.monotone(), f"order L2 {o2:.3f}")
 
 
-def _check_uniqueness(seed):
+def _check_uniqueness():
     space = build_space(triangulate(square_domain(), 8))
     rows = []
     for base, variable, a0c in itertools.product((0.1, 1.0, 10.0),
@@ -831,18 +820,17 @@ CHECKS = (
 )
 
 
-def run_suite(output_dir: str, seed: int = 42) -> SuiteResult:
+def run_suite(output_dir: str) -> SuiteResult:
     """Run every check in ``CHECKS`` and write its artifact under output_dir.
 
-    Artifacts have explicit precision and the one random draw, the weak
-    residual's test fields, flows from the seed, so a seed repeats them
-    byte for byte and only ``weak_residual.csv`` and its summary line
-    depend on it.  summary.txt holds one PASS/FAIL line per check.
+    Artifacts have explicit precision and no check draws a random
+    number, so every run writes the same bytes.  summary.txt holds one
+    PASS/FAIL line per check.
     """
     os.makedirs(output_dir, exist_ok=True)
     lines = []
     for name, check in CHECKS:
-        artifact, text, ok, detail = check(seed)
+        artifact, text, ok, detail = check()
         _write_text(os.path.join(output_dir, artifact), text)
         lines.append((name, bool(ok), detail))
     result = SuiteResult(all(ok for _, ok, _ in lines), lines)

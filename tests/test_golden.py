@@ -5,7 +5,7 @@ on stderr.  Otherwise it prints one line there, which starts with the
 row's text, and it prints nothing on stdout and writes no file.  Every
 warning is an error in tier 1, so a row whose run makes numpy warn
 fails too.  Two runs of a threaded or a nodal solve write the same
-bytes.
+bytes, and so do verify runs at two seeds.
 
 A golden row's outputs and stdout equal the committed files in
 ``tests/golden/<row>/``.  Every number must agree to ``REL_TOL``
@@ -92,15 +92,10 @@ def test_a_second_run_writes_the_same_bytes(name, runs, tmp_path):
     assert files(tmp_path) == files(first.out)
 
 
-def test_only_the_weak_residual_depends_on_the_seed():
-    seed42, seed7 = (files(regen.GOLDEN / f"verify_seed{s}") for s in (42, 7))
-    assert sorted(seed42) == sorted(seed7)
-    differ = {n for n in seed42 if seed42[n] != seed7[n]}
-    assert differ <= {"weak_residual.csv", "summary.txt", "stdout.txt"}
-    for name in differ - {"weak_residual.csv"}:
-        lines = zip(seed42[name].splitlines(), seed7[name].splitlines(),
-                    strict=True)
-        assert [a.split()[1] for a, b in lines if a != b] == [b"weak_residual"]
+def test_verify_writes_the_same_bytes_at_any_seed(runs):
+    seed42, seed7 = runs["verify_seed42"], runs["verify_seed7"]
+    assert seed7[:3] == seed42[:3]
+    assert files(seed7.out) == files(seed42.out)
 
 
 @pytest.mark.parametrize("got, equal", [

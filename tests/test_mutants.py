@@ -12,9 +12,10 @@ fault.
 The solve mutants break the data a solve is given: the manufactured
 chain load without its curvature term, and the wall values shifted.
 Each must fail exactly the named checks among ``SOLVE_CHECKS``.  The
-weak residual passes under the wall shift: its test fields vanish on
-the walls, and the shifted solution still solves the weak equation for
-the data it was given.  The convergence and zero-data rows catch it.
+weak residual passes under the wall shift: its test fields, the hat
+functions of the free dofs, vanish on the walls, and the shifted
+solution still solves the weak equation on each of them for the data it
+was given.  The convergence and zero-data rows catch it.
 
 The chain mutant triples the chain part of the assembled matrix and
 leaves the bounds and the Gram matrix alone, so ``continuity`` must FAIL.
@@ -94,7 +95,7 @@ MUTANTS = {
 def test_weak_residual_kills_the_mutant(name, monkeypatch):
     (target, attr), mutant, must_fail, floor = MUTANTS[name]
     monkeypatch.setattr(target, attr, mutant)
-    _, text, ok, _ = verify._check_weak_residual(42)
+    _, text, ok, _ = verify._check_weak_residual()
     rows = {case: (float(res), passed)
             for case, res, _, passed in (r.split(",")
                                          for r in text.splitlines()[1:])}
@@ -109,7 +110,7 @@ def test_continuity_kills_the_scaled_chain_mutant(monkeypatch):
     # the mutant's exact constant 17.368 lies above the bound 17.068,
     # which it leaves alone; 100 random pairs reached only 1.497
     monkeypatch.setattr(femcore.FeSystem, "__init__", _scaled_chain_part(3.0))
-    _, text, ok, _ = verify._check_continuity(42)
+    _, text, ok, _ = verify._check_continuity()
     domain, chain_dofs, bound, constant, passed = \
         text.splitlines()[1].split(",")
     assert not ok and passed == "0"
@@ -123,7 +124,7 @@ def test_continuity_kills_the_scaled_chain_mutant(monkeypatch):
     "bounds, and every gate still passes"))
 def test_bound_checks_kill_an_always_positive_definite_mutant(monkeypatch):
     monkeypatch.setattr(verify, "_positive_definite", lambda matrix: True)
-    verdicts = [check(42)[2] for check in (verify._check_trace_poincare,
+    verdicts = [check()[2] for check in (verify._check_trace_poincare,
                                            verify._check_coercivity,
                                            verify._check_continuity)]
     assert not all(verdicts)
@@ -160,4 +161,4 @@ def test_verify_kills_the_solve_mutant(name, monkeypatch):
     (target, attr), mutant, must_fail = SOLVE_MUTANTS[name]
     monkeypatch.setattr(target, attr, mutant)
     checks = dict(verify.CHECKS)
-    assert [c for c in SOLVE_CHECKS if not checks[c](42)[2]] == list(must_fail)
+    assert [c for c in SOLVE_CHECKS if not checks[c]()[2]] == list(must_fail)
