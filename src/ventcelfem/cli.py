@@ -38,7 +38,7 @@ from .solver import (
 ENV_OUTPUT_DIR = "VENTCELFEM_OUTPUT_DIR"
 
 # largest mesh a command builds: n = 999 on cable or square, n = 499 on
-# the annulus; a cable solve at n = 256 (66,049 nodes) peaks near 219 MiB
+# the annulus; a cable solve at n = 256 (66,049 nodes) peaks near 210 MiB
 MAX_NODES = 1_000_000
 
 # CoefficientBounds fields that solve's diagnostics.txt and info print

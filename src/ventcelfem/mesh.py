@@ -36,9 +36,10 @@ from .domain import InputError
 
 @dataclass(eq=False)
 class Mesh:
+    # node indices are int32, as cli.MAX_NODES = 1,000,000 < 2**31
     nodes: np.ndarray             # (N, 2)
-    triangles: np.ndarray         # (M, 3) int, counterclockwise
-    walls: np.ndarray             # (D, 2) int, Dirichlet edges
+    triangles: np.ndarray         # (M, 3) int32, counterclockwise
+    walls: np.ndarray             # (D, 2) int32, Dirichlet edges
     chains: list                  # (curve, node path, parameter path)
 
     def signed_areas(self):
@@ -99,7 +100,7 @@ def _mesh_square(spec, n):
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    grid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1).T  # [i, j]
+    grid = np.arange((n + 1) ** 2, dtype=np.int32).reshape(n + 1, n + 1).T  # [i, j]
     tris = _grid_triangles(grid)
     walls = _path_edges(grid[0], grid[n])
     return Mesh(nodes, tris, walls,
@@ -118,9 +119,9 @@ def _mesh_annulus(spec, n):
                              np.outer(radii, np.sin(theta)).ravel()])
 
     # ring k walks m = 0 .. ntheta - 1 and closes back on m = 0
-    ring = np.append(np.arange(ntheta), 0)
-    p00 = np.arange(n)[:, None] * ntheta + ring[:-1]
-    p01 = np.arange(n)[:, None] * ntheta + ring[1:]
+    ring = np.append(np.arange(ntheta, dtype=np.int32), np.int32(0))
+    p00 = np.arange(n, dtype=np.int32)[:, None] * ntheta + ring[:-1]
+    p01 = np.arange(n, dtype=np.int32)[:, None] * ntheta + ring[1:]
     tris = np.stack([p00, p00 + ntheta, p01 + ntheta,
                      p00, p01 + ntheta, p01], axis=-1).reshape(-1, 3)
 
@@ -164,7 +165,7 @@ def _mesh_cable(spec, n):
     nodes = np.column_stack([np.tile(px, n + 1),
                              np.outer(np.arange(n + 1) / n, py).ravel()])
 
-    grid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1).T  # [i, j]
+    grid = np.arange((n + 1) ** 2, dtype=np.int32).reshape(n + 1, n + 1).T  # [i, j]
     tris = _grid_triangles(grid)
     walls = np.concatenate([_path_edges(grid[:, 0]),
                             _path_edges(grid[0], grid[n])])

@@ -503,14 +503,14 @@ def test_chain_assembly_matches_per_edge_loop_bitwise(domain, n, a2, a0,
 def list_built_stiffness(space):
     """Reference K_int: one int64 index list and one value list per
     local (i, j) block, concatenated into a single COO matrix."""
-    tris, grads = space.mesh.triangles, space.tri_grads
+    tris = space.mesh.triangles.astype(np.int64)
+    area, grads = femcore.triangle_geometry(space.mesh)
     rows, cols, vals = [], [], []
     for i in range(3):
         for j in range(3):
             rows.append(tris[:, i])
             cols.append(tris[:, j])
-            vals.append(space.tri_area * np.einsum("td,td->t",
-                                                   grads[:, i], grads[:, j]))
+            vals.append(area * np.einsum("td,td->t", grads[:, i], grads[:, j]))
     n = space.n_nodes
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -547,9 +547,11 @@ def test_stiffness_and_matrix_match_list_built_reference_bytewise(domain, n):
 
 def test_space_and_assembly_peaks_per_triangle():
     # traced peaks on the cable at n = 128 (T = 32,768 triangles): the
-    # space peaks at 207 bytes per triangle and the assembly at 297
-    # above it; a kept midpoint array and list-built int64 COO arrays
-    # gave 325 and 369
+    # space peaks at 149 bytes per triangle, the assembly at 297 above
+    # it and the two together at 300, counted from the finished mesh; a
+    # space holding the triangle areas and gradients of int64 triangles
+    # gave 207 and 358, a kept midpoint array and list-built int64 COO
+    # arrays 325 and 369 for the first two
     mesh = triangulate(cable_domain(), 128)
     T = len(mesh.triangles)
     tracemalloc.start()
@@ -558,11 +560,23 @@ def test_space_and_assembly_peaks_per_triangle():
         held, space_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         assemble_bilinear(space, InverseCurvature(), ZERO)
-        assembly_peak = tracemalloc.get_traced_memory()[1] - held
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert space_peak < 260 * T
-    assert assembly_peak < 330 * T
+    assert peak - held < 330 * T
+    assert max(space_peak, peak) < 320 * T
+
+
+@pytest.mark.parametrize("domain", ["square", "annulus", "cable"])
+def test_mesh_and_space_indices_are_int32(domain):
+    mesh = triangulate(make_domain(domain), 6)
+    assert mesh.triangles.dtype == np.int32
+    assert mesh.walls.dtype == np.int32
+    assert all(path.dtype == np.int32 for _, path, _ in mesh.chains)
+    space = build_space(mesh)
+    assert space.free.dtype == np.int32
+    assert space.ventcel_edges.a.dtype == np.int32
 
 
 NONNEG_A0 = st.one_of(
