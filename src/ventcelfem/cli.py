@@ -38,7 +38,7 @@ from .solver import (
 ENV_OUTPUT_DIR = "VENTCELFEM_OUTPUT_DIR"
 
 # largest mesh a command builds: n = 999 on cable or square, n = 499 on
-# the annulus; a cable solve at n = 256 (66,049 nodes) peaks near 210 MiB
+# the annulus; a cable solve at n = 256 (66,049 nodes) peaks near 192 MiB
 MAX_NODES = 1_000_000
 
 # CoefficientBounds fields that solve's diagnostics.txt and info print
@@ -206,7 +206,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     mesh = triangulate(dom, cfg.n)
     problem = build_problem(cfg, dom, mesh)
     solution = solve_ventcel(problem, mesh=mesh)
-    system, diag = solution.system, solution.uniqueness
+    diag = solution.uniqueness
 
     sol_path = os.path.join(cfg.output_dir, "solution.csv")
     write_solution_csv(solution, sol_path)
@@ -219,7 +219,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         f"algebraic_residual = {solution.residual:.17g}",
         f"rcond = {diag.rcond:.17g}",
         f"sigma_min = {diag.sigma_min:.17g}",
-    ] + [f"{key} = {getattr(system.bounds, key):.17g}" for key in BOUND_KEYS]
+    ] + [f"{key} = {getattr(solution.bounds, key):.17g}" for key in BOUND_KEYS]
     if problem.exact is not None:
         e2, ev, et = verify.solution_errors(solution, problem.exact)
         lines += [f"e_L2 = {e2:.17g}", f"e_V0 = {ev:.17g}",

@@ -52,9 +52,9 @@ _LIFT_CELL = 2.0
 
 # Entries (256 KiB of float64) in each rows x width temporary of
 # mcshane_lift; a block holds max(1, BLOCK_FLOATS // width) rows.  The
-# lift runs on the solve's worker thread, whose glibc arena keeps freed
-# pages resident, so its temporaries must not grow with the mesh.  Its
-# max and per-node min do not depend on the blocking.
+# lift runs on the solve's worker thread while the factor fills in, so
+# its temporaries add to the solve's peak and must not grow with the
+# mesh.  Its max and per-node min do not depend on the blocking.
 BLOCK_FLOATS = 1 << 15
 
 
@@ -118,7 +118,7 @@ class FeSpace:
         self.ventcel_edges = VentcelChain(mesh)
         if not np.all(mesh.signed_areas() > 0):
             raise InternalError("mesh has nonpositive triangle areas")
-        p = mesh.nodes.take(mesh.triangles, axis=0)
+        p = mesh.corners(mesh.triangles)
         side = p[:, [1, 2, 0]] - p    # h, the mesh size: the longest side
         self.h = float(np.hypot(side[..., 0], side[..., 1]).max())
 
@@ -138,7 +138,7 @@ def build_space(mesh) -> FeSpace:
 def triangle_geometry(mesh):
     """Areas (T,) and constant P1 basis gradients (T, 3, 2) of the triangles."""
     area = mesh.signed_areas()
-    p = mesh.nodes.take(mesh.triangles, axis=0)   # 5x faster than nodes[tris]
+    p = mesh.corners(mesh.triangles)
     g = np.empty_like(p)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
@@ -442,7 +442,7 @@ def assemble_load(space: FeSpace, f1=None, f2=None, g1=None,
         area, grads = (triangle_geometry(space.mesh) if f2 is not None
                        else (space.mesh.signed_areas(), None))
         # mid[:, i] halves the edge (tris[:, i], tris[:, (i+1) % 3])
-        # (not take: its intp copy of tris would stay in the worker's arena)
+        # (row gathers: a faster gather here raised the nodal annulus peak)
         mid = 0.5 * (space.mesh.nodes[tris]
                      + space.mesh.nodes[tris[:, [1, 2, 0]]])
 

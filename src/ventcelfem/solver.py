@@ -19,6 +19,8 @@ and sigma_min from Lanczos on (A^T A)^-1) and refuses a singular system.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,8 +31,8 @@ from scipy.linalg import eigvalsh_tridiagonal
 from .domain import DomainSpec, InputError
 from .fields import (EXACT_SOLUTIONS, BoundaryFunction, Coefficient,
                      FieldCoefficient)
-from .femcore import (GAUSS3_XI, FeSystem, assemble_bilinear, assemble_load,
-                      build_space, mcshane_lift)
+from .femcore import (GAUSS3_XI, CoefficientBounds, assemble_bilinear,
+                      assemble_load, build_space, mcshane_lift)
 from .geometry import frame_derivatives
 from .mesh import Mesh, _write_text, triangulate
 
@@ -104,11 +106,19 @@ def manufactured_problem(domain: DomainSpec, exact, a2, a0) -> VentcelProblem:
 
 @dataclass
 class Solution:
+    """A solve's result; keeps the reduced matrix, not the full FeSystem."""
     space: object
-    system: FeSystem
+    matrix: object                # reduced A[free, free], CSC
+    bounds: CoefficientBounds
     values: np.ndarray            # nodal solution including Dirichlet data
     residual: float               # ||A v - b|| / (1 + ||b||), reduced system
     uniqueness: UniquenessReport  # certificate of the reduced matrix
+
+
+def _release_heap() -> None:
+    """Return the C heap's free pages to the OS, where glibc can."""
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        ctypes.CDLL(None).malloc_trim(0)    # numpy imports ctypes anyway
 
 
 def factorize(matrix):
@@ -152,37 +162,43 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     factor, as a serial run would report them.
 
     ``uniqueness_diagnostic`` then runs on the same factor; a system it
-    finds singular raises SingularSystemError.  The factor is dropped on
-    return.
+    finds singular raises SingularSystemError.  Of the assembly only the
+    reduced matrix and the bounds live through the factor's fill peak;
+    the factor is dropped on return.
     """
     if mesh is None:
         mesh = triangulate(problem.domain, n)
     space = build_space(mesh)
     system = assemble_bilinear(space, problem.a2, problem.a0)
+    matrix, bounds, held = system.matrix, system.bounds, [system.A]
+    del system                    # K_int, S_b and M_b go; held owns A
+    _release_heap()
 
     def lift_and_load():
         lift = (np.zeros(space.n_nodes) if problem.phi is None
                 else mcshane_lift(space, problem.phi))
-        L = assemble_load(space, f1=problem.f1, f2=problem.f2,
-                          g1=problem.g1, g2=problem.g2)
-        return lift, (L - system.A.dot(lift))[space.free]
+        # (L - A lift)[free], after which neither the load L nor A lives
+        rhs = (assemble_load(space, f1=problem.f1, f2=problem.f2,
+                             g1=problem.g1, g2=problem.g2)
+               - held.pop().dot(lift))[space.free]
+        _release_heap()
+        return lift, rhs
 
     # SuperLU releases the GIL while it factors, so the lift and the load
-    # run meanwhile; the factor stays on this thread, where its fill
-    # reuses the main heap.  The worker allocates from its own glibc
-    # arena, which keeps freed pages resident and which this thread does
-    # not reuse, so the lift keeps every temporary to one fixed block
-    # (femcore's block budget).  Leaving the block joins the worker.
+    # run meanwhile.  Its large blocks are mmapped and reuse no freed
+    # heap page, so both releases above hand the freed pages back to the
+    # OS before the fill peaks.  The lift overlaps that peak, so it keeps
+    # to femcore's block budget.  Leaving the block joins the worker.
     with ThreadPoolExecutor(1) as pool:
         pending = pool.submit(lift_and_load)
         try:
-            lu = factorize(system.matrix)
+            lu = factorize(matrix)
         finally:
             # an InputError from the worker replaces a SingularSystemError
             lift, rhs = pending.result()
     v = solve_linear(lu, rhs)
 
-    r = system.matrix.dot(v) - rhs
+    r = matrix.dot(v) - rhs
     # ||r|| / (1 + ||rhs||) with r and rhs scaled down by a power of two,
     # which rounds the same but keeps the squares in the norms finite
     _, e = np.frexp(max(np.abs(r).max(initial=0.0),
@@ -190,13 +206,13 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     s = np.ldexp(1.0, -max(int(e), 0))
     residual = float(np.linalg.norm(r * s) / (s + np.linalg.norm(rhs * s)))
 
-    report = uniqueness_diagnostic(system, lu)
+    report = uniqueness_diagnostic(matrix, lu)
     if report.singular:
         raise SingularSystemError(
             "reduced system is singular to working precision "
             f"(rcond = {report.rcond:.3g})")
     lift[space.free] += v          # u = lift + v, v zero on the walls
-    return Solution(space=space, system=system, values=lift,
+    return Solution(space=space, matrix=matrix, bounds=bounds, values=lift,
                     residual=residual, uniqueness=report)
 
 
@@ -215,8 +231,8 @@ class UniquenessReport:
     last_rel_change: float = float("nan")  # |theta_k - theta_(k-1)| / theta_k
 
 
-def uniqueness_diagnostic(system: FeSystem, lu) -> UniquenessReport:
-    """Conditioning report for the reduced matrix.
+def uniqueness_diagnostic(matrix, lu) -> UniquenessReport:
+    """Conditioning report for the reduced matrix ``matrix``.
 
     rcond is 1 / (norm1(A) * est norm1(inv A)).  sigma_min = 1/sqrt(theta)
     with theta the largest Ritz value of Lanczos on the SPD operator
@@ -228,10 +244,10 @@ def uniqueness_diagnostic(system: FeSystem, lu) -> UniquenessReport:
     Krylov space is invariant and theta exact), or after
     ``_LANCZOS_STEPS`` (20) steps; ``iterations`` and ``last_rel_change``
     (of theta over the last step) report how far it converged.
-    ``lu`` is a ``factorize(system.matrix)`` result.  ``singular`` flags
+    ``lu`` is a ``factorize(matrix)`` result.  ``singular`` flags
     rcond below 1e-14 or a failed solve.
     """
-    A = system.matrix.tocsc()
+    A = matrix.tocsc()
     m = A.shape[0]
     norm1 = float(np.max(np.abs(A).sum(axis=0)))
     op = spla.LinearOperator(

@@ -306,8 +306,7 @@ def _weak_form(space, problem, u):
     du = np.einsum("ti,tid->td", u[tris], grads)       # (T, 2)
     np.add.at(q, tris, area[:, None] * np.einsum("td,tid->ti", du, grads))
     ell = np.zeros(space.n_nodes)                      # the load functional
-    phys = np.einsum("qk,tkd->tqd", DUNAVANT6_BARY,
-                     space.mesh.nodes.take(tris, axis=0))
+    phys = np.einsum("qk,tkd->tqd", DUNAVANT6_BARY, space.mesh.corners(tris))
     if problem.f1 is not None:
         vals = problem.f1.eval_points(phys)
         weights = area[:, None] * DUNAVANT6_W[None, :]
@@ -489,7 +488,7 @@ def solution_errors(solution, exact):
     u = solution.values
     tris = mesh.triangles
     area, grads = triangle_geometry(mesh)
-    phys = np.einsum("qk,tkd->tqd", DUNAVANT6_BARY, mesh.nodes.take(tris, axis=0))
+    phys = np.einsum("qk,tkd->tqd", DUNAVANT6_BARY, mesh.corners(tris))
     w6 = area[:, None] * DUNAVANT6_W[None, :]
 
     uh = np.einsum("tk,qk->tq", u[tris], DUNAVANT6_BARY)
@@ -792,8 +791,8 @@ def _check_uniqueness():
         a2, label = ((FieldCoefficient(QuadraticField(base, 0.3 * base)),
                       f"a2={base:g}(1+0.3x)") if variable
                      else (ConstantCoefficient(base), f"a2={base:g}"))
-        system = assemble_bilinear(space, a2, ConstantCoefficient(a0c))
-        diag = uniqueness_diagnostic(system, factorize(system.matrix))
+        matrix = assemble_bilinear(space, a2, ConstantCoefficient(a0c)).matrix
+        diag = uniqueness_diagnostic(matrix, factorize(matrix))
         rows.append((f"{label} a0={a0c:g}", diag.n_free, diag.rcond,
                      diag.sigma_min, not diag.singular and diag.rcond > 1e-12))
     zero_sol = solve_ventcel(VentcelProblem(

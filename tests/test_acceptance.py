@@ -166,8 +166,8 @@ def test_criterion_7_uniqueness_sweep():
                     FieldCoefficient(QuadraticField(base, 0.3 * base))]
         for a2 in variants:
             for a0 in (ZERO, ConstantCoefficient(1.0)):
-                system = assemble_bilinear(space, a2, a0)
-                diag = uniqueness_diagnostic(system, factorize(system.matrix))
+                matrix = assemble_bilinear(space, a2, a0).matrix
+                diag = uniqueness_diagnostic(matrix, factorize(matrix))
                 assert not diag.singular
                 assert diag.rcond > 1e-12, \
                     f"base {base}: rcond {diag.rcond:.3g}"

@@ -310,8 +310,8 @@ def test_trace_lipschitz_matches_one_block_bitwise(domain, n, phi, budget):
 @pytest.mark.parametrize("n", [64, 128])
 def test_lift_temporaries_do_not_grow_with_the_mesh(n):
     # the lift, its Lipschitz constant included, runs on the solve's
-    # worker thread, whose allocator arena keeps freed pages resident;
-    # numpy reports its buffers to tracemalloc
+    # worker thread while the factor fills in, so its temporaries add to
+    # the solve's peak; numpy reports its buffers to tracemalloc
     space = build_space(triangulate(cable_domain(), n))
     phi = FieldCoefficient(EXACT_SOLUTIONS["harmonic_cubic"])
     tracemalloc.start()

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import threading
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ventcelfem import cli, femcore
+from ventcelfem import cli, femcore, solver
 from ventcelfem.domain import (InputError, annulus_domain, cable_domain,
                                square_domain)
 from ventcelfem.femcore import assemble_bilinear, assemble_load, build_space
@@ -138,7 +139,8 @@ def test_solution_independent_of_lifting_constant(kind, n, amp, seed):
     make, exact = DOMAIN_EXACT[kind]
     prob = manufactured_problem(make(), exact, A2_ONE, ZERO)
     sol = solve_ventcel(prob, n=n)
-    space, system = sol.space, sol.system
+    space = sol.space
+    system = assemble_bilinear(space, prob.a2, prob.a0)
     lift = femcore.mcshane_lift(space, prob.phi)
     rng = np.random.default_rng(seed)
     lift[space.free] += amp * rng.uniform(-1.0, 1.0, space.n_free)
@@ -170,6 +172,37 @@ def test_threaded_solve_matches_the_serial_stages_bit_for_bit(
     assert sol.residual.hex() == residual.hex()
 
 
+def test_solve_frees_the_full_size_matrices_before_the_factor(monkeypatch):
+    # only the reduced matrix outlives the assembly: K_int, S_b and M_b
+    # are dead when the factor starts, and A once the worker has joined
+    refs, live = {}, {}
+    assemble = solver.assemble_bilinear
+    factor, solve = solver.factorize, solver.solve_linear
+
+    def alive(*names):
+        return [k for k in names if refs[k]() is not None]
+
+    def recording(*args):
+        system = assemble(*args)
+        for key in ("K_int", "S_b", "M_b", "A"):
+            refs[key] = weakref.ref(getattr(system, key))
+        return system
+
+    def factorize(matrix):
+        live["factor"] = alive("K_int", "S_b", "M_b")
+        return factor(matrix)
+
+    def solve_linear(lu, rhs):
+        live["solve"] = alive("A")
+        return solve(lu, rhs)
+
+    monkeypatch.setattr(solver, "assemble_bilinear", recording)
+    monkeypatch.setattr(solver, "factorize", factorize)
+    monkeypatch.setattr(solver, "solve_linear", solve_linear)
+    solve_ventcel(cable_problem(), n=8)
+    assert live == {"factor": [], "solve": []}
+
+
 @pytest.mark.parametrize("key", ["a2", "a0"])
 def test_manufactured_chain_load_names_the_coefficient_of_a_bad_term(key):
     # a2 * u_ss and a0 * u are inf or nan; the error names the
@@ -194,31 +227,31 @@ def test_solve_linear_raises_on_singular():
         solve_linear(factorize(sp.identity(3)), np.ones(4))
 
 
-def _diagnose(system):
-    return uniqueness_diagnostic(system, factorize(system.matrix))
+def _diagnose(matrix):
+    return uniqueness_diagnostic(matrix, factorize(matrix))
 
 
 def test_uniqueness_diagnostic_healthy_system():
     sol = solve_ventcel(square_affine_problem(), n=4)
-    rep = _diagnose(sol.system)
+    rep = _diagnose(sol.matrix)
     assert rep.n_free == sol.space.n_free
     assert not rep.singular
     assert 1e-12 < rep.rcond <= 1.0
     assert rep.sigma_min > 0.0
     # deterministic: Lanczos starts from the vector of ones
-    rep2 = _diagnose(sol.system)
+    rep2 = _diagnose(sol.matrix)
     assert rep2.rcond == rep.rcond and rep2.sigma_min == rep.sigma_min
 
 
 def test_uniqueness_diagnostic_stops_once_converged():
     sol = solve_ventcel(cable_problem(), n=8)
-    rep = _diagnose(sol.system)
+    rep = _diagnose(sol.matrix)
     assert 1 < rep.iterations < 20
     assert 0.0 <= rep.last_rel_change <= 1e-13
 
 
 def test_uniqueness_diagnostic_of_a_1x1_system():
-    rep = _diagnose(SimpleNamespace(matrix=sp.csr_matrix(np.array([[-4.0]]))))
+    rep = _diagnose(sp.csr_matrix(np.array([[-4.0]])))
     assert rep.n_free == 1 and not rep.singular
     assert rep.rcond == 1.0
     assert rep.iterations == 1     # one step spans the whole space
@@ -243,7 +276,7 @@ def test_uniqueness_sigma_min_matches_dense_svd(domain, n, a2, a0):
     space = build_space(triangulate(UNIQUENESS_DOMAINS[domain], n))
     system = assemble_bilinear(space, FieldCoefficient(QuadraticField(*a2)),
                                ConstantCoefficient(a0))
-    rep = _diagnose(system)
+    rep = _diagnose(system.matrix)
     dense = _dense_sigma_min(system)
     assert not rep.singular
     assert abs(rep.sigma_min - dense) <= 1e-12 * dense
@@ -254,7 +287,7 @@ def test_uniqueness_sigma_min_converges_with_varying_a2_on_the_annulus():
     mesh = triangulate(annulus_domain(), 8)
     system = assemble_bilinear(
         build_space(mesh), parse_coefficient("poly:1,0.5,0,0,0,0", mesh), ZERO)
-    rep = _diagnose(system)
+    rep = _diagnose(system.matrix)
     dense = _dense_sigma_min(system)
     assert abs(rep.sigma_min - dense) <= 1e-13 * dense
 
@@ -330,7 +363,7 @@ def test_solve_certifies_its_system_bit_for_bit(domain, seed):
     np.random.seed(seed)
     sol = solve_ventcel(problem, n=n)
     np.random.seed(seed ^ 0x5A5A5A5A)
-    alone = _diagnose(sol.system)
+    alone = _diagnose(sol.matrix)
     assert _report_bits(sol.uniqueness) == _report_bits(alone)
 
 
@@ -340,16 +373,16 @@ def test_solve_certifies_its_system_bit_for_bit(domain, seed):
 def test_rcond_does_not_depend_on_the_global_rng(global_seed, case):
     # onenormest draws a start column from np.random, which nothing seeds
     if case == "cable":
-        system = solve_ventcel(cable_problem(), n=32).system
+        matrix = solve_ventcel(cable_problem(), n=32).matrix
     else:       # verify's uniqueness sweep, a2 = 10 (1 + 0.3 x), a0 = 1
-        system = assemble_bilinear(
+        matrix = assemble_bilinear(
             build_space(triangulate(square_domain(), 8)),
-            FieldCoefficient(QuadraticField(10.0, 3.0)), A2_ONE)
-    lu = factorize(system.matrix)
+            FieldCoefficient(QuadraticField(10.0, 3.0)), A2_ONE).matrix
+    lu = factorize(matrix)
     np.random.seed(global_seed)
-    first = uniqueness_diagnostic(system, lu).rcond
+    first = uniqueness_diagnostic(matrix, lu).rcond
     np.random.seed(global_seed ^ 0x5A5A5A5A)
-    assert uniqueness_diagnostic(system, lu).rcond.hex() == first.hex()
+    assert uniqueness_diagnostic(matrix, lu).rcond.hex() == first.hex()
 
 
 def test_solve_command_factors_once(tmp_path, monkeypatch, capsys):

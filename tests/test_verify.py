@@ -807,8 +807,8 @@ def test_uniqueness_reports_do_not_depend_on_the_global_rng(monkeypatch):
     # of a cable solve must be the same bits under two global seeds
     reports = []
 
-    def recording(system, lu):
-        reports.append(solver.uniqueness_diagnostic(system, lu))
+    def recording(matrix, lu):
+        reports.append(solver.uniqueness_diagnostic(matrix, lu))
         return reports[-1]
 
     monkeypatch.setattr(verify, "uniqueness_diagnostic", recording)
