@@ -13,8 +13,8 @@ vanishing on the Dirichlet set, and owns the reduced system for v:
 so the discrete solution matches the Dirichlet data exactly at
 Dirichlet nodes and is independent (up to conditioning) of the lifting
 used.  Every solve checks the discrete problem's unique solvability on
-its own LU factor (``uniqueness_diagnostic``: a 1-norm rcond estimate,
-and sigma_min from Lanczos on (A^T A)^-1) and refuses a singular system.
+its own LU factor (``uniqueness_diagnostic``, a 1-norm rcond estimate)
+and refuses a singular system.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .domain import DomainSpec, InputError
 from .fields import (EXACT_SOLUTIONS, BoundaryFunction, Coefficient,
@@ -112,7 +111,7 @@ class Solution:
     bounds: CoefficientBounds
     values: np.ndarray            # nodal solution including Dirichlet data
     residual: float               # ||A v - b|| / (1 + ||b||), reduced system
-    uniqueness: UniquenessReport  # certificate of the reduced matrix
+    rcond: float                  # uniqueness_diagnostic of the reduced matrix
 
 
 def _release_heap() -> None:
@@ -161,10 +160,10 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     data) is raised in preference to a SingularSystemError from the
     factor, as a serial run would report them.
 
-    ``uniqueness_diagnostic`` then runs on the same factor; a system it
-    finds singular raises SingularSystemError.  Of the assembly only the
-    reduced matrix and the bounds live through the factor's fill peak;
-    the factor is dropped on return.
+    ``uniqueness_diagnostic`` then runs on the same factor; a system
+    whose rcond is not at least 1e-14 raises SingularSystemError.  Of
+    the assembly only the reduced matrix and the bounds live through the
+    factor's fill peak; the factor is dropped on return.
     """
     if mesh is None:
         mesh = triangulate(problem.domain, n)
@@ -206,84 +205,31 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     s = np.ldexp(1.0, -max(int(e), 0))
     residual = float(np.linalg.norm(r * s) / (s + np.linalg.norm(rhs * s)))
 
-    report = uniqueness_diagnostic(matrix, lu)
-    if report.singular:
+    rcond = uniqueness_diagnostic(matrix, lu)
+    if not rcond >= 1e-14:
         raise SingularSystemError(
             "reduced system is singular to working precision "
-            f"(rcond = {report.rcond:.3g})")
+            f"(rcond = {rcond:.3g})")
     lift[space.free] += v          # u = lift + v, v zero on the walls
     return Solution(space=space, matrix=matrix, bounds=bounds, values=lift,
-                    residual=residual, uniqueness=report)
+                    residual=residual, rcond=rcond)
 
 
-# Lanczos steps on (A^T A)^-1: each costs two LU solves and one stored
-# basis vector, so this also caps the basis at 20 x n_free floats
-_LANCZOS_STEPS = 20
-
-
-@dataclass
-class UniquenessReport:
-    n_free: int
-    rcond: float
-    sigma_min: float
-    singular: bool
-    iterations: int = 0               # Lanczos steps taken for sigma_min
-    last_rel_change: float = float("nan")  # |theta_k - theta_(k-1)| / theta_k
-
-
-def uniqueness_diagnostic(matrix, lu) -> UniquenessReport:
-    """Conditioning report for the reduced matrix ``matrix``.
-
-    rcond is 1 / (norm1(A) * est norm1(inv A)).  sigma_min = 1/sqrt(theta)
-    with theta the largest Ritz value of Lanczos on the SPD operator
-    B = A^-1 A^-T = (A^T A)^-1, started from the normalized vector of ones
-    and fully reorthogonalized (two Gram-Schmidt passes per step).  The
-    Ritz value grows towards lambda_max(B) = 1/sigma_min^2, so the
-    estimate approaches sigma_min from above (up to rounding).  Lanczos
-    stops once theta changes by at most 1e-13 relative, on breakdown (the
-    Krylov space is invariant and theta exact), or after
-    ``_LANCZOS_STEPS`` (20) steps; ``iterations`` and ``last_rel_change``
-    (of theta over the last step) report how far it converged.
-    ``lu`` is a ``factorize(matrix)`` result.  ``singular`` flags
-    rcond below 1e-14 or a failed solve.
+def uniqueness_diagnostic(matrix, lu) -> float:
+    """rcond of the reduced matrix ``matrix``: 1 / (norm1(A) * est
+    norm1(inv A)), with scipy's ``onenormest`` on the solves of ``lu``, a
+    ``factorize(matrix)`` result.  A failed estimate gives 0.0.
     """
-    A = matrix.tocsc()
-    m = A.shape[0]
-    norm1 = float(np.max(np.abs(A).sum(axis=0)))
+    m = matrix.shape[0]
+    norm1 = float(np.max(np.abs(matrix).sum(axis=0)))
     op = spla.LinearOperator(
         (m, m), matvec=lambda b: lu.solve(b),
         rmatvec=lambda b: lu.solve(b, trans="T"), dtype=np.float64)
     try:
         inv_norm1 = float(spla.onenormest(op))
     except (RuntimeError, ValueError, TypeError):
-        return UniquenessReport(m, 0.0, 0.0, True)
-    rcond = 1.0 / (norm1 * inv_norm1) if norm1 * inv_norm1 > 0 else 0.0
-
-    q = np.full(m, 1.0 / np.sqrt(m))
-    basis = np.empty((_LANCZOS_STEPS, m))
-    alpha, beta = [], []
-    theta, change = 0.0, float("nan")
-    for it in range(1, _LANCZOS_STEPS + 1):
-        basis[it - 1] = q
-        w = lu.solve(lu.solve(q, trans="T"))
-        if not np.all(np.isfinite(w)):
-            return UniquenessReport(m, rcond, 0.0, True, it, change)
-        alpha.append(float(q @ w))
-        done = basis[:it]
-        for _ in range(2):
-            w -= done.T @ (done @ w)
-        beta.append(float(np.linalg.norm(w)))
-        theta_prev, theta = theta, float(
-            eigvalsh_tridiagonal(alpha, beta[:-1])[-1])
-        if it > 1:
-            change = (abs(theta - theta_prev) / theta if theta > 0
-                      else float("inf"))
-        if change <= 1e-13 or beta[-1] <= 1e-14 * theta:
-            break
-        q = w / beta[-1]
-    sigma_min = 1.0 / np.sqrt(theta) if theta > 0 else 0.0
-    singular = (not np.isfinite(rcond)) or rcond < 1e-14
-    return UniquenessReport(m, rcond, float(sigma_min), singular, it, change)
+        return 0.0
+    return 1.0 / (norm1 * inv_norm1) if norm1 * inv_norm1 > 0 else 0.0
 
 
 # ----------------------------------------------------------------------

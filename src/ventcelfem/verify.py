@@ -13,7 +13,8 @@ takes no argument and returns (artifact file name, artifact text,
 verdict, detail).  The one random draw is scipy's ``onenormest`` in
 the uniqueness diagnostic: its second start column comes from numpy's
 global generator, yet its rcond repeats bit for bit under any seed
-tried.  ``run_suite`` writes every artifact and a PASS/FAIL summary
+tried.  The uniqueness sweep's sigma_min is the dense smallest singular
+value.  ``run_suite`` writes every artifact and a PASS/FAIL summary
 line per check.  A gate that meets NaN fails.
 """
 
@@ -792,9 +793,11 @@ def _check_uniqueness():
                       f"a2={base:g}(1+0.3x)") if variable
                      else (ConstantCoefficient(base), f"a2={base:g}"))
         matrix = assemble_bilinear(space, a2, ConstantCoefficient(a0c)).matrix
-        diag = uniqueness_diagnostic(matrix, factorize(matrix))
-        rows.append((f"{label} a0={a0c:g}", diag.n_free, diag.rcond,
-                     diag.sigma_min, not diag.singular and diag.rcond > 1e-12))
+        rcond = uniqueness_diagnostic(matrix, factorize(matrix))
+        # the exact smallest singular value, to rounding, of 63 free dofs
+        sigma_min = scipy.linalg.svdvals(matrix.toarray())[-1]
+        rows.append((f"{label} a0={a0c:g}", matrix.shape[0], rcond,
+                     sigma_min, rcond > 1e-12))
     zero_sol = solve_ventcel(VentcelProblem(
         domain=square_domain(), a2=ConstantCoefficient(1.0),
         a0=ConstantCoefficient(1.0), phi=ZERO), n=8)

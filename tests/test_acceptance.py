@@ -167,10 +167,8 @@ def test_criterion_7_uniqueness_sweep():
         for a2 in variants:
             for a0 in (ZERO, ConstantCoefficient(1.0)):
                 matrix = assemble_bilinear(space, a2, a0).matrix
-                diag = uniqueness_diagnostic(matrix, factorize(matrix))
-                assert not diag.singular
-                assert diag.rcond > 1e-12, \
-                    f"base {base}: rcond {diag.rcond:.3g}"
+                rcond = uniqueness_diagnostic(matrix, factorize(matrix))
+                assert rcond > 1e-12, f"base {base}: rcond {rcond:.3g}"
                 count += 1
     assert count == 12
 

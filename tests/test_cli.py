@@ -672,7 +672,7 @@ def test_solve_zero_data(tmp_path, capsys):
     diag = read_diagnostics(tmp_path / "diagnostics.txt")
     assert diag["algebraic_residual"] < 1e-12
     assert diag["rcond"] > 1e-12
-    assert diag["sigma_min"] > 0.0
+    assert "sigma_min" not in diag
     assert diag["lambda2"] == 1.0 and diag["Lambda2"] == 1.0
     assert "e_L2" not in diag
 
