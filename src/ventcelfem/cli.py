@@ -18,7 +18,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import field, make_dataclass
 
 from . import verify
 from .domain import InputError, InternalError, make_domain
@@ -52,9 +51,9 @@ DEFAULT_EXACT = {
 }
 
 
-# every configuration key, in flag, echo and field order: its default and
-# its help text.  The flag is --key with "_" written "-"; a key whose
-# default is an int takes an integer.
+# every configuration key, in flag and echo order: its default and its
+# help text.  The flag is --key with "_" written "-"; a key whose default
+# is an int takes an integer.
 OPTIONS = {
     "domain": ("cable", "cable | square | annulus[:r0,r1,side]"),
     "n": (16, "mesh subdivision (>= 2)"),
@@ -71,13 +70,6 @@ OPTIONS = {
     "seed": (42, "accepted for old command lines; no command reads it"),
     "output_dir": (".", "artifact directory"),
 }
-CONFIG_KEYS = tuple(OPTIONS)
-
-# the command, then one field per key with the key's default
-RunConfig = make_dataclass(
-    "RunConfig", [("command", str, field(default="info"))]
-    + [(key, type(default), field(default=default))
-       for key, (default, _) in OPTIONS.items()])
 
 # a comment: '#' at the start of a line or after whitespace, to the end
 _COMMENT = re.compile(r"(?:^|\s)#.*")
@@ -99,35 +91,36 @@ def read_config_file(path: str) -> dict:
             raise InputError(f"config: {path}:{lineno}: expected key = value")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in OPTIONS:
             raise InputError(f"config: unknown key {key!r} in {path}")
         out[key] = value.strip()
     return out
 
 
-def _coerce(key: str, value):
-    if isinstance(OPTIONS[key][0], int):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise InputError(f"{key}: expected an integer, got {value!r}") \
-                from None
-    return str(value)
+def _coerce(key: str, value: str):
+    """A config file's text ``value`` as the type of the key's default."""
+    if not isinstance(OPTIONS[key][0], int):
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        raise InputError(f"{key}: expected an integer, got {value!r}") \
+            from None
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, environment, and flags."""
-    cfg = RunConfig(command=args.command)
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Merge defaults, config file, environment, and flags (argparse
+    types these) into the command and one attribute per key."""
+    values = {key: default for key, (default, _) in OPTIONS.items()}
     if args.config:
         for key, value in read_config_file(args.config).items():
-            setattr(cfg, key, _coerce(key, value))
-    env_dir = os.environ.get(ENV_OUTPUT_DIR)
-    if env_dir:
-        cfg.output_dir = env_dir
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, _coerce(key, value))
+            values[key] = _coerce(key, value)
+    values["output_dir"] = (os.environ.get(ENV_OUTPUT_DIR)
+                            or values["output_dir"])
+    for key in OPTIONS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    cfg = argparse.Namespace(command=args.command, **values)
 
     if cfg.n < 2:
         raise InputError(f"n: subdivision must be at least 2, got {cfg.n}")
@@ -143,21 +136,21 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def config_echo(cfg: RunConfig) -> str:
+def config_echo(cfg: argparse.Namespace) -> str:
     """Reparseable key = value block (command excluded).  A value that
     ``read_config_file`` would not read back (a line break, whitespace at
     either end, a comment) is an InputError naming its key."""
-    for key in CONFIG_KEYS:
+    for key in OPTIONS:
         value = str(getattr(cfg, key))
         # read with universal newlines, "\r" ends a line as "\n" does
         if re.search("[\r\n]", value) or value != _COMMENT.sub(
                 "", " " + value, count=1).strip():
             raise InputError(f"{key}: {value!r} would not read back from "
                              "info's key = value echo")
-    return "\n".join(f"{key} = {getattr(cfg, key)}" for key in CONFIG_KEYS)
+    return "\n".join(f"{key} = {getattr(cfg, key)}" for key in OPTIONS)
 
 
-def _domain_or_error(cfg: RunConfig, finest_n: int | None = None):
+def _domain_or_error(cfg: argparse.Namespace, finest_n: int | None = None):
     """The configured domain, once its finest mesh is known to fit.
 
     ``finest_n`` is the largest subdivision the command meshes
@@ -173,7 +166,7 @@ def _domain_or_error(cfg: RunConfig, finest_n: int | None = None):
     return dom
 
 
-def _output_dir(cfg: RunConfig) -> None:
+def _output_dir(cfg: argparse.Namespace) -> None:
     """Create the artifact directory before any work is done."""
     if "\0" in cfg.output_dir:     # os.makedirs would raise a bare ValueError
         raise InputError(f"output_dir: {cfg.output_dir!r} has a NUL byte")
@@ -184,7 +177,7 @@ def _output_dir(cfg: RunConfig) -> None:
                          f"{exc.strerror or exc}") from None
 
 
-def build_problem(cfg: RunConfig, dom, mesh) -> VentcelProblem:
+def build_problem(cfg: argparse.Namespace, dom, mesh) -> VentcelProblem:
     coef = lambda text, role: parse_coefficient(text, mesh, role)
     a2, a0 = coef(cfg.a2, "a2"), coef(cfg.a0, "a0")
     opt = lambda text, role: coef(text, role) if text else None
@@ -200,7 +193,7 @@ def build_problem(cfg: RunConfig, dom, mesh) -> VentcelProblem:
         phi=opt(cfg.phi, "phi"), exact=exact)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: argparse.Namespace) -> int:
     dom = _domain_or_error(cfg)
     _output_dir(cfg)
     mesh = triangulate(dom, cfg.n)
@@ -230,7 +223,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_convergence(cfg: RunConfig) -> int:
+def cmd_convergence(cfg: argparse.Namespace) -> int:
     # the finest level is n * 2^(levels - 1); past 2^64 it is over the cap
     # whatever n is, so the shift stays small for any levels
     dom = _domain_or_error(cfg, cfg.n << min(cfg.levels - 1, 64))
@@ -250,14 +243,14 @@ def cmd_convergence(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     _output_dir(cfg)
-    result = verify.run_suite(cfg.output_dir)
-    sys.stdout.write(result.summary_text())
-    return 0 if result.passed else 1
+    passed, summary = verify.run_suite(cfg.output_dir)
+    sys.stdout.write(summary)
+    return 0 if passed else 1
 
 
-def cmd_mesh(cfg: RunConfig) -> int:
+def cmd_mesh(cfg: argparse.Namespace) -> int:
     dom = _domain_or_error(cfg)
     _output_dir(cfg)
     mesh = triangulate(dom, cfg.n)
@@ -269,7 +262,7 @@ def cmd_mesh(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_info(cfg: RunConfig) -> int:
+def cmd_info(cfg: argparse.Namespace) -> int:
     echo = config_echo(cfg)
     dom = _domain_or_error(cfg)
     mesh = triangulate(dom, cfg.n)

@@ -185,9 +185,6 @@ class ConstantCoefficient(Coefficient):
     def eval_points(self, p):
         return np.full(p.shape[:-1], self.constant)
 
-    def eval_curve(self, curve, t):
-        return np.full(t.shape, self.constant)
-
     def tangential_deriv(self, curve, t):
         return np.zeros(t.shape)
 

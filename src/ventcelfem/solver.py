@@ -28,8 +28,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .domain import DomainSpec, InputError
-from .fields import (EXACT_SOLUTIONS, BoundaryFunction, Coefficient,
-                     FieldCoefficient)
+from .fields import EXACT_SOLUTIONS, BoundaryFunction, Coefficient
 from .femcore import (GAUSS3_XI, CoefficientBounds, assemble_bilinear,
                       assemble_load, build_space, mcshane_lift)
 from .geometry import frame_derivatives
@@ -74,7 +73,8 @@ def manufactured_problem(domain: DomainSpec, exact, a2, a0) -> VentcelProblem:
 
     (all quantities oriented outward).  A non-finite a2 or a0 term
     raises InputError naming the coefficient.  Dirichlet data is the
-    trace of the exact field.
+    trace of the exact field; a non-finite value of it raises InputError
+    naming ``exact``.
     """
     if isinstance(exact, str):
         exact = EXACT_SOLUTIONS[exact]
@@ -94,20 +94,26 @@ def manufactured_problem(domain: DomainSpec, exact, a2, a0) -> VentcelProblem:
                                  f"chain load must be finite (found nan or inf)")
         return u_nu - a2_term + a0_term
 
+    def wall_data(p):
+        values = exact.value(p)
+        if not np.all(np.isfinite(values)):
+            raise InputError("exact: the exact solution must be finite on "
+                             "the walls (found nan or inf)")
+        return values
+
     return VentcelProblem(
         domain=domain, a2=a2, a0=a0,
         f1=_PointFunction(neg_laplacian),
         g1=BoundaryFunction(g1_func),
-        phi=FieldCoefficient(exact),
+        phi=_PointFunction(wall_data),
         exact=exact,
     )
 
 
 @dataclass
 class Solution:
-    """A solve's result; keeps the reduced matrix, not the full FeSystem."""
+    """A solve's nodal values, coefficient bounds, residual and rcond."""
     space: object
-    matrix: object                # reduced A[free, free], CSC
     bounds: CoefficientBounds
     values: np.ndarray            # nodal solution including Dirichlet data
     residual: float               # ||A v - b|| / (1 + ||b||), reduced system
@@ -211,7 +217,7 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
             "reduced system is singular to working precision "
             f"(rcond = {rcond:.3g})")
     lift[space.free] += v          # u = lift + v, v zero on the walls
-    return Solution(space=space, matrix=matrix, bounds=bounds, values=lift,
+    return Solution(space=space, bounds=bounds, values=lift,
                     residual=residual, rcond=rcond)
 
 

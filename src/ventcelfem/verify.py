@@ -20,7 +20,6 @@ line per check.  A gate that meets NaN fails.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 from dataclasses import dataclass, replace
@@ -111,7 +110,7 @@ def _level_set_inequality(svals, vvals, slopes, label):
     return label, lhs, rhs, ratio, measure, lhs <= rhs * (1.0 + RELATIVE_SLACK)
 
 
-def interval_poincare_check(v, label="interval"):
+def interval_poincare_check(v, label):
     """Deviation-from-minimum bound for a function on [0, 1].
 
     Checks integral of (v - min v)^2 over the strict level band
@@ -127,7 +126,7 @@ def interval_poincare_check(v, label="interval"):
     return _level_set_inequality(s, vv, slopes, label)
 
 
-def curve_poincare_check(w, curve, label="curve"):
+def curve_poincare_check(w, curve, label):
     """Same bound for the restriction of a plane field to a curve.
 
     Takes 4096 samples uniform in arc length; the tangential derivative
@@ -346,7 +345,7 @@ def _weak_form(space, problem, u):
     return q, ell
 
 
-def weak_residual_check(solution, problem, values=None):
+def weak_residual_check(solution, problem):
     """Test the solved values in the weak equation, fresh quadrature.
 
     Both sides of the variational identity are recomputed independently
@@ -360,12 +359,10 @@ def weak_residual_check(solution, problem, values=None):
     values go unseen.  On the cable the assembly's 3-point and this
     5-point chain rule differ by about h^7 (1.2e-6, 1.0e-8, 8.2e-11 at
     n = 8, 16, 32), so the tolerance passes the correct cable solve only
-    from n = 32, verify's mesh.  ``values`` overrides the nodal solution
-    (fault injection).  Returns ``(max_residual, passed)``.
+    from n = 32, verify's mesh.  Returns ``(max_residual, passed)``.
     """
     fr = solution.space.free
-    q, ell = _weak_form(solution.space, problem,
-                        solution.values if values is None else values)
+    q, ell = _weak_form(solution.space, problem, solution.values)
     worst = float(np.max(np.abs(q[fr] - ell[fr]) / (1.0 + np.abs(ell[fr]))))
     return worst, worst < WEAK_RESIDUAL_TOL
 
@@ -374,7 +371,7 @@ def weak_residual_check(solution, problem, values=None):
 # tangential integration-by-parts identity
 
 
-def ibp_identity_check(curve, u_field, w_field, a2, label="ibp"):
+def ibp_identity_check(curve, u_field, w_field, a2, label):
     """Dense-quadrature check of the tangential product-rule identity.
 
         int (a2 w' + w a2') u' ds  =  - int a2 w u'' ds
@@ -420,15 +417,14 @@ def ibp_identity_suite() -> list:
         ("cable_mixed", QuadraticField(0, 0, 0, 0, 1.0),
          ProductField(pinned, QuadraticField(1.0, 1.0))),
     ]
-    out = [ibp_identity_check(cable, u, w, a2_cable, label=lbl)
+    out = [ibp_identity_check(cable, u, w, a2_cable, lbl)
            for lbl, u, w in cases]
     circle = Circle(2.0, normal_sign=-1)
     out.append(ibp_identity_check(
         circle,
         QuadraticField(0, 0, 0, 1.0, 0, -1.0),
         QuadraticField(0, 0, 0, 0, 1.0),
-        FieldCoefficient(QuadraticField(1.0, 0, 0, 0.125)),
-        label="circle_closed"))
+        FieldCoefficient(QuadraticField(1.0, 0, 0, 0.125)), "circle_closed"))
     return out
 
 
@@ -453,24 +449,22 @@ def compatibility_check():
     max_tt = float(np.abs(frame_derivatives(exact, curve, t)[1]).max())
     max_equiv = float(equivalence_residual(exact, curve, t).max())
 
-    coarse, fine = (_chain_second_difference(solve_ventcel(cable_problem(), n))
-                    for n in (16, 32))
+    second = []        # max |u_{j+1} - 2 u_j + u_{j-1}| / h on the chain
+    for n in (16, 32):
+        sol = solve_ventcel(cable_problem(), n)
+        ch = sol.space.ventcel_edges
+        worst = [0.0]
+        for _, rows in ch.curves:
+            u = sol.values[np.concatenate([ch.a[rows][:1], ch.b[rows]])]
+            h = float(np.mean(ch.ell[rows]))
+            worst.append(np.abs(u[2:] - 2.0 * u[1:-1] + u[:-2]).max() / h)
+        second.append(float(np.max(worst)))         # propagates NaN
+    coarse, fine = second
     passed = (max_tt < 1e-8 and max_equiv < 1e-6 and fine <= 0.75 * coarse)
     return [("max_tangential_hessian", max_tt),
             ("max_equivalence_residual", max_equiv),
             ("second_difference_coarse", coarse),
             ("second_difference_fine", fine)], passed
-
-
-def _chain_second_difference(solution) -> float:
-    """Max |u_{j+1} - 2 u_j + u_{j-1}| / h over interior chain nodes."""
-    ch = solution.space.ventcel_edges
-    worst = [0.0]
-    for _, rows in ch.curves:
-        vals = solution.values[np.concatenate([ch.a[rows][:1], ch.b[rows]])]
-        h = float(np.mean(ch.ell[rows]))
-        worst.append(np.abs(vals[2:] - 2.0 * vals[1:-1] + vals[:-2]).max() / h)
-    return float(np.max(worst))                       # propagates NaN
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +552,7 @@ class ConvergenceReport:
         return _csv("n,h,e_L2,e_V0,e_trace,order_L2,order_V0", rows)
 
 
-def manufactured_convergence(problem, n0=8, levels=4) -> ConvergenceReport:
+def manufactured_convergence(problem, n0, levels) -> ConvergenceReport:
     """Solve on meshes n0, 2 n0, ... and tabulate errors."""
     rows = []
     for n in (n0 * 2**k for k in range(levels)):
@@ -604,19 +598,6 @@ def annulus_log_problem() -> VentcelProblem:
 # the suite: one function per check, () -> (artifact, text, ok, detail)
 
 
-@dataclass
-class SuiteResult:
-    passed: bool
-    lines: list                    # (name, ok, detail)
-
-    def summary_text(self) -> str:
-        out = [f"{'PASS' if ok else 'FAIL'} {name} {detail}"
-               for name, ok, detail in self.lines]
-        n_fail = sum(not ok for _, ok, _ in self.lines)
-        out.append("ALL PASS" if n_fail == 0 else f"FAILURES: {n_fail}")
-        return "\n".join(out) + "\n"
-
-
 def _cell(x) -> str:
     """One CSV cell: floats by ``_fmt``, bools 0/1, None empty."""
     if isinstance(x, (bool, np.bool_, int, np.integer)):
@@ -630,29 +611,29 @@ def _csv(header, rows) -> str:
     return "\n".join([header] + [",".join(map(_cell, r)) for r in rows]) + "\n"
 
 
-def _interval_cases():
-    return [interval_poincare_check(lambda s: s, label="ramp"),
-            interval_poincare_check(lambda s: np.full(s.shape, 0.7),
-                                    label="constant"),
-            interval_poincare_check(lambda s: np.clip(2.0 * s, 0.0, 1.0),
-                                    label="clamped_ramp")]
-
-
-def _curve_cases():
-    return [curve_poincare_check(QuadraticField(0.0, 0.0, 1.0), CableArc(),
-                                 label="cable_height"),
-            curve_poincare_check(QuadraticField(0.7), Circle(1.0),
-                                 label="circle_constant"),
-            curve_poincare_check(QuadraticField(0.0, 1.0),
-                                 Circle(1.0, t_range=(0.0, np.pi)),
-                                 label="semicircle_x")]
-
-
-def _check_poincare(artifact, cases):
-    rows = cases()
+def _poincare_artifact(artifact, rows):
     n_ok = sum(r[-1] for r in rows)
     return (artifact, _csv("label,lhs,rhs,ratio,measure,pass", rows),
             n_ok == len(rows), f"{n_ok}/{len(rows)} cases")
+
+
+def _check_interval_poincare():
+    return _poincare_artifact("poincare_interval.csv", [
+        interval_poincare_check(lambda s: s, "ramp"),
+        interval_poincare_check(lambda s: np.full(s.shape, 0.7), "constant"),
+        interval_poincare_check(lambda s: np.clip(2.0 * s, 0.0, 1.0),
+                                "clamped_ramp")])
+
+
+def _check_curve_poincare():
+    return _poincare_artifact("poincare_curve.csv", [
+        curve_poincare_check(QuadraticField(0.0, 0.0, 1.0), CableArc(),
+                             "cable_height"),
+        curve_poincare_check(QuadraticField(0.7), Circle(1.0),
+                             "circle_constant"),
+        curve_poincare_check(QuadraticField(0.0, 1.0),
+                             Circle(1.0, t_range=(0.0, np.pi)),
+                             "semicircle_x")])
 
 
 def _check_trace_poincare():
@@ -727,7 +708,7 @@ def _check_weak_residual():
     r2, ok2 = weak_residual_check(cb_sol, cb_problem)
     bad = sq_sol.values.copy()
     bad[sq_sol.space.free[len(sq_sol.space.free) // 2]] += 1e-3
-    r3, _ = weak_residual_check(sq_sol, sq_problem, values=bad)
+    r3, _ = weak_residual_check(replace(sq_sol, values=bad), sq_problem)
     # every load key set: the only case whose solve reads f2 and g2
     all_problem = replace(
         sq_problem, exact=None, g2=FieldCoefficient(QuadraticField(0.2, 0.1)),
@@ -809,11 +790,8 @@ def _check_uniqueness():
 
 
 CHECKS = (
-    ("interval_poincare",
-     functools.partial(_check_poincare, "poincare_interval.csv",
-                       _interval_cases)),
-    ("curve_poincare",
-     functools.partial(_check_poincare, "poincare_curve.csv", _curve_cases)),
+    ("interval_poincare", _check_interval_poincare),
+    ("curve_poincare", _check_curve_poincare),
     ("trace_poincare", _check_trace_poincare),
     ("counterexample", _check_counterexample),
     ("coercivity", _check_coercivity),
@@ -828,19 +806,22 @@ CHECKS = (
 )
 
 
-def run_suite(output_dir: str) -> SuiteResult:
+def run_suite(output_dir: str) -> tuple[bool, str]:
     """Run every check in ``CHECKS`` and write its artifact under output_dir.
 
     Artifacts have explicit precision and the one random draw (in
     ``onenormest``) leaves them unchanged, so every run writes the same
-    bytes.  summary.txt holds one PASS/FAIL line per check.
+    bytes.  Returns ``(passed, summary)``; the summary, also written to
+    summary.txt, holds one PASS/FAIL line per check.
     """
     os.makedirs(output_dir, exist_ok=True)
-    lines = []
+    lines, n_fail = [], 0
     for name, check in CHECKS:
         artifact, text, ok, detail = check()
         _write_text(os.path.join(output_dir, artifact), text)
-        lines.append((name, bool(ok), detail))
-    result = SuiteResult(all(ok for _, ok, _ in lines), lines)
-    _write_text(os.path.join(output_dir, "summary.txt"), result.summary_text())
-    return result
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
+        n_fail += not ok
+    lines.append("ALL PASS" if n_fail == 0 else f"FAILURES: {n_fail}")
+    summary = "\n".join(lines) + "\n"
+    _write_text(os.path.join(output_dir, "summary.txt"), summary)
+    return n_fail == 0, summary

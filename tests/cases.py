@@ -7,6 +7,9 @@ prints nothing there) and whether its outputs are committed in
 stands for a directory that ``write_inputs`` filled.  ``run`` names the
 output directory before the line, so a row's own ``--output-dir`` wins.
 
+``run`` writes that directory back as ``{inputs}`` in the stderr, so a
+row's stderr text may name one of its files.
+
 ``golden/regen.py`` regenerates the golden rows, ``test_golden.py``
 runs every row and checks it against the table, and
 ``test_reachability.py`` checks that the rows together enter every def
@@ -133,6 +136,36 @@ ROWS = {
         f"solve --domain cable --n 4 --{key} inv_curvature", 2,
         CONFIG + f"{key}: inv_curvature is defined only on boundary curves")
        for key in OFF_CHAIN},
+    "convergence_cable_exact_log_radial": Row(
+        "convergence --domain cable --n 2 --levels 3 --exact log_radial", 2,
+        CONFIG + "exact: the exact solution must be finite on the walls"),
+    "solve_a2_poly_7_cells": Row(
+        "solve --domain square --n 2 --a2 poly:1,2,3,4,5,6,7", 2,
+        CONFIG + "a2: poly takes 1..6 coefficients, got 'poly:1,2,3,4,5,6,7'"),
+    "solve_a2_const:x": Row("solve --domain square --n 2 --a2 const:x", 2,
+                            CONFIG + "a2: bad constant in 'const:x'"),
+    "convergence_nodal_a2": Row(
+        "convergence --domain annulus --n 8 --levels 3"
+        " --a2 nodal:{inputs}/a2.csv", 2,
+        CONFIG + "a2: nodal coefficient needs a mesh"),
+    "mesh_annulus_two_fields": Row(
+        "mesh --domain annulus:1,2 --n 4", 2,
+        DOMAIN + "takes r_inner,r_outer,side, got 'annulus:1,2'"),
+    "mesh_annulus_middle": Row(
+        "mesh --domain annulus:1,2,middle --n 4", 2,
+        CONFIG + "domain: ventcel_on must be 'inner' or 'outer'"),
+    "mesh_annulus_bad_radius": Row(
+        "mesh --domain annulus:a,2,outer --n 4", 2,
+        CONFIG + "domain: bad radius in 'annulus:a,2,outer'"),
+    "info_config_unknown_key": Row(
+        "info --config {inputs}/unknown_key.cfg", 2,
+        CONFIG + "config: unknown key 'colour' in {inputs}/unknown_key.cfg"),
+    "info_config_n_text": Row(
+        "info --config {inputs}/n_text.cfg", 2,
+        CONFIG + "n: expected an integer, got 'four'"),
+    "info_config_no_equals": Row(
+        "info --config {inputs}/no_equals.cfg", 2,
+        CONFIG + "config: {inputs}/no_equals.cfg:2: expected key = value"),
     "convergence_levels_2": Row(
         "convergence --domain square --n 4 --levels 2", 2,
         CONFIG + "levels: need at least 3 for a convergence study, got 2"),
@@ -197,24 +230,28 @@ def write_nodal(path, values):
 def write_inputs(inputs):
     """The files ``{inputs}`` stands for, in the directory inputs.
 
-    ``NODAL``'s fields on the nodes of the annulus at n = 8, and
-    ``run.cfg``, a configuration file.
+    ``NODAL``'s fields on the nodes of the annulus at n = 8, ``run.cfg``,
+    a configuration file, and three configuration files that are refused.
     """
     x, y = triangulate(make_domain("annulus"), 8).nodes.T
     for key, field in NODAL.items():
         write_nodal(inputs / f"{key}.csv", field(x, y))
     (inputs / "run.cfg").write_text(
         "domain = cable\nn = 4\na2 = inv_curvature  # arc\n")
+    (inputs / "unknown_key.cfg").write_text("n = 4\ncolour = red\n")
+    (inputs / "n_text.cfg").write_text("domain = square\nn = four\n")
+    (inputs / "no_equals.cfg").write_text("domain = square\nn 4\n")
 
 
 def run(name, out, inputs):
     """Row ``name`` through ``cli.main`` in-process, into out: a ``Run``.
 
-    In the stdout, out reads ``OUT``.
+    In the stdout, out reads ``OUT``; in the stderr, inputs reads
+    ``{inputs}``.
     """
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
         code = cli.main(["--output-dir", str(out)] + ROWS[name].argv(inputs))
     return Run(code, stdout.getvalue().replace(str(out), OUT),
-               stderr.getvalue(), out)
+               stderr.getvalue().replace(str(inputs), "{inputs}"), out)

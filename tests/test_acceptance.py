@@ -6,6 +6,7 @@ line in ``pytest -v`` certifies the corresponding claim end to end.
 
 import filecmp
 import os
+from dataclasses import replace
 
 import cases
 import numpy as np
@@ -116,16 +117,20 @@ def test_criterion_4_coercivity_with_shift():
 
 def test_criterion_5_poincare_inequalities():
     interval_cases = [
-        interval_poincare_check(lambda s: np.asarray(s, float)),
-        interval_poincare_check(lambda s: np.full(np.shape(s), 0.7)),
+        interval_poincare_check(lambda s: np.asarray(s, float), "ramp"),
+        interval_poincare_check(lambda s: np.full(np.shape(s), 0.7),
+                                "constant"),
         interval_poincare_check(
-            lambda s: np.clip(2.0 * np.asarray(s), 0.0, 1.0)),
+            lambda s: np.clip(2.0 * np.asarray(s), 0.0, 1.0), "clamped_ramp"),
     ]
     curve_cases = [
-        curve_poincare_check(QuadraticField(0, 0, 1.0), CableArc()),
-        curve_poincare_check(QuadraticField(0.7), Circle(1.0)),
+        curve_poincare_check(QuadraticField(0, 0, 1.0), CableArc(),
+                             "cable_height"),
+        curve_poincare_check(QuadraticField(0.7), Circle(1.0),
+                             "circle_constant"),
         curve_poincare_check(QuadraticField(0, 1.0),
-                             Circle(1.0, t_range=(0.0, np.pi))),
+                             Circle(1.0, t_range=(0.0, np.pi)),
+                             "semicircle_x"),
     ]
     for label, lhs, rhs, _, _, passed in interval_cases + curve_cases:
         assert passed, f"{label}: lhs {lhs} rhs {rhs}"
@@ -150,7 +155,7 @@ def test_criterion_6_weak_residual_and_fault_detection():
 
     bad = sol_sq.values.copy()
     bad[sol_sq.space.free[len(sol_sq.space.free) // 2]] += 1e-3
-    res_bad, _ = weak_residual_check(sol_sq, prob_sq, values=bad)
+    res_bad, _ = weak_residual_check(replace(sol_sq, values=bad), prob_sq)
     assert res_bad > 1e-6, "fault injection went undetected"
     # every free dof's hat is a test field: the faulted node's hat sees
     # the fault times its P1 stiffness diagonal, 4 at an interior node of
