@@ -6,8 +6,8 @@ and optionally the exact solution it was manufactured from.  The solve
 writes u = lift + v, with lift extending the Dirichlet data and v
 vanishing on the Dirichlet set, and owns the reduced system for v:
 
-    triangulate -> build space -> assemble A ->
-        (lift, load L, b = (L - A lift)[free]) || factor A[free, free] ->
+    triangulate -> build space -> assemble A -> load ->
+        (lift, b = (L - A lift)[free]) || factor A[free, free] ->
         solve for v -> residual -> uniqueness check on the LU -> u = lift + v
 
 so the discrete solution matches the Dirichlet data exactly at
@@ -159,12 +159,14 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     """Solve ``problem`` on ``mesh``, or when it is None on a fresh mesh
     with subdivision ``n``; one of the two must be given.
 
-    lift || factor: the calling thread factors the reduced matrix while
-    one worker thread builds the Dirichlet lift and the reduced
-    right-hand side; the worker is joined before the solve and never
-    outlives the call.  An InputError from the lift or the load (bad
-    data) is raised in preference to a SingularSystemError from the
-    factor, as a serial run would report them.
+    The calling thread assembles the load L next to the matrix, so a
+    bad load raises its InputError before any factoring.  lift ||
+    factor: the calling thread then factors the reduced matrix while one
+    worker thread builds the Dirichlet lift and the reduced right-hand
+    side; the worker is joined before the solve and never outlives the
+    call.  An InputError from the lift (bad wall data) is raised in
+    preference to a SingularSystemError from the factor, as a serial run
+    would report them.
 
     ``uniqueness_diagnostic`` then runs on the same factor; a system
     whose rcond is not at least 1e-14 raises SingularSystemError.  Of
@@ -175,27 +177,28 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
         mesh = triangulate(problem.domain, n)
     space = build_space(mesh)
     system = assemble_bilinear(space, problem.a2, problem.a0)
-    matrix, bounds, held = system.matrix, system.bounds, [system.A]
-    del system                    # K_int, S_b and M_b go; held owns A
+    load = assemble_load(space, f1=problem.f1, f2=problem.f2,
+                         g1=problem.g1, g2=problem.g2)
+    matrix, bounds, held = system.matrix, system.bounds, [(system.A, load)]
+    del system, load              # K_int, S_b and M_b go; held owns A and L
     _release_heap()
 
-    def lift_and_load():
+    def lift_and_rhs():
         lift = (np.zeros(space.n_nodes) if problem.phi is None
                 else mcshane_lift(space, problem.phi))
-        # (L - A lift)[free], after which neither the load L nor A lives
-        rhs = (assemble_load(space, f1=problem.f1, f2=problem.f2,
-                             g1=problem.g1, g2=problem.g2)
-               - held.pop().dot(lift))[space.free]
+        A, L = held.pop()
+        rhs = (L - A.dot(lift))[space.free]
+        del A, L                  # neither the load nor A lives on
         _release_heap()
         return lift, rhs
 
-    # SuperLU releases the GIL while it factors, so the lift and the load
-    # run meanwhile.  Its large blocks are mmapped and reuse no freed
-    # heap page, so both releases above hand the freed pages back to the
-    # OS before the fill peaks.  The lift overlaps that peak, so it keeps
-    # to femcore's block budget.  Leaving the block joins the worker.
+    # SuperLU releases the GIL while it factors, so the lift runs
+    # meanwhile.  Its large blocks are mmapped and reuse no freed heap
+    # page, so both releases above hand the freed pages back to the OS
+    # before the fill peaks.  The lift overlaps that peak, so it keeps to
+    # femcore's block budget.  Leaving the block joins the worker.
     with ThreadPoolExecutor(1) as pool:
-        pending = pool.submit(lift_and_load)
+        pending = pool.submit(lift_and_rhs)
         try:
             lu = factorize(matrix)
         finally:

@@ -424,6 +424,17 @@ def test_bad_wall_data_outranks_a_failed_factorization(tmp_path, monkeypatch,
     assert "solver failure" not in err
 
 
+def test_bad_load_exits_2_before_any_factoring(tmp_path, monkeypatch):
+    # the load is assembled on the calling thread before the factor
+    factored = []
+    monkeypatch.setattr(solver, "factorize", factored.append)
+    run = cases.run("solve_cable_g1_poly:1e308,1e308", tmp_path, None)
+    assert run.code == 2
+    assert run.stderr.startswith(
+        "configuration error: g1: load data must be finite")
+    assert factored == []
+
+
 def test_failed_factorization_alone_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(solver, "factorize", _singular)
     threads = threading.active_count()

@@ -19,6 +19,9 @@ was given.  The convergence and zero-data rows catch it.
 
 The chain mutant triples the chain part of the assembled matrix and
 leaves the bounds and the Gram matrix alone, so ``continuity`` must FAIL.
+The chain weights scaled by 1.001 or 1.1 scale the chain mass, and with
+it the trace constant, so ``trace_poincare`` must FAIL against its
+closed forms.
 """
 
 import pytest
@@ -116,6 +119,14 @@ def test_continuity_kills_the_scaled_chain_mutant(monkeypatch):
     assert not ok and passed == "0"
     assert float(bound) == pytest.approx(17.068316595782377, rel=1e-12)
     assert float(constant) == pytest.approx(17.368, abs=1e-3)
+
+
+@pytest.mark.parametrize("factor", [1.001, 1.1])
+def test_trace_poincare_kills_the_scaled_weights_mutant(factor, monkeypatch):
+    # x 1.1 puts the n = 32 square L_est 4.8 % above L; x 1.001 keeps it
+    # below, but its square gap ratios read 4.30 and 6.49
+    monkeypatch.setattr(femcore.VentcelChain, "__init__", _scaled_wq(factor))
+    assert not verify._check_trace_poincare()[2]
 
 
 @pytest.mark.xfail(strict=True, reason=(

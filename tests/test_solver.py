@@ -174,9 +174,10 @@ def test_threaded_solve_matches_the_serial_stages_bit_for_bit(
 
 def test_solve_frees_the_full_size_matrices_before_the_factor(monkeypatch):
     # only the reduced matrix outlives the assembly: K_int, S_b and M_b
-    # are dead when the factor starts, and A once the worker has joined
+    # are dead when the factor starts, and A and the load L once the
+    # worker has joined
     refs, live = {}, {}
-    assemble = solver.assemble_bilinear
+    assemble, load = solver.assemble_bilinear, solver.assemble_load
     factor, solve = solver.factorize, solver.solve_linear
 
     def alive(*names):
@@ -188,19 +189,51 @@ def test_solve_frees_the_full_size_matrices_before_the_factor(monkeypatch):
             refs[key] = weakref.ref(getattr(system, key))
         return system
 
+    def recording_load(*args, **kwargs):
+        L = load(*args, **kwargs)
+        refs["L"] = weakref.ref(L)
+        return L
+
     def factorize(matrix):
         live["factor"] = alive("K_int", "S_b", "M_b")
         return factor(matrix)
 
     def solve_linear(lu, rhs):
-        live["solve"] = alive("A")
+        live["solve"] = alive("A", "L")
         return solve(lu, rhs)
 
     monkeypatch.setattr(solver, "assemble_bilinear", recording)
+    monkeypatch.setattr(solver, "assemble_load", recording_load)
     monkeypatch.setattr(solver, "factorize", factorize)
     monkeypatch.setattr(solver, "solve_linear", solve_linear)
     solve_ventcel(cable_problem(), n=8)
     assert live == {"factor": [], "solve": []}
+
+
+def test_solve_assembles_the_load_on_the_calling_thread_before_the_factor(
+        monkeypatch):
+    # only the lift overlaps the factor: the load returns first
+    events = []
+    load, factor = solver.assemble_load, solver.factorize
+
+    def assemble_load(*args, **kwargs):
+        events.append(("load", threading.get_ident()))
+        L = load(*args, **kwargs)
+        events.append(("load returned", threading.get_ident()))
+        return L
+
+    def factorize(matrix):
+        events.append(("factor", threading.get_ident()))
+        return factor(matrix)
+
+    monkeypatch.setattr(solver, "assemble_load", assemble_load)
+    monkeypatch.setattr(solver, "factorize", factorize)
+    problem = square_affine_problem()
+    assert problem.f1 is not None and problem.g1 is not None
+    solve_ventcel(problem, n=4)
+    caller = threading.get_ident()
+    assert events == [("load", caller), ("load returned", caller),
+                      ("factor", caller)]
 
 
 @pytest.mark.parametrize("key", ["a2", "a0"])
