@@ -217,15 +217,16 @@ def coefficient_bounds(space: FeSpace, a2, a0) -> CoefficientBounds:
     return _bounds(*_chain_coefficients(space, a2, a0))
 
 
-def _dirichlet_boundary_samples(space: FeSpace):
-    """Points covering the Dirichlet boundary at spacing at most h/4.
+def wall_data(space: FeSpace, phi):
+    """(samples, values, wall, wall_values): Dirichlet data phi, checked.
 
-    Returns (points, a, b, xi): point i lies at fraction xi[i] along the
-    wall edge (a[i], b[i]).  Every Dirichlet node appears among the
-    samples (edge endpoints are always included, at xi 0 and 1 exactly).
+    The samples cover the walls at spacing at most h/4, at the fractions
+    np.linspace(0, 1, m + 1) of each wall edge, so the Dirichlet nodes
+    (wall) are among them (at xi 0 and 1 exactly); ``eval_edges`` reads
+    phi at both.  Non-finite wall data raises InputError.
     """
-    walls = space.mesh.walls
-    pa, pb = space.mesh.nodes[walls.T]
+    mesh, walls = space.mesh, space.mesh.walls
+    pa, pb = mesh.nodes[walls.T]
     d = pb - pa
     m = np.maximum(1, np.ceil(np.hypot(*d.T) / (0.25 * space.h)).astype(int))
     edge = np.repeat(np.arange(len(m)), m + 1)
@@ -234,7 +235,15 @@ def _dirichlet_boundary_samples(space: FeSpace):
     xi = (np.arange(len(edge)) - (ends - m - 1)[edge]) * (1.0 / m[edge])
     xi[ends - 1] = 1.0
     a, b = walls[edge].T
-    return pa[edge] + xi[:, None] * d[edge], a, b, xi
+    samples = pa[edge] + xi[:, None] * d[edge]
+    idx = np.flatnonzero(space.dirichlet_mask)
+    wall = mesh.nodes[idx]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = phi.eval_edges(mesh, a, b, xi, samples)
+        wall_values = phi.eval_edges(mesh, idx, idx, 0.0, wall)
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(wall_values))):
+        raise InputError("phi: wall data must be finite (found nan or inf)")
+    return samples, values, wall, wall_values
 
 
 def _sample_cells(samples, values, side):
@@ -279,15 +288,15 @@ def _trace_lipschitz(wall, wall_values, pts, values, scale):
     return K * (1.0 + 1e-9)
 
 
-def mcshane_lift(space: FeSpace, phi) -> np.ndarray:
+def mcshane_lift(space: FeSpace, data) -> np.ndarray:
     """Lipschitz extension of the Dirichlet data phi to all nodes.
 
-    phi~(p) = min over boundary samples q of [phi(q) + K |p - q|].
-    Samples are spaced at most h/4 along each Dirichlet edge.  K is the
+    ``data`` is ``wall_data(space, phi)``; the lift only computes on it.
+    phi~(p) = min over wall samples q of [phi(q) + K |p - q|].  K is the
     largest difference quotient of phi between a Dirichlet node and a
     sample, times 1 + 1e-9, so phi~ matches phi at every Dirichlet node
     (the nodes are among the samples) and extends with the same
-    constant.  Non-finite wall data raises InputError.
+    constant.
 
     The minimum is found by branch and bound over square cells of side
     ``_LIFT_CELL * h`` grouping the samples.  A cell with centre c,
@@ -303,15 +312,7 @@ def mcshane_lift(space: FeSpace, phi) -> np.ndarray:
     K |p - q| >= +0).
     """
     mesh = space.mesh
-    pts, a, b, xi = _dirichlet_boundary_samples(space)
-    idx = np.flatnonzero(space.dirichlet_mask)
-    wall = mesh.nodes[idx]
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = phi.eval_edges(mesh, a, b, xi, pts)
-        wall_values = phi.eval_edges(mesh, idx, idx, 0.0, wall)
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(wall_values))):
-        raise InputError("phi: wall data must be finite (found nan or inf)")
-
+    pts, values, wall, wall_values = data
     scale = mesh.scale()
     K = _trace_lipschitz(wall, wall_values, pts, values, scale)
     mx, my, mv, centre, radius, vmin = _sample_cells(

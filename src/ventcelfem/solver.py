@@ -6,7 +6,7 @@ and optionally the exact solution it was manufactured from.  The solve
 writes u = lift + v, with lift extending the Dirichlet data and v
 vanishing on the Dirichlet set, and owns the reduced system for v:
 
-    triangulate -> build space -> assemble A -> load ->
+    triangulate -> build space -> assemble A -> load -> wall data ->
         (lift, b = (L - A lift)[free]) || factor A[free, free] ->
         solve for v -> residual -> uniqueness check on the LU -> u = lift + v
 
@@ -30,7 +30,7 @@ import scipy.sparse.linalg as spla
 from .domain import DomainSpec, InputError
 from .fields import EXACT_SOLUTIONS, BoundaryFunction, Coefficient
 from .femcore import (GAUSS3_XI, CoefficientBounds, assemble_bilinear,
-                      assemble_load, build_space, mcshane_lift)
+                      assemble_load, build_space, mcshane_lift, wall_data)
 from .geometry import frame_derivatives
 from .mesh import Mesh, _write_text, triangulate
 
@@ -94,7 +94,7 @@ def manufactured_problem(domain: DomainSpec, exact, a2, a0) -> VentcelProblem:
                                  f"chain load must be finite (found nan or inf)")
         return u_nu - a2_term + a0_term
 
-    def wall_data(p):
+    def exact_on_walls(p):
         values = exact.value(p)
         if not np.all(np.isfinite(values)):
             raise InputError("exact: the exact solution must be finite on "
@@ -105,7 +105,7 @@ def manufactured_problem(domain: DomainSpec, exact, a2, a0) -> VentcelProblem:
         domain=domain, a2=a2, a0=a0,
         f1=_PointFunction(neg_laplacian),
         g1=BoundaryFunction(g1_func),
-        phi=_PointFunction(wall_data),
+        phi=_PointFunction(exact_on_walls),
         exact=exact,
     )
 
@@ -159,14 +159,13 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     """Solve ``problem`` on ``mesh``, or when it is None on a fresh mesh
     with subdivision ``n``; one of the two must be given.
 
-    The calling thread assembles the load L next to the matrix, so a
-    bad load raises its InputError before any factoring.  lift ||
-    factor: the calling thread then factors the reduced matrix while one
-    worker thread builds the Dirichlet lift and the reduced right-hand
-    side; the worker is joined before the solve and never outlives the
-    call.  An InputError from the lift (bad wall data) is raised in
-    preference to a SingularSystemError from the factor, as a serial run
-    would report them.
+    The calling thread assembles the load L next to the matrix and then
+    reads the wall data, so every InputError (a2 and a0, then the loads,
+    then phi) comes before any factoring.  lift || factor: the calling
+    thread then factors the reduced matrix while one worker thread
+    builds the Dirichlet lift and the reduced right-hand side from
+    arrays alone; the worker is joined before the solve and never
+    outlives the call.
 
     ``uniqueness_diagnostic`` then runs on the same factor; a system
     whose rcond is not at least 1e-14 raises SingularSystemError.  Of
@@ -179,13 +178,14 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     system = assemble_bilinear(space, problem.a2, problem.a0)
     load = assemble_load(space, f1=problem.f1, f2=problem.f2,
                          g1=problem.g1, g2=problem.g2)
+    data = None if problem.phi is None else wall_data(space, problem.phi)
     matrix, bounds, held = system.matrix, system.bounds, [(system.A, load)]
     del system, load              # K_int, S_b and M_b go; held owns A and L
     _release_heap()
 
     def lift_and_rhs():
-        lift = (np.zeros(space.n_nodes) if problem.phi is None
-                else mcshane_lift(space, problem.phi))
+        lift = (np.zeros(space.n_nodes) if data is None
+                else mcshane_lift(space, data))
         A, L = held.pop()
         rhs = (L - A.dot(lift))[space.free]
         del A, L                  # neither the load nor A lives on
@@ -199,11 +199,8 @@ def solve_ventcel(problem: VentcelProblem, n: int | None = None,
     # femcore's block budget.  Leaving the block joins the worker.
     with ThreadPoolExecutor(1) as pool:
         pending = pool.submit(lift_and_rhs)
-        try:
-            lu = factorize(matrix)
-        finally:
-            # an InputError from the worker replaces a SingularSystemError
-            lift, rhs = pending.result()
+        lu = factorize(matrix)
+        lift, rhs = pending.result()
     v = solve_linear(lu, rhs)
 
     r = matrix.dot(v) - rhs

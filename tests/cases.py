@@ -190,6 +190,11 @@ ROWS = {
         CONFIG + f"{key}: {FINITE.get(key, 'load data')} must be finite")
        for key, text in NON_FINITE},
 
+    # the wall data is refused before the solve factors
+    "solve_cable_phi_const:nan": Row(
+        "solve --domain cable --n 2 --phi const:nan", 2,
+        CONFIG + "phi: wall data must be finite"),
+
     # huge or infinite data: inf * 0 and sums past the double range give
     # nan or inf, which a finiteness check or the solve reports
     **{f"solve_cable_{key}_{text}": Row(

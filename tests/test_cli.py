@@ -411,8 +411,8 @@ def _singular(matrix):
 
 def test_bad_wall_data_outranks_a_failed_factorization(tmp_path, monkeypatch,
                                                        capsys):
-    # the factor fails at once, the lift on the worker fails too; the
-    # lift's ValueError wins, as it would in a serial solve
+    # the factor would fail at once, but the wall data is read and
+    # refused on the calling thread before the factor starts
     monkeypatch.setattr(solver, "factorize", _singular)
     threads = threading.active_count()
     rc = cli.main(["solve", "--domain", "square", "--n", "4",
@@ -432,6 +432,20 @@ def test_bad_load_exits_2_before_any_factoring(tmp_path, monkeypatch):
     assert run.code == 2
     assert run.stderr.startswith(
         "configuration error: g1: load data must be finite")
+    assert factored == []
+
+
+@pytest.mark.parametrize("name, key", [
+    ("solve_cable_phi_const:nan", "phi"),
+    ("convergence_cable_exact_log_radial", "exact")])
+def test_bad_wall_data_exits_2_before_any_factoring(name, key, tmp_path,
+                                                    monkeypatch):
+    # the wall data is read on the calling thread before the factor
+    factored = []
+    monkeypatch.setattr(solver, "factorize", factored.append)
+    run = cases.run(name, tmp_path, None)
+    assert run.code == 2
+    assert run.stderr.startswith(f"configuration error: {key}: ")
     assert factored == []
 
 

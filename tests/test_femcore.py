@@ -29,6 +29,7 @@ from ventcelfem.femcore import (
     build_space,
     coefficient_bounds,
     mcshane_lift,
+    wall_data,
 )
 from ventcelfem.geometry import CableArc, Segment
 from ventcelfem.mesh import Mesh, triangulate
@@ -161,9 +162,22 @@ def test_space_rejects_a_nan_triangle_area():
         build_space(mesh)
 
 
+def wall_samples(space):
+    """wall_data's samples, with the edge (a, b) and the fraction xi that
+    it reads phi at for each of them: (points, a, b, xi)."""
+    edges = []
+
+    class Recording(ConstantCoefficient):
+        def eval_edges(self, mesh, a, b, xi, points):
+            edges.append((a, b, xi))
+            return super().eval_edges(mesh, a, b, xi, points)
+
+    return wall_data(space, Recording(0.0))[0], *edges[0]
+
+
 def test_dirichlet_samples_cover_walls():
     mesh = triangulate(square_domain(), 4)
-    pts, a, b, xi = femcore._dirichlet_boundary_samples(build_space(mesh))
+    pts, a, b, xi = wall_samples(build_space(mesh))
     assert len(pts) >= 2 * 4 * 4            # two walls, >= 4 per edge
     assert np.all((np.abs(pts[:, 0]) < 1e-14) | (np.abs(pts[:, 0] - 1) < 1e-14))
     # each sample sits at its reported fraction of its reported wall edge
@@ -193,7 +207,7 @@ def linspace_samples(space):
        st.integers(2, 40))
 def test_dirichlet_samples_are_the_per_edge_linspace_bits(spec, n):
     space = build_space(triangulate(make_domain(spec), n))
-    got = femcore._dirichlet_boundary_samples(space)
+    got = wall_samples(space)
     for g, w in zip(got, linspace_samples(space), strict=True):
         assert (g.dtype, g.shape) == (w.dtype, w.shape)
         assert g.tobytes() == w.tobytes()
@@ -202,7 +216,7 @@ def test_dirichlet_samples_are_the_per_edge_linspace_bits(spec, n):
 def test_mcshane_lift_node_exact_and_lipschitz():
     space = build_space(triangulate(square_domain(), 4))
     K = one_block_lipschitz(space, AFFINE)
-    lift = mcshane_lift(space, AFFINE)
+    lift = mcshane_lift(space, wall_data(space, AFFINE))
     nodes = space.mesh.nodes
     want = AFFINE.eval_points(nodes)
     mask = space.dirichlet_mask
@@ -217,14 +231,14 @@ def test_mcshane_lift_node_exact_and_lipschitz():
 
 def test_mcshane_lift_zero_data():
     space = build_space(triangulate(square_domain(), 4))
-    lift = mcshane_lift(space, ZERO)
+    lift = mcshane_lift(space, wall_data(space, ZERO))
     assert np.abs(lift).max() == 0.0
 
 
 def one_block_lipschitz(space, phi):
     """Reference K: every Dirichlet node against every wall sample at once."""
     mesh = space.mesh
-    samples = femcore._dirichlet_boundary_samples(space)[0]
+    samples = wall_samples(space)[0]
     if len(samples) == 0:
         return 0.0
     nodes = mesh.nodes[space.dirichlet_mask]
@@ -239,7 +253,7 @@ def one_block_lipschitz(space, phi):
 
 def brute_force_lift(space, phi, K):
     """Reference McShane lift: every node against every wall sample."""
-    samples = femcore._dirichlet_boundary_samples(space)[0]
+    samples = wall_samples(space)[0]
     if len(samples) == 0:
         return np.zeros(space.n_nodes)
     values = np.atleast_1d(phi.eval_points(samples))
@@ -276,13 +290,14 @@ def test_mcshane_lift_matches_full_scan_bitwise(domain, n, phi, budget):
     # one property pins both K and the extension bit for bit
     space = build_space(triangulate(LIFT_DOMAINS[domain](), n))
     with np.errstate(divide="ignore"):       # log_radial at the origin
-        walls = phi.eval_points(femcore._dirichlet_boundary_samples(space)[0])
+        walls = phi.eval_points(wall_samples(space)[0])
         if not np.all(np.isfinite(walls)):
             with pytest.raises(InputError, match="^phi"):
-                mcshane_lift(space, phi)
+                wall_data(space, phi)
             return
+    data = wall_data(space, phi)
     with mock.patch.object(femcore, "BLOCK_FLOATS", budget):
-        got = mcshane_lift(space, phi)
+        got = mcshane_lift(space, data)
     want = brute_force_lift(space, phi, one_block_lipschitz(space, phi))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -291,32 +306,29 @@ def test_mcshane_lift_matches_full_scan_bitwise(domain, n, phi, budget):
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(n=st.integers(2, 24), phi=LIFT_PHIS, budget=BUDGETS)
 def test_trace_lipschitz_matches_one_block_bitwise(domain, n, phi, budget):
-    # K as mcshane_lift computes it, wall data read the same way
+    # K as mcshane_lift computes it, on the wall data that it is given
     space = build_space(triangulate(LIFT_DOMAINS[domain](), n))
-    mesh = space.mesh
-    pts, a, b, xi = femcore._dirichlet_boundary_samples(space)
-    idx = np.flatnonzero(space.dirichlet_mask)
-    wall = mesh.nodes[idx]
     with np.errstate(divide="ignore"):       # log_radial at the origin
-        values = np.atleast_1d(phi.eval_edges(mesh, a, b, xi, pts))
-        wall_values = np.atleast_1d(phi.eval_edges(mesh, idx, idx, 0.0, wall))
-    assume(np.all(np.isfinite(values)) and np.all(np.isfinite(wall_values)))
+        walls = phi.eval_points(wall_samples(space)[0])
+    assume(np.all(np.isfinite(walls)))
+    pts, values, wall, wall_values = wall_data(space, phi)
     with mock.patch.object(femcore, "BLOCK_FLOATS", budget):
         got = femcore._trace_lipschitz(wall, wall_values, pts, values,
-                                       mesh.scale())
+                                       space.mesh.scale())
     assert got == one_block_lipschitz(space, phi)
 
 
 @pytest.mark.parametrize("n", [64, 128])
 def test_lift_temporaries_do_not_grow_with_the_mesh(n):
     # the lift, its Lipschitz constant included, runs on the solve's
-    # worker thread while the factor fills in, so its temporaries add to
-    # the solve's peak; numpy reports its buffers to tracemalloc
+    # worker thread while the factor fills in, and the wall data lives
+    # through the fill, so their temporaries add to the solve's peak;
+    # numpy reports its buffers to tracemalloc
     space = build_space(triangulate(cable_domain(), n))
     phi = FieldCoefficient(EXACT_SOLUTIONS["harmonic_cubic"])
     tracemalloc.start()
     try:
-        mcshane_lift(space, phi)
+        mcshane_lift(space, wall_data(space, phi))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,7 +339,7 @@ def test_mcshane_lift_rejects_bad_inputs():
     space = build_space(triangulate(square_domain(), 4))
     for v in (np.nan, np.inf, -np.inf):
         with pytest.raises(InputError, match="^phi: wall data must be finite"):
-            mcshane_lift(space, ConstantCoefficient(v))
+            wall_data(space, ConstantCoefficient(v))
 
 
 def test_bounds_reject_non_finite_coefficients():

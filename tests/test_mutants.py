@@ -147,9 +147,9 @@ def _flat_frame(*args):
     return du, u_tt, u_nu, 0.0 * kappa
 
 
-def _shifted_lift(space, phi):
+def _shifted_lift(space, data):
     """femcore.mcshane_lift with every value raised by 1e-3."""
-    return femcore.mcshane_lift(space, phi) + 1e-3
+    return femcore.mcshane_lift(space, data) + 1e-3
 
 
 # the verify checks that solve a problem, each run under every solve mutant

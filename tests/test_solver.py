@@ -57,7 +57,7 @@ def test_dirichlet_nodes_carry_exact_data():
     want = problem.exact.value(space.mesh.nodes[mask])
     assert np.abs(sol.values[mask] - want).max() < 1e-12
     # the reduced solve adds nothing on the walls: u = lift there
-    lift = femcore.mcshane_lift(space, problem.phi)
+    lift = femcore.mcshane_lift(space, femcore.wall_data(space, problem.phi))
     assert sol.values[mask].tobytes() == lift[mask].tobytes()
 
 
@@ -111,7 +111,7 @@ def _serial_solve(problem, mesh):
     """values and residual from the solve's stages in turn."""
     space = build_space(mesh)
     system = assemble_bilinear(space, problem.a2, problem.a0)
-    lift = femcore.mcshane_lift(space, problem.phi)
+    lift = femcore.mcshane_lift(space, femcore.wall_data(space, problem.phi))
     rhs = _reduced_rhs(problem, system, lift)
     v = solve_linear(factorize(system.matrix), rhs)
     r = system.matrix.dot(v) - rhs
@@ -141,7 +141,7 @@ def test_solution_independent_of_lifting_constant(kind, n, amp, seed):
     sol = solve_ventcel(prob, n=n)
     space = sol.space
     system = assemble_bilinear(space, prob.a2, prob.a0)
-    lift = femcore.mcshane_lift(space, prob.phi)
+    lift = femcore.mcshane_lift(space, femcore.wall_data(space, prob.phi))
     rng = np.random.default_rng(seed)
     lift[space.free] += amp * rng.uniform(-1.0, 1.0, space.n_free)
     values = lift.copy()
@@ -212,9 +212,11 @@ def test_solve_frees_the_full_size_matrices_before_the_factor(monkeypatch):
 
 def test_solve_assembles_the_load_on_the_calling_thread_before_the_factor(
         monkeypatch):
-    # only the lift overlaps the factor: the load returns first
+    # only the lift overlaps the factor: the load and the wall data come
+    # first
     events = []
     load, factor = solver.assemble_load, solver.factorize
+    read = solver.wall_data
 
     def assemble_load(*args, **kwargs):
         events.append(("load", threading.get_ident()))
@@ -222,18 +224,23 @@ def test_solve_assembles_the_load_on_the_calling_thread_before_the_factor(
         events.append(("load returned", threading.get_ident()))
         return L
 
+    def wall_data(space, phi):
+        events.append(("wall data", threading.get_ident()))
+        return read(space, phi)
+
     def factorize(matrix):
         events.append(("factor", threading.get_ident()))
         return factor(matrix)
 
     monkeypatch.setattr(solver, "assemble_load", assemble_load)
+    monkeypatch.setattr(solver, "wall_data", wall_data)
     monkeypatch.setattr(solver, "factorize", factorize)
     problem = square_affine_problem()
     assert problem.f1 is not None and problem.g1 is not None
     solve_ventcel(problem, n=4)
     caller = threading.get_ident()
     assert events == [("load", caller), ("load returned", caller),
-                      ("factor", caller)]
+                      ("wall data", caller), ("factor", caller)]
 
 
 @pytest.mark.parametrize("key", ["a2", "a0"])
@@ -316,13 +323,14 @@ def test_uniqueness_diagnostic_costs_one_onenormest():
 
 def test_solve_builds_wall_samples_once(monkeypatch):
     calls = []
-    build = femcore._dirichlet_boundary_samples
+    read = femcore.wall_data
 
-    def counting(space):
+    def counting(space, phi):
         calls.append(space)
-        return build(space)
+        return read(space, phi)
 
-    monkeypatch.setattr(femcore, "_dirichlet_boundary_samples", counting)
+    monkeypatch.setattr(femcore, "wall_data", counting)
+    monkeypatch.setattr(solver, "wall_data", counting)
     sol = solve_ventcel(cable_problem(), n=8)
     assert len(calls) == 1
     monkeypatch.undo()
